@@ -1,6 +1,8 @@
 //! The insert path: coordination, replica storage, replica diversion
 //! (§3.3) and file diversion (§3.4).
 
+use std::cmp::Reverse;
+
 use past_crypto::{SharedFileCert, SharedReceipt, StoreReceipt};
 use past_id::FileId;
 use past_pastry::NodeEntry;
@@ -210,35 +212,39 @@ impl PastNode {
         let key = file_id.as_key();
         let candidates = ctx.replica_candidates(key, self.cfg.k as usize);
         let own = ctx.own();
-        let mut eligible: Vec<NodeEntry> = ctx
+        // Rank by known free space, descending; unknown is optimistic.
+        // Under reliability tracking the score is free × reliability (u128:
+        // the optimistic u64::MAX times 1000 milli-units must not wrap).
+        // Each score is computed once; ties keep leaf-set order.
+        let track = ctx.config().track_reliability;
+        let mut eligible: Vec<(Reverse<u128>, usize, NodeEntry)> = ctx
             .pastry()
             .leaf_set()
             .members()
             .filter(|m| !candidates.iter().any(|c| c.id == m.id))
-            .copied()
+            .enumerate()
+            .map(|(i, m)| {
+                let free = self.free_info.get(&m.id).copied().unwrap_or(u64::MAX) as u128;
+                let score = if track {
+                    free * ctx.reliability_milli(m.id) as u128
+                } else {
+                    free
+                };
+                (Reverse(score), i, *m)
+            })
             .collect();
         if eligible.is_empty() {
             return None;
-        }
-        // Sort by known free space, descending; unknown is optimistic.
-        // Under reliability tracking the key is free × reliability (u128:
-        // the optimistic u64::MAX times 1000 milli-units must not wrap).
-        if ctx.config().track_reliability {
-            eligible.sort_by_key(|m| {
-                let free = self.free_info.get(&m.id).copied().unwrap_or(u64::MAX);
-                let rel = ctx.reliability_milli(m.id);
-                std::cmp::Reverse((free as u128) * (rel as u128))
-            });
-        } else {
-            eligible.sort_by_key(|m| {
-                std::cmp::Reverse(self.free_info.get(&m.id).copied().unwrap_or(u64::MAX))
-            });
         }
         let rank = candidates
             .iter()
             .position(|c| c.id == own.id)
             .unwrap_or(0);
-        Some(eligible[rank % eligible.len()])
+        // Only the rank-th best is read, so select it instead of sorting:
+        // (score, leaf-set index) is the order a stable sort would give.
+        let nth = rank % eligible.len();
+        let (_, target, _) = eligible.select_nth_unstable_by_key(nth, |&(score, i, _)| (score, i));
+        Some(target.2)
     }
 
     /// Node B receives a diversion request: apply the `t_div` acceptance

@@ -156,18 +156,22 @@ impl PastNode {
     pub(crate) fn handle_neighbor_added(&mut self, ctx: &mut PCtx<'_, '_>, node: NodeEntry) {
         let own = ctx.own();
         let k = self.cfg.k as usize;
+        // One buffer for the whole sweep: it asks once per stored primary.
+        let mut candidates = Vec::with_capacity(k);
         let mut displaced: Vec<(FileId, SharedFileCert)> = self
             .store
             .primaries()
             .filter_map(|(id, cert)| {
-                let candidates = ctx.replica_candidates(id.as_key(), k);
-                let newcomer_in = candidates.iter().any(|c| c.id == node.id);
-                let self_out = !candidates.iter().any(|c| c.id == own.id);
-                if newcomer_in && self_out {
-                    Some((*id, cert.clone()))
-                } else {
-                    None
+                // Nearly every primary is one this node still answers
+                // for; that test needs no candidate list.
+                if ctx.is_among_k_closest(id.as_key(), k) {
+                    return None;
                 }
+                ctx.replica_candidates_into(id.as_key(), k, &mut candidates);
+                candidates
+                    .iter()
+                    .any(|(_, c)| c.id == node.id)
+                    .then(|| (*id, cert.clone()))
             })
             .collect();
         // The store's maps iterate in per-instance random order; batches
@@ -203,23 +207,23 @@ impl PastNode {
         // and this node is the set's closest member, ship a copy to the
         // node that newly completes the set.
         let mut to_restore: Vec<(NodeEntry, SharedFileCert)> = Vec::new();
+        let mut candidates = Vec::with_capacity(k);
         for (id, stored) in self.store.primaries() {
             let key = id.as_key();
-            let candidates = ctx.replica_candidates(key, k);
-            if candidates.is_empty() {
+            // Only the set's closest member restores, which rules out
+            // k − 1 holders in k before any candidate list is built.
+            if !ctx.is_among_k_closest(key, 1) {
                 continue;
             }
+            ctx.replica_candidates_into(key, k, &mut candidates);
             // Was the failed node responsible? Compare its distance to
             // the current farthest candidate.
-            let farthest = candidates.last().expect("non-empty");
-            let failed_was_in =
-                failed.id.ring_distance(key) <= farthest.id.ring_distance(key);
-            let i_am_closest = candidates[0].id == own.id;
-            if failed_was_in && i_am_closest {
-                let newcomer = *farthest;
-                if newcomer.id != own.id {
-                    to_restore.push((newcomer, stored.clone()));
-                }
+            let Some(&(farthest_distance, farthest)) = candidates.last() else {
+                continue;
+            };
+            let failed_was_in = failed.id.ring_distance(key) <= farthest_distance;
+            if failed_was_in && farthest.id != own.id {
+                to_restore.push((farthest, stored.clone()));
             }
         }
         to_restore.sort_by_key(|(_, cert)| cert.file_id);

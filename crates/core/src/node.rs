@@ -639,6 +639,7 @@ impl PastNode {
         let own = ctx.own();
         let own_id = own.id.to_bytes();
         let batch = self.cfg.audit_batch.min(ids.len());
+        let mut candidates = Vec::with_capacity(self.cfg.k as usize);
         for i in 0..batch {
             let file_id = ids[(start + i) % ids.len()];
             self.audit_cursor = Some(file_id);
@@ -646,11 +647,8 @@ impl PastNode {
                 Some(r) => r.cert.content_hash,
                 None => continue,
             };
-            let candidates: Vec<NodeEntry> = ctx
-                .replica_candidates(file_id.as_key(), self.cfg.k as usize)
-                .into_iter()
-                .filter(|e| e.id != own.id)
-                .collect();
+            ctx.replica_candidates_into(file_id.as_key(), self.cfg.k as usize, &mut candidates);
+            candidates.retain(|(_, e)| e.id != own.id);
             if candidates.is_empty() {
                 continue;
             }
@@ -670,7 +668,7 @@ impl PastNode {
             // audit exactly.
             let fanout = self.cfg.audit_fanout.max(1).min(candidates.len());
             for j in 0..fanout {
-                let holder = candidates[(pick + j) % candidates.len()];
+                let (_, holder) = candidates[(pick + j) % candidates.len()];
                 let (seq, nonce) = self.audits.issue(
                     &own_id,
                     file_id,

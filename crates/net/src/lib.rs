@@ -26,6 +26,7 @@
 mod addr;
 mod fault;
 mod proto;
+mod queue;
 mod shard;
 mod sharded;
 mod sim;

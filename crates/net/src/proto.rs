@@ -157,8 +157,11 @@ impl NetStats {
         }
     }
 
-    /// Folds another engine shard's counters into this one (all fields
-    /// sum; see [`NetStats::queue_peak`] for its caveat).
+    /// Folds another engine shard's counters into this one. Every field
+    /// sums, `queue_peak` included: the merged value is the *sum of the
+    /// per-shard peaks*, an upper bound on the global peak (shards need
+    /// not peak at the same instant) rather than the peak itself. It is
+    /// kept that way because recorded results pin it.
     pub fn merge_from(&mut self, o: &NetStats) {
         self.delivered += o.delivered;
         self.dropped += o.dropped;

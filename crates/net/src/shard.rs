@@ -1,5 +1,5 @@
 //! One shard of the multi-core simulation engine: a disjoint subset of
-//! nodes with its own event heap, per-node RNG streams, fault
+//! nodes with its own event queue, per-node RNG streams, fault
 //! sub-schedule and outboxes for cross-shard sends.
 //!
 //! # The shard-invariant total order
@@ -20,8 +20,6 @@
 //! ordered by the key above), jitter from the *source* node's stream
 //! (outputs are ordered by `source_seq`).
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -30,6 +28,7 @@ use rand::{Rng, SeedableRng};
 use crate::addr::Addr;
 use crate::fault::{FaultPlan, NodeFault};
 use crate::proto::{Ctx, NetStats, Output, Protocol};
+use crate::queue::{Event, EventQueue};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
 
@@ -43,47 +42,18 @@ fn node_rng_seed(master: u64, addr: Addr) -> u64 {
     z ^ (z >> 31)
 }
 
-#[derive(Debug)]
-pub(crate) enum ShardEventKind<M> {
-    Deliver { src: Addr, dst: Addr, msg: M },
-    Timer { node: Addr, token: u64 },
-}
+/// The shard-invariant total order (see module docs): `(arrival, sent,
+/// source, source_seq)`. Arrival ties break by send time first, which
+/// also matches the legacy engine's enqueue order whenever send times
+/// differ; `source_seq` is the source node's output sequence number.
+pub(crate) type ShardKey = (SimTime, SimTime, u32, u64);
 
-/// An event keyed by the shard-invariant total order (see module docs).
-pub(crate) struct ShardEvent<M> {
-    pub(crate) at: SimTime,
-    /// When the source emitted it (arrival ties break by send time
-    /// first, which also matches the legacy engine's enqueue order
-    /// whenever send times differ).
-    pub(crate) sent: SimTime,
-    pub(crate) src: Addr,
-    /// The source node's output sequence number.
-    pub(crate) sseq: u64,
-    pub(crate) kind: ShardEventKind<M>,
-}
-
-impl<M> ShardEvent<M> {
-    fn key(&self) -> (SimTime, SimTime, u32, u64) {
-        (self.at, self.sent, self.src.0, self.sseq)
-    }
-}
-
-impl<M> PartialEq for ShardEvent<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-impl<M> Eq for ShardEvent<M> {}
-impl<M> PartialOrd for ShardEvent<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for ShardEvent<M> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert for earliest-first.
-        other.key().cmp(&self.key())
-    }
+/// A cross-shard send waiting in an outbox for the next barrier. The
+/// message crosses by value, once; the key already names its source.
+pub(crate) struct Outbound<M> {
+    key: ShardKey,
+    dst: Addr,
+    msg: M,
 }
 
 struct ShardSlot<P> {
@@ -97,13 +67,13 @@ struct ShardSlot<P> {
 }
 
 /// One shard: the nodes `addr.index() % shards == shard_id`, their
-/// event heap, and the outboxes toward every other shard.
+/// event queue, and the outboxes toward every other shard.
 pub(crate) struct ShardCore<P: Protocol> {
     shard_id: usize,
     shards: usize,
     /// Slots indexed by `addr.index() / shards`.
     slots: Vec<Option<ShardSlot<P>>>,
-    heap: BinaryHeap<ShardEvent<P::Msg>>,
+    queue: EventQueue<ShardKey, P::Msg>,
     topology: Arc<dyn Topology>,
     master_seed: u64,
     time: SimTime,
@@ -117,8 +87,8 @@ pub(crate) struct ShardCore<P: Protocol> {
     /// same-instant upcalls deterministically at the merge.
     upcalls: Vec<(SimTime, Addr, u64, P::Upcall)>,
     /// Cross-shard sends deposited during a window, one box per
-    /// destination shard (own-shard sends go straight to the heap).
-    pub(crate) outboxes: Vec<Vec<ShardEvent<P::Msg>>>,
+    /// destination shard (own-shard sends go straight to the queue).
+    pub(crate) outboxes: Vec<Vec<Outbound<P::Msg>>>,
     /// Fragment recorder for `past-obs` (present only while the
     /// harness records metrics).
     pub(crate) recorder: Option<past_obs::Recorder>,
@@ -136,7 +106,7 @@ impl<P: Protocol> ShardCore<P> {
             shard_id,
             shards,
             slots: Vec::new(),
-            heap: BinaryHeap::with_capacity(256),
+            queue: EventQueue::with_capacity(256),
             topology,
             master_seed,
             time: SimTime::ZERO,
@@ -273,14 +243,14 @@ impl<P: Protocol> ShardCore<P> {
         &self.stats
     }
 
-    /// Pending events: the local heap plus anything awaiting the next
+    /// Pending events: the local queue plus anything awaiting the next
     /// barrier exchange in the outboxes.
     pub(crate) fn queue_len(&self) -> usize {
-        self.heap.len() + self.outboxes.iter().map(Vec::len).sum::<usize>()
+        self.queue.len() + self.outboxes.iter().map(Vec::len).sum::<usize>()
     }
 
     pub(crate) fn reserve(&mut self, events: usize, upcalls: usize) {
-        self.heap.reserve(events.saturating_sub(self.heap.len()));
+        self.queue.reserve(events);
         self.upcalls
             .reserve(upcalls.saturating_sub(self.upcalls.len()));
     }
@@ -303,20 +273,17 @@ impl<P: Protocol> ShardCore<P> {
     }
 
     /// Accepts a batch of cross-shard arrivals (the barrier exchange).
-    pub(crate) fn receive(&mut self, events: Vec<ShardEvent<P::Msg>>) {
-        for e in events {
-            debug_assert!(self.owns(match &e.kind {
-                ShardEventKind::Deliver { dst, .. } => *dst,
-                ShardEventKind::Timer { node, .. } => *node,
-            }));
-            self.heap.push(e);
+    pub(crate) fn receive(&mut self, batch: Vec<Outbound<P::Msg>>) {
+        for Outbound { key, dst, msg } in batch {
+            debug_assert!(self.owns(dst));
+            self.queue.push_deliver(key, Addr(key.2), dst, msg);
         }
-        self.stats.queue_peak = self.stats.queue_peak.max(self.heap.len() as u64);
+        self.stats.queue_peak = self.stats.queue_peak.max(self.queue.len() as u64);
     }
 
     /// The earliest pending timestamp on this shard (event or fault).
     pub(crate) fn next_ts(&self) -> Option<SimTime> {
-        let e = self.heap.peek().map(|e| e.at);
+        let e = self.next_event_at();
         let f = self.next_fault_at();
         match (e, f) {
             (Some(e), Some(f)) => Some(e.min(f)),
@@ -324,6 +291,10 @@ impl<P: Protocol> ShardCore<P> {
             (None, Some(f)) => Some(f),
             (None, None) => None,
         }
+    }
+
+    fn next_event_at(&self) -> Option<SimTime> {
+        self.queue.peek_key().map(|key| key.0)
     }
 
     fn next_fault_at(&self) -> Option<SimTime> {
@@ -351,7 +322,7 @@ impl<P: Protocol> ShardCore<P> {
 
     fn run_window_inner(&mut self, end: SimTime) {
         loop {
-            let next_event = self.heap.peek().map(|e| e.at);
+            let next_event = self.next_event_at();
             let next_fault = self.next_fault_at();
             // Fault-before-event on ties, exactly like the legacy engine.
             let fault_first = match (next_fault, next_event) {
@@ -402,15 +373,14 @@ impl<P: Protocol> ShardCore<P> {
     }
 
     fn step_event(&mut self) {
-        let event = match self.heap.pop() {
-            Some(e) => e,
-            None => return,
+        let Some((key, event)) = self.queue.pop() else {
+            return;
         };
-        debug_assert!(event.at >= self.time, "time must be monotonic");
-        self.time = event.at;
+        debug_assert!(key.0 >= self.time, "time must be monotonic");
+        self.time = key.0;
         self.stats.events += 1;
-        match event.kind {
-            ShardEventKind::Deliver { src, dst, msg } => {
+        match event {
+            Event::Deliver { src, dst, msg } => {
                 if self.fault_plan.severed(self.time, src, dst) {
                     self.stats.dropped += 1;
                     self.stats.partition_dropped += 1;
@@ -435,7 +405,7 @@ impl<P: Protocol> ShardCore<P> {
                     }
                 }
             }
-            ShardEventKind::Timer { node, token } => {
+            Event::Timer { node, token } => {
                 if self.is_up(node) {
                     self.stats.timers_fired += 1;
                     past_obs::counter("net.timers_fired", 1);
@@ -467,36 +437,32 @@ impl<P: Protocol> ShardCore<P> {
         }
     }
 
-    /// Runs a handler against a node and flushes its outputs; own-shard
-    /// arrivals go to the heap, cross-shard arrivals to the outboxes.
+    /// Runs a handler against a node, borrowed in place in its slot, and
+    /// flushes its outputs; own-shard arrivals go to the queue,
+    /// cross-shard arrivals to the outboxes.
     pub(crate) fn dispatch<F>(&mut self, addr: Addr, at: SimTime, f: F)
     where
         F: FnOnce(&mut P, &mut Ctx<'_, P::Msg, P::Upcall>),
     {
         let li = self.local_index(addr);
         // Materialize the slot so its RNG exists even for a first-ever
-        // touch, then run the handler against the taken-out protocol.
+        // touch; the slot, the topology and the output scratch are
+        // disjoint fields from here on.
         self.slot_mut(addr);
         let slot = self.slots[li].as_mut().expect("slot just materialized");
-        let mut proto = match slot.proto.take() {
-            Some(p) => p,
-            None => return,
+        let Some(proto) = slot.proto.as_mut() else {
+            return;
         };
-        let mut out = std::mem::take(&mut self.scratch);
-        {
-            let mut ctx = Ctx {
-                now: at,
-                self_addr: addr,
-                topology: &*self.topology,
-                rng: &mut slot.rng,
-                out: &mut out,
-            };
-            f(&mut proto, &mut ctx);
-        }
-        slot.proto = Some(proto);
+        let mut ctx = Ctx {
+            now: at,
+            self_addr: addr,
+            topology: &*self.topology,
+            rng: &mut slot.rng,
+            out: &mut self.scratch,
+        };
+        f(proto, &mut ctx);
         let jitter_max = self.fault_plan.jitter_max().micros();
-        for output in out.drain(..) {
-            let slot = self.slots[li].as_mut().expect("slot exists");
+        for output in self.scratch.drain(..) {
             match output {
                 Output::Send { dst, msg } => {
                     let mut latency = self.topology.latency(addr, dst);
@@ -512,33 +478,18 @@ impl<P: Protocol> ShardCore<P> {
                         past_obs::observe("net.transit_us", latency.micros());
                     }
                     slot.oseq += 1;
-                    let ev = ShardEvent {
-                        at: at + latency,
-                        sent: at,
-                        src: addr,
-                        sseq: slot.oseq,
-                        kind: ShardEventKind::Deliver {
-                            src: addr,
-                            dst,
-                            msg,
-                        },
-                    };
+                    let key = (at + latency, at, addr.0, slot.oseq);
                     let dst_shard = dst.index() % self.shards;
                     if dst_shard == self.shard_id {
-                        self.heap.push(ev);
+                        self.queue.push_deliver(key, addr, dst, msg);
                     } else {
-                        self.outboxes[dst_shard].push(ev);
+                        self.outboxes[dst_shard].push(Outbound { key, dst, msg });
                     }
                 }
                 Output::Timer { delay, token } => {
                     slot.oseq += 1;
-                    self.heap.push(ShardEvent {
-                        at: at + delay,
-                        sent: at,
-                        src: addr,
-                        sseq: slot.oseq,
-                        kind: ShardEventKind::Timer { node: addr, token },
-                    });
+                    self.queue
+                        .push_timer((at + delay, at, addr.0, slot.oseq), addr, token);
                 }
                 Output::Upcall(u) => {
                     slot.oseq += 1;
@@ -546,7 +497,6 @@ impl<P: Protocol> ShardCore<P> {
                 }
             }
         }
-        self.scratch = out;
-        self.stats.queue_peak = self.stats.queue_peak.max(self.heap.len() as u64);
+        self.stats.queue_peak = self.stats.queue_peak.max(self.queue.len() as u64);
     }
 }

@@ -11,50 +11,19 @@
 //! [`crate::proto`], shared with the multi-core [`crate::ShardedSim`]
 //! engine; this file is the reference engine both are measured against.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::addr::Addr;
 use crate::fault::{FaultPlan, NodeFault};
 use crate::proto::{Ctx, NetStats, Output, Protocol};
+use crate::queue::{Event, EventQueue};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
 
-#[derive(Debug)]
-enum EventKind<M> {
-    Deliver { src: Addr, dst: Addr, msg: M },
-    Timer { node: Addr, token: u64 },
-}
-
-struct Event<M> {
-    at: SimTime,
-    seq: u64,
-    kind: EventKind<M>,
-}
-
-impl<M> PartialEq for Event<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<M> Eq for Event<M> {}
-impl<M> PartialOrd for Event<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for Event<M> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert for earliest-first.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
+/// The strict total order of this engine: arrival time, then the global
+/// enqueue sequence number.
+pub(crate) type SeqKey = (SimTime, u64);
 
 struct NodeSlot<P> {
     proto: Option<P>,
@@ -91,7 +60,7 @@ struct NodeSlot<P> {
 /// ```
 pub struct Simulator<P: Protocol> {
     nodes: Vec<NodeSlot<P>>,
-    queue: BinaryHeap<Event<P::Msg>>,
+    queue: EventQueue<SeqKey, P::Msg>,
     topology: Box<dyn Topology>,
     time: SimTime,
     seq: u64,
@@ -110,7 +79,7 @@ impl<P: Protocol> Simulator<P> {
     pub fn new(topology: Box<dyn Topology>, seed: u64) -> Self {
         Simulator {
             nodes: Vec::new(),
-            queue: BinaryHeap::with_capacity(1024),
+            queue: EventQueue::with_capacity(1024),
             topology,
             time: SimTime::ZERO,
             seq: 0,
@@ -125,12 +94,12 @@ impl<P: Protocol> Simulator<P> {
         }
     }
 
-    /// Pre-sizes the event queue and upcall buffer. Large experiments
-    /// keep hundreds of thousands of in-flight events; reserving up
-    /// front avoids the doubling reallocations (and copies of every
-    /// queued message) on the way there.
+    /// Pre-sizes the event queue (heap and message slab) and the upcall
+    /// buffer. Large experiments keep hundreds of thousands of events
+    /// in flight; reserving up front avoids the doubling reallocations
+    /// on the way there.
     pub fn reserve_capacity(&mut self, events: usize, upcalls: usize) {
-        self.queue.reserve(events.saturating_sub(self.queue.len()));
+        self.queue.reserve(events);
         self.upcalls
             .reserve(upcalls.saturating_sub(self.upcalls.len()));
     }
@@ -305,8 +274,8 @@ impl<P: Protocol> Simulator<P> {
         // fault at the same instant as a delivery applies first, so a
         // message to a node crashing "now" is dropped.
         while let Some(fault_at) = self.next_fault_at() {
-            match self.queue.peek() {
-                Some(e) if e.at < fault_at => break,
+            match self.queue.peek_key() {
+                Some((at, _)) if at < fault_at => break,
                 Some(_) => self.apply_next_fault(),
                 None => {
                     self.apply_next_fault();
@@ -326,7 +295,7 @@ impl<P: Protocol> Simulator<P> {
     /// and faults at exactly `deadline` are processed.
     pub fn run_until(&mut self, deadline: SimTime) {
         loop {
-            let next_event = self.queue.peek().map(|e| e.at);
+            let next_event = self.queue.peek_key().map(|(at, _)| at);
             let next_fault = self.next_fault_at();
             let fault_first = match (next_fault, next_event) {
                 (Some(f), Some(e)) => f <= e,
@@ -390,15 +359,14 @@ impl<P: Protocol> Simulator<P> {
 
     /// Pops and processes one queued event (no fault handling).
     fn step_event(&mut self) -> bool {
-        let event = match self.queue.pop() {
-            Some(e) => e,
-            None => return false,
+        let Some(((at, _), event)) = self.queue.pop() else {
+            return false;
         };
-        debug_assert!(event.at >= self.time, "time must be monotonic");
-        self.time = event.at;
+        debug_assert!(at >= self.time, "time must be monotonic");
+        self.time = at;
         self.stats.events += 1;
-        match event.kind {
-            EventKind::Deliver { src, dst, msg } => {
+        match event {
+            Event::Deliver { src, dst, msg } => {
                 if self.fault_plan.severed(self.time, src, dst) {
                     self.stats.dropped += 1;
                     self.stats.partition_dropped += 1;
@@ -420,7 +388,7 @@ impl<P: Protocol> Simulator<P> {
                     }
                 }
             }
-            EventKind::Timer { node, token } => {
+            Event::Timer { node, token } => {
                 if self.is_up(node) {
                     self.stats.timers_fired += 1;
                     past_obs::counter("net.timers_fired", 1);
@@ -442,31 +410,30 @@ impl<P: Protocol> Simulator<P> {
         self.queue.len()
     }
 
+    /// Runs a handler against the node at `addr`, borrowed in place in
+    /// the node vector, then turns its outputs into queued events. The
+    /// node, the topology, the RNG and the output scratch are disjoint
+    /// fields, so nothing is moved out for the duration of the call.
     fn dispatch<F>(&mut self, addr: Addr, f: F)
     where
         F: FnOnce(&mut P, &mut Ctx<'_, P::Msg, P::Upcall>),
     {
-        let mut proto = match self
+        let Some(proto) = self
             .nodes
             .get_mut(addr.index())
-            .and_then(|s| s.proto.take())
-        {
-            Some(p) => p,
-            None => return,
+            .and_then(|s| s.proto.as_mut())
+        else {
+            return;
         };
-        let mut out = std::mem::take(&mut self.scratch);
-        {
-            let mut ctx = Ctx {
-                now: self.time,
-                self_addr: addr,
-                topology: &*self.topology,
-                rng: &mut self.rng,
-                out: &mut out,
-            };
-            f(&mut proto, &mut ctx);
-        }
-        self.nodes[addr.index()].proto = Some(proto);
-        for output in out.drain(..) {
+        let mut ctx = Ctx {
+            now: self.time,
+            self_addr: addr,
+            topology: &*self.topology,
+            rng: &mut self.rng,
+            out: &mut self.scratch,
+        };
+        f(proto, &mut ctx);
+        for output in self.scratch.drain(..) {
             match output {
                 Output::Send { dst, msg } => {
                     let mut latency = self.topology.latency(addr, dst);
@@ -481,30 +448,19 @@ impl<P: Protocol> Simulator<P> {
                         past_obs::observe("net.transit_us", latency.micros());
                     }
                     self.seq += 1;
-                    self.queue.push(Event {
-                        at: self.time + latency,
-                        seq: self.seq,
-                        kind: EventKind::Deliver {
-                            src: addr,
-                            dst,
-                            msg,
-                        },
-                    });
+                    self.queue
+                        .push_deliver((self.time + latency, self.seq), addr, dst, msg);
                 }
                 Output::Timer { delay, token } => {
                     self.seq += 1;
-                    self.queue.push(Event {
-                        at: self.time + delay,
-                        seq: self.seq,
-                        kind: EventKind::Timer { node: addr, token },
-                    });
+                    self.queue
+                        .push_timer((self.time + delay, self.seq), addr, token);
                 }
                 Output::Upcall(u) => {
                     self.upcalls.push((self.time, addr, u));
                 }
             }
         }
-        self.scratch = out;
         self.stats.queue_peak = self.stats.queue_peak.max(self.queue.len() as u64);
     }
 }

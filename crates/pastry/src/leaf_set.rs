@@ -27,6 +27,12 @@ impl NodeEntry {
     }
 }
 
+/// Where `id` stands in the order of closeness to `key`: ring distance,
+/// then raw id — [`NodeId::closer_to`]'s total order as a sort key.
+fn rank(id: NodeId, key: NodeId) -> (u128, NodeId) {
+    (id.ring_distance(key), id)
+}
+
 /// The leaf set of one node.
 #[derive(Clone, Debug)]
 pub struct LeafSet {
@@ -69,28 +75,43 @@ impl LeafSet {
 
     /// Inserts a node, evicting the farthest member of its side when full.
     /// Returns `true` if the set changed.
+    ///
+    /// Runs for the sender of every received message, and almost every
+    /// sender is too far away to be kept, so the first test is O(1):
+    /// a full side rejects anything beyond its last member. A member is
+    /// never beyond the last member of its own side, so that reject
+    /// cannot hide a duplicate; candidates inside the kept range are
+    /// still scanned.
     pub fn insert(&mut self, entry: NodeEntry) -> bool {
-        if entry.id == self.own || self.contains(entry.id) {
+        if entry.id == self.own {
             return false;
         }
         let own = self.own;
+        let half = self.half;
         if self.is_cw(entry.id) {
-            let half = self.half;
             Self::insert_side(&mut self.larger, entry, half, |id| own.cw_distance(id))
         } else {
-            let half = self.half;
             Self::insert_side(&mut self.smaller, entry, half, |id| own.ccw_distance(id))
         }
     }
 
+    /// `side` is the one [`LeafSet::is_cw`] assigns `entry` to — the
+    /// only side that can already hold it.
     fn insert_side(
         side: &mut Vec<NodeEntry>,
         entry: NodeEntry,
         half: usize,
         dist: impl Fn(NodeId) -> u128,
     ) -> bool {
+        let d = dist(entry.id);
+        if side.len() == half && side.last().is_some_and(|last| d > dist(last.id)) {
+            return false;
+        }
+        if side.iter().any(|e| e.id == entry.id) {
+            return false;
+        }
         let pos = side
-            .binary_search_by(|e| dist(e.id).cmp(&dist(entry.id)))
+            .binary_search_by(|e| dist(e.id).cmp(&d))
             .unwrap_or_else(|p| p);
         if pos >= half {
             return false;
@@ -174,41 +195,75 @@ impl LeafSet {
     /// leaf set — PAST's candidate replica holders for a file with this
     /// key. `own_addr` supplies this node's address for the self entry.
     pub fn replica_candidates(&self, key: NodeId, k: usize, own_addr: Addr) -> Vec<NodeEntry> {
-        // Hot path: runs on every insert attempt at the coordinator.
-        // Distances are computed once per entry (not per comparison),
-        // and only the k survivors are fully sorted — the partition
-        // step is O(n). Result is identical to sorting everything by
-        // (ring distance, id) and truncating.
-        let mut all: Vec<(u128, NodeEntry)> = self
-            .members()
-            .map(|e| (e.id.ring_distance(key), *e))
-            .collect();
-        all.push((self.own.ring_distance(key), NodeEntry::new(self.own, own_addr)));
-        let cmp = |a: &(u128, NodeEntry), b: &(u128, NodeEntry)| {
-            a.0.cmp(&b.0).then(a.1.id.cmp(&b.1.id))
-        };
+        let mut ranked = Vec::with_capacity(k.min(self.len() + 1));
+        self.replica_candidates_into(key, k, own_addr, &mut ranked);
+        ranked.into_iter().map(|(_, e)| e).collect()
+    }
+
+    /// [`LeafSet::replica_candidates`] into a caller-owned buffer
+    /// (cleared first), each candidate paired with its ring distance to
+    /// `key` — for sweeps that ask once per stored file.
+    ///
+    /// Hot path: also runs on every insert attempt at the coordinator.
+    /// `out` is kept sorted closest-first and at most `k` long while the
+    /// members stream past, so a member that does not make the cut
+    /// costs one distance and one comparison against the current
+    /// `k`-th. Each side is walked from whichever end is nearer the
+    /// key, so that most members do not make the cut; the walk order is
+    /// only that, a speed-up: the result is identical to sorting
+    /// everything by (ring distance, id) — [`NodeId::closer_to`]'s
+    /// order, which is total — and truncating.
+    pub fn replica_candidates_into(
+        &self,
+        key: NodeId,
+        k: usize,
+        own_addr: Addr,
+        out: &mut Vec<(u128, NodeEntry)>,
+    ) {
+        out.clear();
         if k == 0 {
-            return Vec::new();
+            return;
         }
-        if all.len() > k {
-            all.select_nth_unstable_by(k - 1, cmp);
-            all.truncate(k);
+        let mut consider = |e: &NodeEntry| {
+            let r = rank(e.id, key);
+            if out.len() == k {
+                let (kth_distance, kth) = out[k - 1];
+                if r >= (kth_distance, kth.id) {
+                    return;
+                }
+                out.pop();
+            }
+            let pos = out.partition_point(|&(d, c)| (d, c.id) < r);
+            out.insert(pos, (r.0, *e));
+        };
+        for side in [&self.smaller, &self.larger] {
+            let nearer_at_far_end = match (side.first(), side.last()) {
+                (Some(first), Some(last)) => last.id.closer_to(key, first.id),
+                _ => false,
+            };
+            if nearer_at_far_end {
+                side.iter().rev().for_each(&mut consider);
+            } else {
+                side.iter().for_each(&mut consider);
+            }
         }
-        all.sort_unstable_by(cmp);
-        all.into_iter().map(|(_, e)| e).collect()
+        consider(&NodeEntry::new(self.own, own_addr));
     }
 
     /// Returns `true` if this node is among the `k` numerically closest
     /// to `key`, judged from its local leaf set. Equivalent to checking
     /// membership in [`LeafSet::replica_candidates`] but allocation-free
-    /// (this test runs on every forwarded insert).
+    /// (this test runs on every forwarded insert), and it stops at the
+    /// `k`-th closer member: with `k = 1` it asks "am I the closest?"
+    /// and usually answers after a member or two.
     pub fn is_among_k_closest(&self, key: NodeId, k: usize, own_addr: Addr) -> bool {
         let _ = own_addr;
-        let closer = self
-            .members()
-            .filter(|e| e.id.closer_to(key, self.own))
-            .count();
-        closer < k
+        let own = rank(self.own, key);
+        self.members()
+            .filter(|e| rank(e.id, key) < own)
+            .take(k)
+            .count()
+            < k
     }
 }
 
@@ -219,6 +274,29 @@ mod tests {
 
     fn entry(v: u128) -> NodeEntry {
         NodeEntry::new(NodeId::from_u128(v), Addr(v as u32))
+    }
+
+    /// `LeafSet::insert` as it was before the O(1) reject: scan every
+    /// member for a duplicate, then binary-search the side.
+    fn insert_scan_first(ls: &mut LeafSet, entry: NodeEntry) -> bool {
+        if entry.id == ls.own || ls.contains(entry.id) {
+            return false;
+        }
+        let own = ls.own;
+        let (side, dist): (_, fn(NodeId, NodeId) -> u128) = if ls.is_cw(entry.id) {
+            (&mut ls.larger, NodeId::cw_distance)
+        } else {
+            (&mut ls.smaller, NodeId::ccw_distance)
+        };
+        let pos = side
+            .binary_search_by(|e| dist(own, e.id).cmp(&dist(own, entry.id)))
+            .unwrap_or_else(|p| p);
+        if pos >= ls.half {
+            return false;
+        }
+        side.insert(pos, entry);
+        side.truncate(ls.half);
+        true
     }
 
     fn set_with(own: u128, half: usize, ids: &[u128]) -> LeafSet {
@@ -368,6 +446,52 @@ mod tests {
             let mut got: Vec<u128> = ls.larger.iter().map(|e| e.id.as_u128()).collect();
             got.sort_by_key(|&v| o.cw_distance(NodeId::from_u128(v)));
             prop_assert_eq!(got, cw);
+        }
+
+        #[test]
+        fn prop_insert_equals_scan_first_version(
+            own in 0u128..64,
+            half in 1usize..5,
+            ops in prop::collection::vec((0u8..8, 0u128..64), 0..200),
+        ) {
+            // Ids from a small ring so duplicates, evictions and
+            // re-insertions after removal all occur.
+            let own = own << 121;
+            let mut fast = LeafSet::new(NodeId::from_u128(own), half);
+            let mut slow = LeafSet::new(NodeId::from_u128(own), half);
+            for (op, id) in ops {
+                let e = NodeEntry::new(NodeId::from_u128(id << 121), Addr(id as u32));
+                if op == 0 {
+                    prop_assert_eq!(fast.remove(e.id), slow.remove(e.id));
+                } else {
+                    prop_assert_eq!(fast.insert(e), insert_scan_first(&mut slow, e));
+                }
+                prop_assert_eq!(&fast.smaller, &slow.smaller);
+                prop_assert_eq!(&fast.larger, &slow.larger);
+            }
+        }
+
+        #[test]
+        fn prop_replica_candidates_equal_sort_and_truncate(own: u128, ids: Vec<u128>, key: u128, k in 0usize..8) {
+            let mut ls = LeafSet::new(NodeId::from_u128(own), 8);
+            for id in ids {
+                ls.insert(entry(id));
+            }
+            let keyn = NodeId::from_u128(key);
+            let mut all: Vec<NodeEntry> = ls.members().copied().collect();
+            all.push(NodeEntry::new(ls.own, Addr(7)));
+            all.sort_by_key(|e| rank(e.id, keyn));
+            all.truncate(k);
+            prop_assert_eq!(&ls.replica_candidates(keyn, k, Addr(7)), &all);
+            prop_assert_eq!(
+                ls.is_among_k_closest(keyn, k, Addr(7)),
+                all.iter().any(|e| e.id == ls.own)
+            );
+            // The buffer form clears what it is handed.
+            let mut buf = vec![(0, entry(1)); 3];
+            ls.replica_candidates_into(keyn, k, Addr(7), &mut buf);
+            let ranked: Vec<_> = all.iter().map(|e| (e.id.ring_distance(keyn), *e)).collect();
+            prop_assert_eq!(&buf, &ranked);
         }
 
         #[test]

@@ -38,8 +38,29 @@ impl NeighborhoodSet {
 
     /// Considers a node for membership; keeps the `capacity` closest.
     /// Returns `true` if the set changed.
+    ///
+    /// `proximity` must be a pure function of the (owner, `entry`)
+    /// address pair, as every [`past_net::Topology`] distance is: a
+    /// member then always comes back with the proximity it is ranked
+    /// at. That is what lets a full set reject anything beyond its last
+    /// member in O(1) — this runs for the sender of every received
+    /// message, and almost every sender is too far to keep — without
+    /// first scanning for a member to refresh.
     pub fn consider(&mut self, entry: NodeEntry, proximity: f64) -> bool {
         if entry.id == self.own {
+            return false;
+        }
+        if self.members.len() == self.capacity
+            && self
+                .members
+                .last()
+                .is_some_and(|last| proximity > last.proximity)
+        {
+            debug_assert!(
+                !self.members.iter().any(|n| n.entry.id == entry.id),
+                "member {:?} reported farther than it is ranked: proximity is not pure",
+                entry.id
+            );
             return false;
         }
         if let Some(pos) = self.members.iter().position(|n| n.entry.id == entry.id) {
@@ -94,6 +115,62 @@ impl NeighborhoodSet {
 mod tests {
     use super::*;
     use past_net::Addr;
+    use proptest::prelude::*;
+
+    /// `NeighborhoodSet::consider` as it was before the O(1) reject:
+    /// scan for a member to refresh, then binary-search.
+    fn consider_scan_first(nh: &mut NeighborhoodSet, entry: NodeEntry, proximity: f64) -> bool {
+        if entry.id == nh.own {
+            return false;
+        }
+        if let Some(pos) = nh.members.iter().position(|n| n.entry.id == entry.id) {
+            if nh.members[pos].entry.addr == entry.addr && nh.members[pos].proximity == proximity {
+                return false;
+            }
+            nh.members.remove(pos);
+        }
+        let pos = nh
+            .members
+            .binary_search_by(|n| {
+                n.proximity
+                    .partial_cmp(&proximity)
+                    .expect("finite proximity")
+            })
+            .unwrap_or_else(|p| p);
+        if pos >= nh.capacity {
+            return false;
+        }
+        nh.members.insert(pos, Neighbor { entry, proximity });
+        nh.members.truncate(nh.capacity);
+        true
+    }
+
+    proptest! {
+        #[test]
+        fn prop_consider_equals_scan_first_version(
+            capacity in 0usize..6,
+            ops in prop::collection::vec((0u8..8, 0u32..24), 0..200),
+        ) {
+            let own = NodeId::from_u128(1000);
+            let mut fast = NeighborhoodSet::new(own, capacity);
+            let mut slow = NeighborhoodSet::new(own, capacity);
+            for (op, v) in ops {
+                let e = entry(v);
+                // Proximity is a function of the address alone, with
+                // ties between addresses (v and v + 12 collide).
+                let proximity = ((v % 12) * 7 % 12) as f64;
+                if op == 0 {
+                    prop_assert_eq!(fast.remove(e.id), slow.remove(e.id));
+                } else {
+                    prop_assert_eq!(
+                        fast.consider(e, proximity),
+                        consider_scan_first(&mut slow, e, proximity)
+                    );
+                }
+                prop_assert_eq!(&fast.members, &slow.members);
+            }
+        }
+    }
 
     fn entry(v: u32) -> NodeEntry {
         NodeEntry::new(NodeId::from_u128(v as u128), Addr(v))

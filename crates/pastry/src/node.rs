@@ -278,6 +278,13 @@ impl<'a, 'b, M: Clone, U> AppCtx<'a, 'b, M, U> {
         self.state.replica_candidates(key, k)
     }
 
+    /// [`AppCtx::replica_candidates`] into a caller-owned buffer
+    /// (cleared first), each paired with its ring distance to `key` —
+    /// for sweeps that ask once per stored file.
+    pub fn replica_candidates_into(&self, key: NodeId, k: usize, out: &mut Vec<(u128, NodeEntry)>) {
+        self.state.replica_candidates_into(key, k, out);
+    }
+
     /// Whether this node is among the k numerically closest to `key`.
     pub fn is_among_k_closest(&self, key: NodeId, k: usize) -> bool {
         self.state.is_among_k_closest(key, k)

@@ -183,6 +183,13 @@ impl PastryState {
         self.leaf.replica_candidates(key, k, self.own.addr)
     }
 
+    /// [`PastryState::replica_candidates`] into a caller-owned buffer
+    /// (cleared first), each paired with its ring distance to `key`.
+    pub fn replica_candidates_into(&self, key: NodeId, k: usize, out: &mut Vec<(u128, NodeEntry)>) {
+        self.leaf
+            .replica_candidates_into(key, k, self.own.addr, out);
+    }
+
     /// Whether this node believes it is among the `k` closest to `key`.
     pub fn is_among_k_closest(&self, key: NodeId, k: usize) -> bool {
         self.leaf.is_among_k_closest(key, k, self.own.addr)

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Local CI gate: build, full test suite, and lint — all offline.
+# Local CI gate: build, full test suite, lint and the benchmark's own
+# tests — all offline.
 #
 # The workspace vendors its few dev-dependencies (see vendor/ and the
 # [patch.crates-io] table in Cargo.toml), so everything here runs with
@@ -28,6 +29,13 @@ cargo test -q --workspace --no-fail-fast --offline
 
 echo "== cargo clippy -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
+
+echo "== pastbench (helpers, BENCHMARK.json contract, --smoke run of all four workloads)"
+# The benchmark is a package of its own (benchmark/Cargo.toml); its tests
+# replay every workload at smoke scale with the output checks on, so an
+# engine change that breaks `repetitions_identical` or
+# `ops_attempted_once` fails here, before the driver sees it (~7 s).
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
 echo "== perf smoke (perf_suite, reduced scale)"
 # End-to-end run of the perf bench at a scale that finishes in seconds;
