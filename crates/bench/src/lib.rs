@@ -1,7 +1,8 @@
-//! Shared infrastructure for the table/figure regeneration binaries.
+//! Shared infrastructure for the bench binaries (`repro`, which
+//! regenerates every table and figure, and the plane benches).
 //!
-//! Every binary accepts two environment variables so the full paper-scale
-//! runs and quick smoke runs share one code path:
+//! `repro` and `perf_suite` accept two environment variables so the full
+//! paper-scale runs and quick smoke runs share one code path:
 //!
 //! - `PAST_NODES` — overlay size (default 2250, the paper's setting).
 //! - `PAST_FILES` — unique files in the synthetic NLANR-like trace
@@ -50,9 +51,8 @@ pub fn web_trace(scale: Scale) -> Trace {
         .generate()
 }
 
-/// The standard web-proxy trace as a lazy [`StreamTrace`]: the same op
-/// sequence as [`web_trace`] (byte-identical; see
-/// `past_workload::stream`) without materializing the request vector —
+/// The standard web-proxy trace as a lazy [`StreamTrace`]: the op
+/// sequence of [`web_trace`] without materializing the request vector —
 /// the form the 10M-file XL2 replay uses.
 pub fn web_stream(scale: Scale) -> StreamTrace {
     WebTraceConfig::default()
@@ -154,7 +154,12 @@ pub fn artifact_path(name: &str) -> std::path::PathBuf {
 /// `$PAST_OUT_DIR/<name>.csv`).
 pub fn write_csv(name: &str, header: &[String], rows: &[Vec<String>]) {
     let dir = out_dir().unwrap_or_else(|| std::path::PathBuf::from("results"));
-    let _ = std::fs::create_dir_all(&dir);
+    write_csv_in(&dir, name, header, rows);
+}
+
+/// Writes rows as `<dir>/<name>.csv`, creating `dir` if need be.
+fn write_csv_in(dir: &std::path::Path, name: &str, header: &[String], rows: &[Vec<String>]) {
+    let _ = std::fs::create_dir_all(dir);
     let path = dir.join(format!("{name}.csv"));
     let mut out = match std::fs::File::create(&path) {
         Ok(f) => f,
@@ -198,10 +203,11 @@ mod tests {
     fn write_csv_emits_header_and_rows() {
         let header: Vec<String> = ["a", "b"].iter().map(|s| s.to_string()).collect();
         let rows = vec![vec!["1".to_string(), "2".to_string()]];
-        write_csv("bench_lib_selftest", &header, &rows);
-        let path = std::path::Path::new("results/bench_lib_selftest.csv");
-        let body = std::fs::read_to_string(path).expect("csv written");
+        let dir = std::env::temp_dir().join(format!("past-bench-selftest-{}", std::process::id()));
+        write_csv_in(&dir, "bench_lib_selftest", &header, &rows);
+        let body =
+            std::fs::read_to_string(dir.join("bench_lib_selftest.csv")).expect("csv written");
         assert_eq!(body, "a,b\n1,2\n");
-        let _ = std::fs::remove_file(path);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

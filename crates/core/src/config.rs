@@ -22,15 +22,6 @@ pub struct PastConfig {
     /// experiments (certificates are still issued and shipped; only the
     /// checks are skipped).
     pub verify_certificates: bool,
-    /// Bound on the per-node signature-verification memo (entries). A
-    /// certificate travels through many verify-and-accept sites (the
-    /// coordinator, every replica holder, diversion targets, reclaim);
-    /// the memo short-circuits re-verification of byte-identical
-    /// `(signing bytes, signature)` pairs that already verified here.
-    /// Zero disables memoization. Irrelevant unless
-    /// `verify_certificates` is set (reclaim certificates are always
-    /// verified and always use the memo).
-    pub verify_memo_capacity: usize,
     /// Client-side per-attempt timeout for insert/lookup/reclaim. Zero
     /// disables timeouts (static experiments never need them and the
     /// event queue drains faster without timer events).
@@ -46,9 +37,6 @@ pub struct PastConfig {
     /// is retransmitted after this timeout, doubling on every retry.
     /// Zero reverts maintenance to fire-and-forget.
     pub maint_ack_timeout: SimDuration,
-    /// Maximum retransmissions per maintenance message before the
-    /// repair is abandoned (reported as `PastEvent::MaintExhausted`).
-    pub maint_retry_budget: u32,
     /// Period of the anti-entropy sweep: each node re-audits a batch of
     /// its primary replicas against the current replica set and
     /// re-issues repairs ("slow repair"). Zero disables the sweep —
@@ -57,8 +45,6 @@ pub struct PastConfig {
     /// `run_until_idle` cannot tolerate. Bounded (`run_for`) churn
     /// experiments enable it.
     pub anti_entropy_period: SimDuration,
-    /// Maximum primaries re-audited per anti-entropy sweep.
-    pub anti_entropy_batch: usize,
     /// Warm-restart mode for the storage layer: the application payload
     /// of the Pastry snapshot carries the node's file inventory and
     /// quota ledger; on recovery the node validates it against its
@@ -79,8 +65,6 @@ pub struct PastConfig {
     /// audits — the default; audit scheduling is RNG-free, so enabling
     /// it never perturbs any seeded RNG stream.
     pub audit_period: SimDuration,
-    /// Maximum files audited per sweep.
-    pub audit_batch: usize,
     /// Distinct holders challenged per sampled file per sweep
     /// (clamped to the available other holders). The default of 1 is
     /// the classic one-sample audit; 2 lets a single sweep
@@ -115,17 +99,13 @@ impl Default for PastConfig {
             cache_policy: CachePolicyKind::GreedyDualSize,
             max_file_diversions: 3,
             verify_certificates: false,
-            verify_memo_capacity: 1024,
             client_timeout: SimDuration::ZERO,
             migration_period: SimDuration::ZERO,
             migration_batch: 4,
             maint_ack_timeout: SimDuration::from_secs(2),
-            maint_retry_budget: 5,
             anti_entropy_period: SimDuration::ZERO,
-            anti_entropy_batch: 8,
             warm_restart: false,
             audit_period: SimDuration::ZERO,
-            audit_batch: 4,
             audit_fanout: 1,
             audit_timeout: SimDuration::from_secs(2),
             verify_lookup_content: false,

@@ -11,6 +11,12 @@ use crate::messages::MsgKind;
 use crate::node::{PCtx, PastNode, PendingMaint, MAINT_RETRY_BASE};
 use crate::obs;
 
+/// Maximum retransmissions per maintenance message before the repair
+/// is abandoned (reported as `PastEvent::MaintExhausted`).
+const MAINT_RETRY_BUDGET: u32 = 5;
+/// Maximum primaries re-audited per anti-entropy sweep.
+const ANTI_ENTROPY_BATCH: usize = 8;
+
 impl PastNode {
     /// Sends a maintenance message reliably: enveloped with a sequence
     /// number, retransmitted with exponential backoff until the
@@ -104,7 +110,7 @@ impl PastNode {
             Some(e) => e,
             None => return, // Acked before the timer fired.
         };
-        if entry.attempts >= self.cfg.maint_retry_budget {
+        if entry.attempts >= MAINT_RETRY_BUDGET {
             let entry = self.maint_pending.remove(&seq).expect("present");
             ctx.record_peer_failure(entry.to.id);
             self.maint_stats.exhausted += 1;
@@ -455,7 +461,7 @@ impl PastNode {
             Some(cursor) => ids.partition_point(|id| *id <= cursor),
             None => 0,
         };
-        let take = ids.len().min(self.cfg.anti_entropy_batch);
+        let take = ids.len().min(ANTI_ENTROPY_BATCH);
         let batch: Vec<FileId> = ids
             .iter()
             .cycle()

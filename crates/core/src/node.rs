@@ -36,6 +36,15 @@ pub(crate) const TIMEOUT_BASE: u64 = 1 << 20;
 /// Maintenance retransmission tokens: `MAINT_RETRY_BASE + maint seq`.
 pub(crate) const MAINT_RETRY_BASE: u64 = 1 << 36;
 
+/// Bound on the per-node signature-verification memo (entries). A
+/// certificate travels through many verify-and-accept sites (the
+/// coordinator, every replica holder, diversion targets, reclaim); the
+/// memo short-circuits re-verification of byte-identical
+/// `(signing bytes, signature)` pairs that already verified here.
+const VERIFY_MEMO_CAPACITY: usize = 1024;
+/// Maximum files audited per storage-audit sweep.
+const AUDIT_BATCH: usize = 4;
+
 /// A client operation awaiting completion.
 #[derive(Clone, Debug)]
 pub(crate) enum PendingOp {
@@ -181,7 +190,6 @@ impl PastNode {
     pub fn new(cfg: PastConfig, keys: KeyPair, capacity: u64, quota: u64) -> Self {
         cfg.validate();
         let store = NodeStore::new(capacity, cfg.policy, cfg.cache_policy);
-        let cap = cfg.verify_memo_capacity;
         PastNode {
             cfg,
             keys,
@@ -200,7 +208,7 @@ impl PastNode {
             next_maint_seq: 0,
             maint_stats: MaintStats::default(),
             anti_entropy_cursor: None,
-            verify_memo: VerifyMemo::new(cap),
+            verify_memo: VerifyMemo::new(VERIFY_MEMO_CAPACITY),
             malice: ByzantineBehavior::default(),
             audits: AuditBook::new(),
             audit_stats: AuditStats::default(),
@@ -638,7 +646,7 @@ impl PastNode {
         };
         let own = ctx.own();
         let own_id = own.id.to_bytes();
-        let batch = self.cfg.audit_batch.min(ids.len());
+        let batch = AUDIT_BATCH.min(ids.len());
         let mut candidates = Vec::with_capacity(self.cfg.k as usize);
         for i in 0..batch {
             let file_id = ids[(start + i) % ids.len()];

@@ -53,9 +53,13 @@ pub struct VerifyMemo {
 }
 
 impl VerifyMemo {
-    /// Creates a memo bounded to `capacity` entries. A capacity of zero
-    /// disables memoization (every check takes the full path).
+    /// Creates a memo bounded to `capacity` entries.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity < 2` (each generation holds at least one).
     pub fn new(capacity: usize) -> Self {
+        assert!(capacity >= 2, "memo needs room for two generations");
         let half = capacity / 2;
         VerifyMemo {
             capacity,
@@ -115,7 +119,7 @@ impl VerifyMemo {
     /// immediately when `key` was previously recorded, otherwise runs
     /// `verify` and records the key only on success.
     pub fn check(&mut self, key: Digest, verify: impl FnOnce() -> bool) -> bool {
-        if self.capacity > 0 && self.lookup(key) {
+        if self.lookup(key) {
             self.hits += 1;
             past_obs::counter("crypto.verify.memo_hit", 1);
             return true;
@@ -123,7 +127,7 @@ impl VerifyMemo {
         self.misses += 1;
         past_obs::counter("crypto.verify.memo_miss", 1);
         let ok = verify();
-        if ok && self.capacity > 0 {
+        if ok {
             self.record(key);
         }
         ok
@@ -143,7 +147,7 @@ impl VerifyMemo {
     }
 
     fn record(&mut self, key: Digest) {
-        let half = (self.capacity / 2).max(1);
+        let half = self.capacity / 2;
         if self.cur.len() >= half {
             self.prev = std::mem::take(&mut self.cur);
         }
@@ -214,19 +218,5 @@ mod tests {
             let k = Sha1::digest(&i.to_be_bytes());
             m.check(k, || true);
         }
-    }
-
-    #[test]
-    fn zero_capacity_disables_memoization() {
-        let mut m = VerifyMemo::new(0);
-        let k = VerifyMemo::key(b"x", &sig(3));
-        assert!(m.check(k, || true));
-        let mut ran = false;
-        assert!(m.check(k, || {
-            ran = true;
-            true
-        }));
-        assert!(ran, "capacity 0 must never short-circuit");
-        assert_eq!(m.len(), 0);
     }
 }

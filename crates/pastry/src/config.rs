@@ -37,9 +37,6 @@ pub struct PastryConfig {
     /// lazily") and re-forwards around it. Costs one extra message and a
     /// timer per hop; static-network experiments disable it.
     pub per_hop_acks: bool,
-    /// How long a forwarding node waits for the next hop's receipt
-    /// acknowledgment before presuming it failed.
-    pub forward_ack_timeout: SimDuration,
     /// Warm restarts: on crash the node captures a state snapshot
     /// (leaf set, routing table, neighborhood, peer scores, application
     /// payload) and on recovery restores from it — replaying every
@@ -50,25 +47,12 @@ pub struct PastryConfig {
     /// maintenance outcomes, and let the application weight placement
     /// decisions by reliability. Off by default (byte-identical runs).
     pub track_reliability: bool,
-    /// Half-life of the exponential reliability decay: after this long
-    /// without evidence, a score has moved half way back to the
-    /// uninformed prior. Zero disables decay.
-    pub reliability_half_life: SimDuration,
-    /// Warm-restart reconnection fan-out: on recovery, probe at most
-    /// this many restored peers (highest reliability first) instead of
-    /// the whole leaf set. Zero means "no bound" (probe every restored
-    /// leaf member, like a cold recovery does).
-    pub restart_probe_fanout: usize,
     /// Reliability-driven routing-table demotion: each keep-alive sweep
     /// evicts routing-table candidates whose decayed peer score fell
-    /// below [`PastryConfig::demote_threshold_milli`] (leaf-set members
+    /// below 250 of 1000, half the uninformed prior (leaf-set members
     /// are exempt — the failure detector owns them). Requires
     /// `track_reliability`; off by default.
     pub demote_unreliable: bool,
-    /// Score floor (milli-units, 0–1000) below which a routing-table
-    /// candidate is demoted. The uninformed prior is 500, so the
-    /// default of 250 only evicts peers with sustained failure evidence.
-    pub demote_threshold_milli: u64,
 }
 
 impl Default for PastryConfig {
@@ -82,13 +66,9 @@ impl Default for PastryConfig {
             randomized_routing: false,
             best_hop_bias: 0.9,
             per_hop_acks: false,
-            forward_ack_timeout: SimDuration::from_millis(500),
             warm_restart: false,
             track_reliability: false,
-            reliability_half_life: SimDuration::from_secs(300),
-            restart_probe_fanout: 8,
             demote_unreliable: false,
-            demote_threshold_milli: 250,
         }
     }
 }

@@ -6,7 +6,7 @@
 use std::cell::{Ref, RefCell};
 
 use past_id::{IdHashMap, NodeId};
-use past_net::{Addr, Ctx, Protocol, SimTime};
+use past_net::{Addr, Ctx, Protocol, SimDuration, SimTime};
 
 use crate::config::PastryConfig;
 use crate::leaf_set::NodeEntry;
@@ -21,6 +21,22 @@ const KEEPALIVE_TOKEN: u64 = 0;
 const FWD_TOKEN_BASE: u64 = 1 << 16;
 /// Application timer tokens are offset into their own namespace.
 const APP_TOKEN_BASE: u64 = 1 << 48;
+
+/// How long a forwarding node waits for the next hop's receipt
+/// acknowledgment before presuming it failed (`per_hop_acks`).
+const FORWARD_ACK_TIMEOUT: SimDuration = SimDuration::from_millis(500);
+/// Half-life of the exponential reliability decay: after this long
+/// without evidence, a peer score has moved half way back to the
+/// uninformed prior.
+const RELIABILITY_HALF_LIFE: SimDuration = SimDuration::from_secs(300);
+/// Warm-restart reconnection fan-out: on recovery, probe at most this
+/// many restored leaf-set members (highest reliability first) instead
+/// of the whole leaf set.
+const RESTART_PROBE_FANOUT: usize = 8;
+/// Score floor (milli-units, 0–1000) below which `demote_unreliable`
+/// evicts a routing-table candidate. The uninformed prior is 500, so
+/// only peers with sustained failure evidence fall this low.
+const DEMOTE_THRESHOLD_MILLI: u64 = 250;
 
 /// The body of a Pastry wire message.
 #[derive(Clone, Debug)]
@@ -373,7 +389,7 @@ impl<A: Application> PastryNode<A> {
     /// node (`None` for the first node of a new overlay).
     pub fn new(cfg: PastryConfig, own: NodeEntry, app: A, bootstrap: Option<Addr>) -> Self {
         cfg.validate();
-        let scores = RefCell::new(PeerScoreTable::new(cfg.reliability_half_life));
+        let scores = RefCell::new(PeerScoreTable::new(RELIABILITY_HALF_LIFE));
         PastryNode {
             state: PastryState::new(own, &cfg),
             cfg,
@@ -642,7 +658,7 @@ impl<A: Application> PastryNode<A> {
                                 msg: msg.clone(),
                             },
                         );
-                        ctx.set_timer(self.cfg.forward_ack_timeout, FWD_TOKEN_BASE + id);
+                        ctx.set_timer(FORWARD_ACK_TIMEOUT, FWD_TOKEN_BASE + id);
                         self.send(ctx, next.addr, Body::Ping);
                     }
                     self.send(
@@ -824,7 +840,7 @@ impl<A: Application> PastryNode<A> {
                 self.last_heard.insert(entry.id, now);
             }
         }
-        let mut table = PeerScoreTable::new(self.cfg.reliability_half_life);
+        let mut table = PeerScoreTable::new(RELIABILITY_HALF_LIFE);
         for p in &snap.peers {
             table.insert_raw(p.id, p.score);
         }
@@ -842,11 +858,7 @@ impl<A: Application> PastryNode<A> {
                 )
             });
         }
-        let fanout = match self.cfg.restart_probe_fanout {
-            0 => members.len(),
-            n => n,
-        };
-        for m in members.into_iter().take(fanout) {
+        for m in members.into_iter().take(RESTART_PROBE_FANOUT) {
             self.send(ctx, m.addr, Body::LeafSetRequest);
             self.send(ctx, m.addr, Body::Announce);
         }
@@ -1017,7 +1029,7 @@ impl<A: Application> Protocol for PastryNode<A> {
             let victims = self.state.demote_unreliable_candidates(
                 &self.scores.borrow(),
                 now,
-                self.cfg.demote_threshold_milli,
+                DEMOTE_THRESHOLD_MILLI,
             );
             for _ in &victims {
                 past_obs::counter("pastry.table.demoted", 1);

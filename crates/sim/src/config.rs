@@ -19,7 +19,7 @@ pub enum TopologyKind {
 }
 
 /// Full configuration of one experiment run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ExperimentConfig {
     /// Number of PAST nodes (the paper fixes 2250).
     pub nodes: usize,
@@ -114,7 +114,9 @@ impl ExperimentConfig {
         self
     }
 
-    /// Derives the per-node PAST configuration.
+    /// Derives the per-node PAST configuration: the experiment's own
+    /// parameters over [`PastConfig::default`] (timeouts, maintenance,
+    /// audits and verification all stay off, as in the paper's replays).
     pub fn past_config(&self) -> PastConfig {
         PastConfig {
             k: self.k,
@@ -125,23 +127,9 @@ impl ExperimentConfig {
             },
             cache_policy: self.cache_policy,
             max_file_diversions: self.max_file_diversions,
-            verify_certificates: false,
-            verify_memo_capacity: 1024,
-            client_timeout: SimDuration::ZERO,
-            migration_period: SimDuration::ZERO,
-            migration_batch: 4,
-            maint_ack_timeout: SimDuration::from_secs(2),
-            maint_retry_budget: 5,
-            anti_entropy_period: SimDuration::ZERO,
-            anti_entropy_batch: 8,
             warm_restart: self.warm_restart,
-            // Byzantine defenses stay off in the paper-replay setup.
-            audit_period: SimDuration::ZERO,
-            audit_batch: 4,
-            audit_fanout: 1,
-            audit_timeout: SimDuration::from_secs(2),
-            verify_lookup_content: false,
             obs_window: self.obs_window,
+            ..PastConfig::default()
         }
     }
 
@@ -154,14 +142,8 @@ impl ExperimentConfig {
             leaf_set_size: self.leaf_set_size,
             neighborhood_size: self.leaf_set_size,
             keep_alive_period: SimDuration::ZERO,
-            failure_timeout: SimDuration::from_secs(90),
-            randomized_routing: false,
-            best_hop_bias: 0.9,
-            per_hop_acks: false,
-            forward_ack_timeout: past_net::SimDuration::from_millis(500),
             warm_restart: self.warm_restart,
             track_reliability: self.track_reliability,
-            // Score half-life and probe fanout keep the library defaults.
             ..PastryConfig::default()
         }
     }

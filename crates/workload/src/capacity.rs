@@ -21,7 +21,7 @@ use crate::dist::TruncatedNormal;
 pub const MB: u64 = 1 << 20;
 
 /// A named truncated-normal capacity distribution.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CapacityDistribution {
     /// Display name ("d1" … "d4" or custom).
     pub name: String,

@@ -1,24 +1,21 @@
-//! Streaming (lazy) workload generation.
+//! The op generator: every workload is a lazily replayed stream.
 //!
-//! `Trace::generate` materializes the whole request stream — at the
-//! 10M-file scale that is ~250 MB of `TraceOp`s plus ~160 MB of
-//! `FileSpec`s held alive for the entire replay. [`StreamTrace`]
-//! replaces that with a *seeded cursor*: the per-file tables that must
+//! A [`StreamTrace`] is a *seeded cursor*: the per-file tables that must
 //! exist up front (sizes, affinity clusters) are generated eagerly but
 //! stored packed (4 B + 1 B per file), and the per-request draws are
-//! replayed on demand from a snapshot of the generator's RNG state.
+//! replayed on demand from a snapshot of the generator's RNG state. At
+//! the 10M-file scale that saves the ~250 MB of `TraceOp`s plus ~160 MB
+//! of `FileSpec`s a materialised [`Trace`] holds for the whole replay.
 //!
-//! The contract is **byte identity**: for the same config,
-//! [`StreamTrace::ops`] yields exactly the `TraceOp` sequence that
-//! [`WebTraceConfig::generate`] / [`FsTraceConfig::generate`] would
-//! materialize, because both run the identical draw sequence against
-//! the identical RNG. A property test in `tests/` pins this.
+//! This is the only generator. `generate()` on each config is
+//! `stream()` collected into a [`Trace`], so the two forms cannot
+//! drift; `tests/golden.rs` pins what each config emits.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::dist::{SizeModel, Zipf};
-use crate::trace::{FlashCrowdConfig, FsTraceConfig, Trace, TraceOp, WebTraceConfig};
+use crate::trace::{FileSpec, FlashCrowdConfig, FsTraceConfig, Trace, TraceOp, WebTraceConfig};
 
 /// Packed per-file size table: 4 bytes per file, with a sorted spill
 /// list for the (practically nonexistent) sizes above `u32::MAX` — the
@@ -90,22 +87,18 @@ impl SizeTable {
 /// The workload-specific part of a streaming trace.
 #[derive(Clone, Debug)]
 enum StreamKind {
-    /// NLANR-like web replay: uniform introduction + Zipf re-reference.
+    /// Filesystem snapshot: insert-only, uniform client per file.
+    Fs,
+    /// Web-proxy replay: uniform introduction + Zipf re-reference by
+    /// introduction order, optionally flipping to a flash crowd mid-run
+    /// (see [`FlashCrowdConfig`]; the NLANR-like [`WebTraceConfig`] is
+    /// the case with no hot set and no change of exponent).
     Web {
         /// Affinity cluster of each file (clusters ≤ 256 by assertion).
         file_cluster: Vec<u8>,
         zipf: Zipf,
-        cluster_affinity: f64,
-    },
-    /// Filesystem snapshot: insert-only, uniform client per file.
-    Fs,
-    /// Flash crowd: web-style replay whose popularity flips mid-run
-    /// (see [`FlashCrowdConfig`]).
-    FlashCrowd {
-        /// Affinity cluster of each file (clusters ≤ 256 by assertion).
-        file_cluster: Vec<u8>,
-        zipf_before: Zipf,
-        zipf_after: Zipf,
+        /// The post-flip sampler, when its exponent differs.
+        zipf_after: Option<Zipf>,
         cluster_affinity: f64,
         /// Request index of the popularity flip.
         flip_index: usize,
@@ -121,9 +114,9 @@ enum StreamKind {
 /// A lazily replayed workload: per-file tables plus the RNG state from
 /// which the request stream re-derives on demand.
 ///
-/// Build one with [`WebTraceConfig::stream`] or [`FsTraceConfig::stream`];
-/// iterate with [`StreamTrace::ops`] (restartable — each call replays
-/// from the captured RNG snapshot).
+/// Build one with `stream()` on [`WebTraceConfig`], [`FsTraceConfig`]
+/// or [`FlashCrowdConfig`]; iterate with [`StreamTrace::ops`]
+/// (restartable — each call replays from the captured RNG snapshot).
 #[derive(Clone, Debug)]
 pub struct StreamTrace {
     kind: StreamKind,
@@ -138,6 +131,53 @@ pub struct StreamTrace {
 }
 
 impl StreamTrace {
+    /// The eager per-file phase every generator starts with: seed the
+    /// RNG, draw one size per file, assign clients to clusters
+    /// round-robin (balanced sites). What comes back is the insert-only
+    /// stream, one request per file; the web generator goes on to draw
+    /// its affinity table from `op_rng` and sets `kind` and `requests`.
+    fn per_file(
+        seed: u64,
+        files: usize,
+        clients: u32,
+        clusters: u32,
+        mut size: impl FnMut(&mut StdRng) -> u64,
+    ) -> StreamTrace {
+        assert!(files >= 1 && clients >= 1 && clusters >= 1);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut sizes = SizeTable::with_capacity(files);
+        for _ in 0..files {
+            sizes.push(size(&mut rng));
+        }
+        StreamTrace {
+            kind: StreamKind::Fs,
+            sizes,
+            clients,
+            clusters,
+            client_cluster: (0..clients).map(|c| c % clusters).collect(),
+            requests: files,
+            op_rng: rng,
+        }
+    }
+
+    /// Materialises the stream: every size and every op, in order.
+    pub(crate) fn into_trace(self) -> Trace {
+        let ops = self.ops().collect();
+        let files = (0..self.sizes.len() as u32)
+            .map(|index| FileSpec {
+                index,
+                size: self.sizes.get(index),
+            })
+            .collect();
+        Trace {
+            files,
+            ops,
+            clients: self.clients,
+            clusters: self.clusters,
+            client_cluster: self.client_cluster,
+        }
+    }
+
     /// Total bytes across all unique files.
     pub fn total_bytes(&self) -> u64 {
         self.sizes.total()
@@ -151,21 +191,6 @@ impl StreamTrace {
     /// Number of requests the stream will yield.
     pub fn op_count(&self) -> usize {
         self.requests
-    }
-
-    /// Number of distinct clients.
-    pub fn clients(&self) -> u32 {
-        self.clients
-    }
-
-    /// Number of client clusters.
-    pub fn clusters(&self) -> u32 {
-        self.clusters
-    }
-
-    /// Cluster of client `c`.
-    pub fn client_cluster(&self, c: u32) -> u32 {
-        self.client_cluster[c as usize]
     }
 
     /// The size of file `i`.
@@ -196,6 +221,17 @@ pub struct OpStream<'a> {
 impl Iterator for OpStream<'_> {
     type Item = TraceOp;
 
+    /// Draws the next request.
+    ///
+    /// Web construction: unique files are introduced at a uniform rate
+    /// through the stream (matching how new URLs keep appearing
+    /// throughout a proxy log); every other request draws a *seen* file
+    /// with Zipf popularity by introduction order (early files are the
+    /// popular ones, as in real logs) — or, once a flash crowd has
+    /// started, a member of the hot set with probability
+    /// `hot_fraction`. Each file has an affinity cluster; a request is
+    /// issued from that cluster with probability `cluster_affinity`,
+    /// else from a uniformly random one.
     fn next(&mut self) -> Option<TraceOp> {
         let t = self.trace;
         if self.next >= t.requests {
@@ -203,96 +239,63 @@ impl Iterator for OpStream<'_> {
         }
         let r = self.next;
         self.next += 1;
-        match &t.kind {
-            StreamKind::Web {
-                file_cluster,
-                zipf,
-                cluster_affinity,
-            } => {
-                let unique = t.sizes.len();
-                // Identical draw sequence to WebTraceConfig::generate.
-                let target =
-                    ((r + 1) as f64 * unique as f64 / t.requests as f64).ceil() as usize;
-                let (file_idx, is_insert) = if self.introduced < target && self.introduced < unique
-                {
-                    self.introduced += 1;
-                    (self.introduced - 1, true)
-                } else {
-                    let mut rank = zipf.sample(&mut self.rng);
-                    while rank > self.introduced {
-                        rank = zipf.sample(&mut self.rng);
-                    }
-                    (rank - 1, false)
-                };
-                let cluster = if self.rng.gen::<f64>() < *cluster_affinity {
-                    file_cluster[file_idx] as u32
-                } else {
-                    self.rng.gen_range(0..t.clusters)
-                };
-                let per_cluster = t.clients.div_ceil(t.clusters);
-                let member = self.rng.gen_range(0..per_cluster);
-                let client = (member * t.clusters + cluster).min(t.clients - 1);
-                Some(TraceOp {
-                    client,
-                    file: file_idx as u32,
-                    is_insert,
-                })
-            }
-            StreamKind::Fs => Some(TraceOp {
+        let StreamKind::Web {
+            file_cluster,
+            zipf,
+            zipf_after,
+            cluster_affinity,
+            flip_index,
+            hot_lo,
+            hot_n,
+            hot_fraction,
+        } = &t.kind
+        else {
+            return Some(TraceOp {
                 client: self.rng.gen_range(0..t.clients),
                 file: r as u32,
                 is_insert: true,
-            }),
-            StreamKind::FlashCrowd {
-                file_cluster,
-                zipf_before,
-                zipf_after,
-                cluster_affinity,
-                flip_index,
-                hot_lo,
-                hot_n,
-                hot_fraction,
-            } => {
-                let unique = t.sizes.len();
-                // Identical draw sequence to FlashCrowdConfig::generate.
-                let target =
-                    ((r + 1) as f64 * unique as f64 / t.requests as f64).ceil() as usize;
-                let (file_idx, is_insert) = if self.introduced < target && self.introduced < unique
-                {
-                    self.introduced += 1;
-                    (self.introduced - 1, true)
-                } else if r >= *flip_index
-                    && *hot_n > 0
-                    && self.rng.gen::<f64>() < *hot_fraction
-                {
-                    (hot_lo + self.rng.gen_range(0..*hot_n), false)
-                } else {
-                    let zipf = if r >= *flip_index {
-                        zipf_after
-                    } else {
-                        zipf_before
-                    };
-                    let mut rank = zipf.sample(&mut self.rng);
-                    while rank > self.introduced {
-                        rank = zipf.sample(&mut self.rng);
-                    }
-                    (rank - 1, false)
-                };
-                let cluster = if self.rng.gen::<f64>() < *cluster_affinity {
-                    file_cluster[file_idx] as u32
-                } else {
-                    self.rng.gen_range(0..t.clusters)
-                };
-                let per_cluster = t.clients.div_ceil(t.clusters);
-                let member = self.rng.gen_range(0..per_cluster);
-                let client = (member * t.clusters + cluster).min(t.clients - 1);
-                Some(TraceOp {
-                    client,
-                    file: file_idx as u32,
-                    is_insert,
-                })
+            });
+        };
+        let unique = t.sizes.len();
+        let flipped = r >= *flip_index;
+        // Keep the introduction rate uniform: by request r we want
+        // about r * unique/requests files introduced.
+        let target = ((r + 1) as f64 * unique as f64 / t.requests as f64).ceil() as usize;
+        let (file_idx, is_insert) = if self.introduced < target && self.introduced < unique {
+            self.introduced += 1;
+            (self.introduced - 1, true)
+        } else if flipped && *hot_n > 0 && self.rng.gen::<f64>() < *hot_fraction {
+            // The flash crowd: a uniformly chosen member of the hot
+            // set (already introduced — the set sits right below the
+            // introduction frontier at flip time). No draw is spent on
+            // the test when there is no hot set.
+            (hot_lo + self.rng.gen_range(0..*hot_n), false)
+        } else {
+            // Re-reference: Zipf rank over *introduced* files (rank 1 =
+            // first-introduced = most popular). Re-draw until the rank
+            // lands within the introduced prefix; introduction tracks
+            // the stream position, so this terminates fast.
+            let zipf = zipf_after.as_ref().filter(|_| flipped).unwrap_or(zipf);
+            let mut rank = zipf.sample(&mut self.rng);
+            while rank > self.introduced {
+                rank = zipf.sample(&mut self.rng);
             }
-        }
+            (rank - 1, false)
+        };
+        let cluster = if self.rng.gen::<f64>() < *cluster_affinity {
+            file_cluster[file_idx] as u32
+        } else {
+            self.rng.gen_range(0..t.clusters)
+        };
+        // Pick a client within the chosen cluster.
+        let per_cluster = t.clients.div_ceil(t.clusters);
+        let member = self.rng.gen_range(0..per_cluster);
+        let client = (member * t.clusters + cluster).min(t.clients - 1);
+        Some(TraceOp {
+            client,
+            file: file_idx as u32,
+            is_insert,
+        })
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -304,75 +307,50 @@ impl Iterator for OpStream<'_> {
 impl ExactSizeIterator for OpStream<'_> {}
 
 impl WebTraceConfig {
-    /// Builds the streaming equivalent of [`WebTraceConfig::generate`]:
-    /// same seed, same draws, same op sequence — without materializing
-    /// the request vector.
+    /// Builds the lazy request stream: the flash-crowd stream with no
+    /// hot set and one exponent throughout, which draws exactly what a
+    /// plain web replay draws.
     ///
     /// # Panics
     ///
-    /// Panics on the same invalid configs as `generate`, plus when
+    /// Panics on an empty or inconsistent config, and when
     /// `clusters > 256` (the packed affinity table stores one byte per
     /// file).
     pub fn stream(&self) -> StreamTrace {
-        assert!(self.unique_files >= 1);
-        assert!(self.requests >= self.unique_files);
-        assert!(self.clients >= 1 && self.clusters >= 1);
-        assert!(
-            self.clusters <= 256,
-            "streaming web trace packs clusters into one byte"
-        );
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let size_dist = SizeModel::calibrated(
-            self.median_size,
-            self.mean_size,
-            self.max_size,
-            self.tail_prob,
-            self.tail_x_m,
-            self.tail_alpha,
-        );
-        let mut sizes = SizeTable::with_capacity(self.unique_files);
-        for _ in 0..self.unique_files {
-            let size = if rng.gen::<f64>() < self.zero_fraction {
-                0
-            } else {
-                size_dist.sample(&mut rng).round() as u64
-            };
-            sizes.push(size);
-        }
-        let client_cluster: Vec<u32> = (0..self.clients).map(|c| c % self.clusters).collect();
-        let file_cluster: Vec<u8> = (0..self.unique_files)
-            .map(|_| rng.gen_range(0..self.clusters) as u8)
-            .collect();
-        let zipf = Zipf::new(self.unique_files, self.zipf_alpha);
-        StreamTrace {
-            kind: StreamKind::Web {
-                file_cluster,
-                zipf,
-                cluster_affinity: self.cluster_affinity,
-            },
-            sizes,
+        FlashCrowdConfig {
+            unique_files: self.unique_files,
+            requests: self.requests,
+            zipf_alpha_before: self.zipf_alpha,
+            zipf_alpha_after: self.zipf_alpha,
+            flip_at: 1.0,
+            hot_set: 0,
+            hot_fraction: 0.0,
             clients: self.clients,
             clusters: self.clusters,
-            client_cluster,
-            requests: self.requests,
-            op_rng: rng,
+            cluster_affinity: self.cluster_affinity,
+            median_size: self.median_size,
+            mean_size: self.mean_size,
+            max_size: self.max_size,
+            tail_prob: self.tail_prob,
+            tail_x_m: self.tail_x_m,
+            tail_alpha: self.tail_alpha,
+            zero_fraction: self.zero_fraction,
+            seed: self.seed,
         }
+        .stream()
     }
 }
 
 impl FlashCrowdConfig {
-    /// Builds the streaming equivalent of [`FlashCrowdConfig::generate`]:
-    /// same seed, same draws, same op sequence.
+    /// Builds the lazy request stream.
     ///
     /// # Panics
     ///
-    /// Panics on the same invalid configs as `generate`, plus when
+    /// Panics on an empty or inconsistent config, and when
     /// `clusters > 256` (the packed affinity table stores one byte per
     /// file).
     pub fn stream(&self) -> StreamTrace {
-        assert!(self.unique_files >= 1);
         assert!(self.requests >= self.unique_files);
-        assert!(self.clients >= 1 && self.clusters >= 1);
         assert!((0.0..=1.0).contains(&self.flip_at), "flip_at in [0, 1]");
         assert!(
             (0.0..=1.0).contains(&self.hot_fraction),
@@ -380,9 +358,8 @@ impl FlashCrowdConfig {
         );
         assert!(
             self.clusters <= 256,
-            "streaming flash-crowd trace packs clusters into one byte"
+            "the affinity table packs a cluster into one byte"
         );
-        let mut rng = StdRng::seed_from_u64(self.seed);
         let size_dist = SizeModel::calibrated(
             self.median_size,
             self.mean_size,
@@ -391,52 +368,42 @@ impl FlashCrowdConfig {
             self.tail_x_m,
             self.tail_alpha,
         );
-        let mut sizes = SizeTable::with_capacity(self.unique_files);
-        for _ in 0..self.unique_files {
-            let size = if rng.gen::<f64>() < self.zero_fraction {
-                0
-            } else {
-                size_dist.sample(&mut rng).round() as u64
-            };
-            sizes.push(size);
-        }
-        let client_cluster: Vec<u32> = (0..self.clients).map(|c| c % self.clusters).collect();
-        let file_cluster: Vec<u8> = (0..self.unique_files)
-            .map(|_| rng.gen_range(0..self.clusters) as u8)
-            .collect();
-        let zipf_before = Zipf::new(self.unique_files, self.zipf_alpha_before);
-        let zipf_after = if self.zipf_alpha_after == self.zipf_alpha_before {
-            zipf_before.clone()
-        } else {
-            Zipf::new(self.unique_files, self.zipf_alpha_after)
-        };
-        let (hot_lo, hot_n) = self.hot_range();
-        StreamTrace {
-            kind: StreamKind::FlashCrowd {
-                file_cluster,
-                zipf_before,
-                zipf_after,
-                cluster_affinity: self.cluster_affinity,
-                flip_index: self.flip_index(),
-                hot_lo,
-                hot_n,
-                hot_fraction: self.hot_fraction,
+        let mut t = StreamTrace::per_file(
+            self.seed,
+            self.unique_files,
+            self.clients,
+            self.clusters,
+            |rng| {
+                if rng.gen::<f64>() < self.zero_fraction {
+                    0
+                } else {
+                    size_dist.sample(rng).round() as u64
+                }
             },
-            sizes,
-            clients: self.clients,
-            clusters: self.clusters,
-            client_cluster,
-            requests: self.requests,
-            op_rng: rng,
-        }
+        );
+        let file_cluster = (0..self.unique_files)
+            .map(|_| t.op_rng.gen_range(0..self.clusters) as u8)
+            .collect();
+        let (hot_lo, hot_n) = self.hot_range();
+        t.kind = StreamKind::Web {
+            file_cluster,
+            zipf: Zipf::new(self.unique_files, self.zipf_alpha_before),
+            zipf_after: (self.zipf_alpha_after != self.zipf_alpha_before)
+                .then(|| Zipf::new(self.unique_files, self.zipf_alpha_after)),
+            cluster_affinity: self.cluster_affinity,
+            flip_index: self.flip_index(),
+            hot_lo,
+            hot_n,
+            hot_fraction: self.hot_fraction,
+        };
+        t.requests = self.requests;
+        t
     }
 }
 
 impl FsTraceConfig {
-    /// Builds the streaming equivalent of [`FsTraceConfig::generate`].
+    /// Builds the lazy insert-only stream.
     pub fn stream(&self) -> StreamTrace {
-        assert!(self.files >= 1 && self.clients >= 1 && self.clusters >= 1);
-        let mut rng = StdRng::seed_from_u64(self.seed);
         let size_dist = SizeModel::calibrated(
             self.median_size,
             self.mean_size,
@@ -445,20 +412,9 @@ impl FsTraceConfig {
             self.tail_x_m,
             self.tail_alpha,
         );
-        let mut sizes = SizeTable::with_capacity(self.files);
-        for _ in 0..self.files {
-            sizes.push(size_dist.sample(&mut rng).round() as u64);
-        }
-        let client_cluster: Vec<u32> = (0..self.clients).map(|c| c % self.clusters).collect();
-        StreamTrace {
-            kind: StreamKind::Fs,
-            sizes,
-            clients: self.clients,
-            clusters: self.clusters,
-            client_cluster,
-            requests: self.files,
-            op_rng: rng,
-        }
+        StreamTrace::per_file(self.seed, self.files, self.clients, self.clusters, |rng| {
+            size_dist.sample(rng).round() as u64
+        })
     }
 }
 
@@ -540,72 +496,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn web_stream_matches_generate() {
-        let cfg = WebTraceConfig {
-            unique_files: 2_000,
-            requests: 4_294,
-            ..Default::default()
-        };
-        let trace = cfg.generate();
-        let stream = cfg.stream();
-        assert_eq!(stream.unique_files(), trace.unique_files());
-        assert_eq!(stream.op_count(), trace.ops.len());
-        assert_eq!(stream.total_bytes(), trace.total_bytes());
-        for (i, f) in trace.files.iter().enumerate() {
-            assert_eq!(stream.file_size(i as u32), f.size, "size of file {i}");
-        }
-        let streamed: Vec<TraceOp> = stream.ops().collect();
-        assert_eq!(streamed, trace.ops);
-    }
-
-    #[test]
-    fn fs_stream_matches_generate() {
-        let cfg = FsTraceConfig {
-            files: 3_000,
-            ..Default::default()
-        };
-        let trace = cfg.generate();
-        let stream = cfg.stream();
-        assert_eq!(stream.total_bytes(), trace.total_bytes());
-        let streamed: Vec<TraceOp> = stream.ops().collect();
-        assert_eq!(streamed, trace.ops);
-    }
-
-    #[test]
-    fn flash_crowd_stream_matches_generate() {
-        let cfg = FlashCrowdConfig {
-            unique_files: 1_500,
-            requests: 10_500,
-            ..Default::default()
-        };
-        let trace = cfg.generate();
-        let stream = cfg.stream();
-        assert_eq!(stream.unique_files(), trace.unique_files());
-        assert_eq!(stream.total_bytes(), trace.total_bytes());
-        for (i, f) in trace.files.iter().enumerate() {
-            assert_eq!(stream.file_size(i as u32), f.size, "size of file {i}");
-        }
-        let streamed: Vec<TraceOp> = stream.ops().collect();
-        assert_eq!(streamed, trace.ops);
-    }
-
-    #[test]
-    fn flash_crowd_stream_with_distinct_skews_matches_generate() {
-        let cfg = FlashCrowdConfig {
-            unique_files: 1_000,
-            requests: 7_000,
-            zipf_alpha_before: 0.7,
-            zipf_alpha_after: 1.1,
-            flip_at: 0.3,
-            hot_set: 2,
-            hot_fraction: 0.25,
-            ..Default::default()
-        };
-        let streamed: Vec<TraceOp> = cfg.stream().ops().collect();
-        assert_eq!(streamed, cfg.generate().ops);
-    }
-
-    #[test]
     fn op_stream_is_restartable() {
         let stream = WebTraceConfig {
             unique_files: 500,
@@ -629,26 +519,5 @@ mod tests {
         assert_eq!(t.get(2), 0);
         assert_eq!(t.total(), 100 + u32::MAX as u64 + 7);
         assert_eq!(t.len(), 3);
-    }
-
-    #[test]
-    fn workload_trait_agrees_across_representations() {
-        let cfg = WebTraceConfig {
-            unique_files: 800,
-            requests: 1_718,
-            ..Default::default()
-        };
-        let trace = cfg.generate();
-        let stream = cfg.stream();
-        let a: Vec<TraceOp> = Workload::ops_iter(&trace).collect();
-        let b: Vec<TraceOp> = Workload::ops_iter(&stream).collect();
-        assert_eq!(a, b);
-        assert_eq!(
-            Workload::file_name(&trace, 17),
-            Workload::file_name(&stream, 17)
-        );
-        for c in 0..cfg.clients {
-            assert_eq!(trace.cluster_of_client(c), stream.cluster_of_client(c));
-        }
     }
 }

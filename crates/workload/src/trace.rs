@@ -1,12 +1,8 @@
-//! Synthetic trace generation calibrated to the paper's workloads
-//! (§5.1): an NLANR-like web-proxy request stream and a filesystem
-//! snapshot, both reproduced from their published statistics (the
-//! original traces are not redistributable — see DESIGN.md §2).
-
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
-use crate::dist::{SizeModel, Zipf};
+//! The workload configs and the materialised [`Trace`], calibrated to
+//! the paper's workloads (§5.1): an NLANR-like web-proxy request stream
+//! and a filesystem snapshot, both reproduced from their published
+//! statistics (the original traces are not redistributable — see
+//! DESIGN.md §2). The generator itself is `crate::stream`.
 
 /// A file in a workload: logical name index and size in bytes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -167,92 +163,10 @@ impl WebTraceConfig {
         self
     }
 
-    /// Generates the trace.
-    ///
-    /// Construction: unique files are introduced at a uniform rate through
-    /// the stream (matching how new URLs keep appearing throughout a proxy
-    /// log); every other request draws a *seen* file with Zipf popularity
-    /// by introduction order (early files are the popular ones, as in real
-    /// logs). Each file has an affinity cluster; a request is issued from
-    /// that cluster with probability `cluster_affinity`, else from a
-    /// uniformly random client.
+    /// Generates the trace: [`WebTraceConfig::stream`], materialised
+    /// (see `OpStream::next` for the construction).
     pub fn generate(&self) -> Trace {
-        assert!(self.unique_files >= 1);
-        assert!(self.requests >= self.unique_files);
-        assert!(self.clients >= 1 && self.clusters >= 1);
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let size_dist = SizeModel::calibrated(
-            self.median_size,
-            self.mean_size,
-            self.max_size,
-            self.tail_prob,
-            self.tail_x_m,
-            self.tail_alpha,
-        );
-        let files: Vec<FileSpec> = (0..self.unique_files)
-            .map(|i| {
-                let size = if rng.gen::<f64>() < self.zero_fraction {
-                    0
-                } else {
-                    size_dist.sample(&mut rng).round() as u64
-                };
-                FileSpec {
-                    index: i as u32,
-                    size,
-                }
-            })
-            .collect();
-        // Client → cluster assignment, round-robin (balanced sites).
-        let client_cluster: Vec<u32> = (0..self.clients).map(|c| c % self.clusters).collect();
-        // File → affinity cluster.
-        let file_cluster: Vec<u32> = (0..self.unique_files)
-            .map(|_| rng.gen_range(0..self.clusters))
-            .collect();
-        let zipf = Zipf::new(self.unique_files, self.zipf_alpha);
-        let mut ops = Vec::with_capacity(self.requests);
-        let mut introduced = 0usize;
-        for r in 0..self.requests {
-            // Keep the introduction rate uniform: by request r we want
-            // about r * unique/requests files introduced.
-            let target = ((r + 1) as f64 * self.unique_files as f64 / self.requests as f64)
-                .ceil() as usize;
-            let (file_idx, is_insert) = if introduced < target && introduced < self.unique_files {
-                introduced += 1;
-                (introduced - 1, true)
-            } else {
-                // Re-reference: Zipf rank over *introduced* files (rank 1 =
-                // first-introduced = most popular). Re-draw until the rank
-                // lands within the introduced prefix; introduction tracks
-                // the stream position, so this terminates fast.
-                let mut rank = zipf.sample(&mut rng);
-                while rank > introduced {
-                    rank = zipf.sample(&mut rng);
-                }
-                (rank - 1, false)
-            };
-            let cluster = if rng.gen::<f64>() < self.cluster_affinity {
-                file_cluster[file_idx]
-            } else {
-                rng.gen_range(0..self.clusters)
-            };
-            // Pick a client within the chosen cluster.
-            let per_cluster = self.clients.div_ceil(self.clusters);
-            let member = rng.gen_range(0..per_cluster);
-            let client = (member * self.clusters + cluster).min(self.clients - 1);
-            ops.push(TraceOp {
-                client,
-                file: file_idx as u32,
-                is_insert,
-            });
-        }
-        debug_assert_eq!(introduced, self.unique_files);
-        Trace {
-            files,
-            ops,
-            clients: self.clients,
-            clusters: self.clusters,
-            client_cluster,
-        }
+        self.stream().into_trace()
     }
 }
 
@@ -364,99 +278,9 @@ impl FlashCrowdConfig {
         (introduced - n, n)
     }
 
-    fn check(&self) {
-        assert!(self.unique_files >= 1);
-        assert!(self.requests >= self.unique_files);
-        assert!(self.clients >= 1 && self.clusters >= 1);
-        assert!((0.0..=1.0).contains(&self.flip_at), "flip_at in [0, 1]");
-        assert!(
-            (0.0..=1.0).contains(&self.hot_fraction),
-            "hot_fraction in [0, 1]"
-        );
-    }
-
-    /// Generates the trace. Identical construction to
-    /// [`WebTraceConfig::generate`] up to the per-request popularity
-    /// draw, which switches distributions at [`FlashCrowdConfig::flip_index`].
+    /// Generates the trace: [`FlashCrowdConfig::stream`], materialised.
     pub fn generate(&self) -> Trace {
-        self.check();
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let size_dist = SizeModel::calibrated(
-            self.median_size,
-            self.mean_size,
-            self.max_size,
-            self.tail_prob,
-            self.tail_x_m,
-            self.tail_alpha,
-        );
-        let files: Vec<FileSpec> = (0..self.unique_files)
-            .map(|i| {
-                let size = if rng.gen::<f64>() < self.zero_fraction {
-                    0
-                } else {
-                    size_dist.sample(&mut rng).round() as u64
-                };
-                FileSpec {
-                    index: i as u32,
-                    size,
-                }
-            })
-            .collect();
-        let client_cluster: Vec<u32> = (0..self.clients).map(|c| c % self.clusters).collect();
-        let file_cluster: Vec<u32> = (0..self.unique_files)
-            .map(|_| rng.gen_range(0..self.clusters))
-            .collect();
-        let zipf_before = Zipf::new(self.unique_files, self.zipf_alpha_before);
-        let zipf_after = if self.zipf_alpha_after == self.zipf_alpha_before {
-            zipf_before.clone()
-        } else {
-            Zipf::new(self.unique_files, self.zipf_alpha_after)
-        };
-        let flip = self.flip_index();
-        let (hot_lo, hot_n) = self.hot_range();
-        let mut ops = Vec::with_capacity(self.requests);
-        let mut introduced = 0usize;
-        for r in 0..self.requests {
-            let target = ((r + 1) as f64 * self.unique_files as f64 / self.requests as f64)
-                .ceil() as usize;
-            let (file_idx, is_insert) = if introduced < target && introduced < self.unique_files {
-                introduced += 1;
-                (introduced - 1, true)
-            } else if r >= flip && hot_n > 0 && rng.gen::<f64>() < self.hot_fraction {
-                // The flash crowd: a uniformly chosen member of the hot
-                // set (already introduced — the set sits right below the
-                // introduction frontier at flip time).
-                (hot_lo + rng.gen_range(0..hot_n), false)
-            } else {
-                let zipf = if r >= flip { &zipf_after } else { &zipf_before };
-                let mut rank = zipf.sample(&mut rng);
-                while rank > introduced {
-                    rank = zipf.sample(&mut rng);
-                }
-                (rank - 1, false)
-            };
-            let cluster = if rng.gen::<f64>() < self.cluster_affinity {
-                file_cluster[file_idx]
-            } else {
-                rng.gen_range(0..self.clusters)
-            };
-            let per_cluster = self.clients.div_ceil(self.clusters);
-            let member = rng.gen_range(0..per_cluster);
-            let client = (member * self.clusters + cluster).min(self.clients - 1);
-            ops.push(TraceOp {
-                client,
-                file: file_idx as u32,
-                is_insert,
-            });
-        }
-        debug_assert_eq!(introduced, self.unique_files);
-        Trace {
-            files,
-            ops,
-            clients: self.clients,
-            clusters: self.clusters,
-            client_cluster,
-        }
+        self.stream().into_trace()
     }
 }
 
@@ -505,40 +329,10 @@ impl Default for FsTraceConfig {
 }
 
 impl FsTraceConfig {
-    /// Generates the insert-only trace.
+    /// Generates the insert-only trace: [`FsTraceConfig::stream`],
+    /// materialised.
     pub fn generate(&self) -> Trace {
-        assert!(self.files >= 1 && self.clients >= 1 && self.clusters >= 1);
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let size_dist = SizeModel::calibrated(
-            self.median_size,
-            self.mean_size,
-            self.max_size,
-            self.tail_prob,
-            self.tail_x_m,
-            self.tail_alpha,
-        );
-        let files: Vec<FileSpec> = (0..self.files)
-            .map(|i| FileSpec {
-                index: i as u32,
-                size: size_dist.sample(&mut rng).round() as u64,
-            })
-            .collect();
-        let client_cluster: Vec<u32> = (0..self.clients).map(|c| c % self.clusters).collect();
-        let ops = files
-            .iter()
-            .map(|f| TraceOp {
-                client: rng.gen_range(0..self.clients),
-                file: f.index,
-                is_insert: true,
-            })
-            .collect();
-        Trace {
-            files,
-            ops,
-            clients: self.clients,
-            clusters: self.clusters,
-            client_cluster,
-        }
+        self.stream().into_trace()
     }
 }
 
@@ -625,14 +419,6 @@ mod tests {
     }
 
     #[test]
-    fn web_trace_deterministic() {
-        let a = small_web();
-        let b = small_web();
-        assert_eq!(a.ops, b.ops);
-        assert_eq!(a.files, b.files);
-    }
-
-    #[test]
     fn with_unique_files_preserves_ratio() {
         let cfg = WebTraceConfig::default().with_unique_files(10_000);
         let ratio = cfg.requests as f64 / cfg.unique_files as f64;
@@ -701,19 +487,6 @@ mod tests {
             "top hot file only {top_hot}/{} post-flip lookups",
             post.len()
         );
-    }
-
-    #[test]
-    fn flash_crowd_deterministic() {
-        let cfg = FlashCrowdConfig {
-            unique_files: 800,
-            requests: 5_600,
-            ..Default::default()
-        };
-        let a = cfg.generate();
-        let b = cfg.generate();
-        assert_eq!(a.ops, b.ops);
-        assert_eq!(a.files, b.files);
     }
 
     #[test]

@@ -71,6 +71,37 @@ print(f"perf smoke OK: {len(workloads)} workloads, JSON parseable, "
       f"peak RSS within {RSS_BUDGET_KB} kB")
 PY
 
+echo "== repro (every paper table and figure at smoke scale, twice)"
+# One binary regenerates Tables 1-4, Figures 2-8, the ablations and the
+# Pastry properties. Two runs must write byte-identical CSVs, every
+# experiment `repro list` names must leave a non-empty CSV (`<name>.csv`
+# or `<name>_*.csv`), and the driver must share replays between
+# experiments: 21 distinct ones, not the 36 they ask for between them.
+repro() {
+  cargo run --release -q -p past-bench --bin repro --offline -- "$@"
+}
+for run in a b; do
+  PAST_NODES=60 PAST_FILES=5000 PAST_OUT_DIR="$perf_out/repro_$run" \
+    repro all >"$perf_out/repro_$run.out" 2>/dev/null
+done
+for csv in "$perf_out"/repro_a/*.csv; do
+  cmp "$csv" "$perf_out/repro_b/$(basename "$csv")" \
+    || { echo "error: repro CSVs not deterministic across runs" >&2; exit 1; }
+done
+experiments=0
+while read -r name _; do
+  wrote=0
+  for csv in "$perf_out/repro_a/$name".csv "$perf_out/repro_a/$name"_*.csv; do
+    if [ -s "$csv" ]; then wrote=1; fi
+  done
+  [ "$wrote" = 1 ] || { echo "error: repro $name wrote no CSV" >&2; exit 1; }
+  experiments=$((experiments + 1))
+done < <(repro list)
+tail -n 1 "$perf_out/repro_a.out"
+grep -q "ran 21 distinct replays for 36 asked" "$perf_out/repro_a.out" \
+  || { echo "error: repro all no longer shares replays (want 21 of 36)" >&2; exit 1; }
+echo "repro OK: $experiments experiments, $(ls "$perf_out"/repro_a/*.csv | wc -l) CSVs byte-identical across two runs"
+
 echo "== counting-allocator feature build"
 # The allocation-site harness is feature-gated off the default build;
 # make sure the gate keeps compiling (bench binary owns the

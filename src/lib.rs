@@ -15,7 +15,6 @@
 //!   file diversion, maintenance, caching).
 //! - [`workload`] — synthetic traces calibrated to the paper's.
 //! - [`sim`] — the experiment harness behind every table and figure.
-//! - [`erasure`] — Reed–Solomon coding (the paper's §3.6 extension).
 //! - [`obs`] — metrics registry, operation spans, JSON emission.
 //!
 //! See the repository `README.md` for a tour and `DESIGN.md` for the
@@ -23,7 +22,6 @@
 
 pub use past_core as core;
 pub use past_crypto as crypto;
-pub use past_erasure as erasure;
 pub use past_id as id;
 pub use past_net as net;
 pub use past_obs as obs;

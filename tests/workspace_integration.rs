@@ -1,14 +1,13 @@
 //! Workspace-level integration tests: exercise the full stack through
 //! the `past` facade — smartcard identities, the Pastry overlay, PAST
-//! storage management, caching, quotas and erasure coding together.
+//! storage management, caching and quotas together, plus a smoke of
+//! the churn and sharded planes.
 
 use past::core::{PastConfig, PastEvent, PastNode, PastOverlayNode};
 use past::crypto::{CardIssuer, Scheme};
-use past::erasure::ReedSolomon;
-use past::id::FileId;
 use past::net::{Addr, EuclideanTopology, SimDuration, Simulator};
 use past::pastry::{NodeEntry, PastryConfig, PastryNode};
-use past::sim::{run_experiment, ExperimentConfig};
+use past::sim::{run_experiment, ChurnConfig, ChurnRunner, ExperimentConfig, CLIENT};
 use past::store::CachePolicyKind;
 use past::workload::WebTraceConfig;
 use rand::rngs::StdRng;
@@ -191,42 +190,65 @@ fn end_to_end_experiment_reaches_high_utilization() {
 }
 
 #[test]
-fn erasure_coded_fragments_survive_replica_level_losses() {
-    // Store RS fragments as separate PAST files: even after losing m
-    // fragment-files entirely, the original reconstructs.
-    let (mut sim, _) = build_card_overlay(30, 405);
-    let rs = ReedSolomon::new(4, 2);
-    let original: Vec<u8> = (0..10_000u32).map(|i| (i % 251) as u8).collect();
-    let shards = rs.encode_bytes(&original);
-    let mut fragment_ids: Vec<FileId> = Vec::new();
-    for (i, shard) in shards.iter().enumerate() {
-        let name = format!("video.mp4.frag{i}");
-        let size = shard.len() as u64;
-        sim.invoke(Addr(3), move |node, ctx| {
-            node.invoke_app(ctx, |app, actx| {
-                app.insert(actx, &name, size);
-            });
-        });
-        sim.run_until_idle();
-        for (_, _, e) in sim.drain_upcalls() {
-            if let PastEvent::InsertDone {
-                file_id,
-                success: true,
-                ..
-            } = e
-            {
-                fragment_ids.push(file_id);
-            }
-        }
+fn crashed_holders_are_repaired_and_quota_stays_exact() {
+    // The churn plane: crash two replica holders, let the survivors
+    // detect it (15 s failure timeout) and re-replicate, bring the
+    // crashed nodes back, and audit the §3.5 invariants globally.
+    let mut r = ChurnRunner::build(ChurnConfig {
+        nodes: 20,
+        files: 6,
+        seed: 406,
+        ..Default::default()
+    });
+    assert_eq!(r.insert_files(), 6);
+    let (first, _) = r.files()[0];
+    let victims: Vec<Addr> = r
+        .holders_of(first)
+        .into_iter()
+        .filter(|&a| a != CLIENT)
+        .take(2)
+        .collect();
+    assert_eq!(victims.len(), 2);
+    for &v in &victims {
+        r.sim_mut().fail_node(v);
     }
-    assert_eq!(fragment_ids.len(), 6);
-    // Model the loss of two whole fragments (e.g. all their replicas
-    // reclaimed): reconstruct from the four that remain retrievable.
-    let mut received: Vec<Option<Vec<u8>>> = shards.into_iter().map(Some).collect();
-    received[1] = None;
-    received[4] = None;
-    let recovered = rs.decode_bytes(&mut received, original.len()).unwrap();
-    assert_eq!(recovered, original);
+    r.run_for(SimDuration::from_secs(60));
+    r.heal(SimDuration::from_secs(60));
+    let report = r.audit();
+    assert!(
+        report.under_replicated.is_empty(),
+        "k copies of every file after heal: {}",
+        report.summary()
+    );
+    assert_eq!(report.quota_used, report.quota_expected);
+    assert_eq!(report.files, 6);
+}
+
+#[test]
+fn replay_counters_are_equal_at_one_and_two_shards() {
+    // The sharded plane: same seed, same trace, same counters at any
+    // shard count.
+    let trace = WebTraceConfig::default().with_unique_files(400).generate();
+    let counters = |shards: usize| {
+        let r = run_experiment(
+            ExperimentConfig {
+                nodes: 24,
+                leaf_set_size: 16,
+                replay_lookups: true,
+                shards,
+                ..Default::default()
+            },
+            &trace,
+        );
+        (
+            (r.inserts_total, r.inserts_ok, r.lookups_total, r.lookups_ok),
+            (r.replicas_stored, r.replicas_diverted, r.stored_bytes),
+            (r.net.events, r.net.delivered, r.net.timers_fired),
+        )
+    };
+    let one = counters(1);
+    assert!(one.0 .1 > 0 && one.0 .3 > 0, "replay did work: {one:?}");
+    assert_eq!(one, counters(2));
 }
 
 #[test]
