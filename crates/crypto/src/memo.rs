@@ -55,15 +55,18 @@ pub struct VerifyMemo {
 impl VerifyMemo {
     /// Creates a memo bounded to `capacity` entries.
     ///
+    /// Allocates nothing: a node that never verifies (certificate
+    /// verification off) carries an empty memo, and the first recorded
+    /// verification pays for the table.
+    ///
     /// # Panics
     ///
     /// Panics if `capacity < 2` (each generation holds at least one).
     pub fn new(capacity: usize) -> Self {
         assert!(capacity >= 2, "memo needs room for two generations");
-        let half = capacity / 2;
         VerifyMemo {
             capacity,
-            cur: IdHashSet::with_capacity_and_hasher(half.min(1024), Default::default()),
+            cur: IdHashSet::default(),
             prev: IdHashSet::default(),
             hits: 0,
             misses: 0,
@@ -83,6 +86,12 @@ impl VerifyMemo {
     /// Whether no verification has been memoized yet.
     pub fn is_empty(&self) -> bool {
         self.cur.is_empty() && self.prev.is_empty()
+    }
+
+    /// Table slots currently allocated across both generations (zero
+    /// until the first verification is recorded).
+    pub fn allocated_slots(&self) -> usize {
+        self.cur.capacity() + self.prev.capacity()
     }
 
     /// Checks hit since construction.
@@ -177,6 +186,17 @@ mod tests {
         assert!(m.check(k, || false));
         assert_eq!(m.hits(), 1);
         assert_eq!(m.misses(), 2);
+    }
+
+    #[test]
+    fn allocates_on_first_record_not_at_construction() {
+        let mut m = VerifyMemo::new(1024);
+        assert_eq!(m.allocated_slots(), 0);
+        let k = VerifyMemo::key(b"payload", &sig(1));
+        assert!(!m.check(k, || false));
+        assert_eq!(m.allocated_slots(), 0, "a failure records nothing");
+        assert!(m.check(k, || true));
+        assert!(m.allocated_slots() > 0);
     }
 
     #[test]

@@ -272,9 +272,10 @@ impl<P: Protocol> ShardCore<P> {
         self.upcalls.clear();
     }
 
-    /// Accepts a batch of cross-shard arrivals (the barrier exchange).
-    pub(crate) fn receive(&mut self, batch: Vec<Outbound<P::Msg>>) {
-        for Outbound { key, dst, msg } in batch {
+    /// Accepts a batch of cross-shard arrivals (the barrier exchange),
+    /// draining it in place so the sender gets its buffer back.
+    pub(crate) fn receive(&mut self, batch: &mut Vec<Outbound<P::Msg>>) {
+        for Outbound { key, dst, msg } in batch.drain(..) {
             debug_assert!(self.owns(dst));
             self.queue.push_deliver(key, Addr(key.2), dst, msg);
         }

@@ -521,17 +521,19 @@ where
                 if s == d {
                     continue;
                 }
-                let batch = {
-                    let src = self.cores[s].as_mut().expect("core present");
-                    if src.outboxes[d].is_empty() {
-                        continue;
-                    }
-                    std::mem::take(&mut src.outboxes[d])
-                };
+                let src = self.cores[s].as_mut().expect("core present");
+                if src.outboxes[d].is_empty() {
+                    continue;
+                }
+                // The outbox goes back emptied with its capacity: the
+                // next window's cross-shard sends refill it without
+                // growing a fresh one.
+                let mut batch = std::mem::take(&mut src.outboxes[d]);
                 self.cores[d]
                     .as_mut()
                     .expect("core present")
-                    .receive(batch);
+                    .receive(&mut batch);
+                self.cores[s].as_mut().expect("core present").outboxes[d] = batch;
             }
         }
     }

@@ -25,6 +25,13 @@ pub struct RouteCell {
 /// Cells live in one contiguous row-major allocation: `consider` runs on
 /// every received message, and a vec-of-vecs costs an extra pointer chase
 /// (and a cache miss) per access on that path.
+///
+/// Only the rows touched so far are allocated. An overlay of N nodes
+/// populates about ⌈log_2^b N⌉ rows (§2.1), so the other rows of the
+/// id space would be 64-byte empties the node drags along: `cells` is
+/// the row-major *prefix* of the full table, `consider` grows it to
+/// cover the row it places into, and every read past the prefix sees
+/// an empty cell without allocating.
 #[derive(Clone, Debug)]
 pub struct RoutingTable {
     own: NodeId,
@@ -38,13 +45,11 @@ impl RoutingTable {
     /// width `b`.
     pub fn new(own: NodeId, b: u32) -> Self {
         Digits::check_base(b);
-        let row_count = NodeId::digit_count(b) as usize;
-        let cols = Digits::radix(b) as usize;
         RoutingTable {
             own,
             b,
-            cols,
-            cells: vec![None; row_count * cols],
+            cols: Digits::radix(b) as usize,
+            cells: Vec::new(),
         }
     }
 
@@ -58,8 +63,15 @@ impl RoutingTable {
         self.b
     }
 
-    /// Number of rows (levels).
+    /// Number of rows (levels) the id space gives the table, allocated
+    /// or not.
     pub fn row_count(&self) -> usize {
+        NodeId::digit_count(self.b) as usize
+    }
+
+    /// Number of leading rows that hold memory: one past the highest row
+    /// `consider` ever placed a node into.
+    pub fn allocated_rows(&self) -> usize {
         self.cells.len() / self.cols
     }
 
@@ -72,13 +84,14 @@ impl RoutingTable {
         }
         let row = self.own.shared_prefix_digits(key, self.b) as usize;
         let col = key.digit(row as u32, self.b) as usize;
-        Some(&self.cells[row * self.cols + col])
+        Some(self.cells.get(row * self.cols + col).unwrap_or(&None))
     }
 
     /// Looks up the entry at (row, col).
     pub fn get(&self, row: usize, col: usize) -> Option<&RouteCell> {
+        assert!(row < self.row_count(), "row {row} out of range");
         assert!(col < self.cols, "column {col} out of range");
-        self.cells[row * self.cols + col].as_ref()
+        self.cells.get(row * self.cols + col)?.as_ref()
     }
 
     /// Considers `candidate` for inclusion. It is placed in the cell
@@ -91,6 +104,14 @@ impl RoutingTable {
         }
         let row = self.own.shared_prefix_digits(candidate.id, self.b) as usize;
         let col = candidate.id.digit(row as u32, self.b) as usize;
+        let needed = (row + 1) * self.cols;
+        if self.cells.len() < needed {
+            // Rows are added a handful of times in a node's life, so
+            // take exactly the room they need, not the doubling `resize`
+            // would reserve.
+            self.cells.reserve_exact(needed - self.cells.len());
+            self.cells.resize(needed, None);
+        }
         let cell = &mut self.cells[row * self.cols + col];
         match cell {
             None => {
@@ -130,12 +151,12 @@ impl RoutingTable {
         }
         let row = self.own.shared_prefix_digits(id, self.b) as usize;
         let col = id.digit(row as u32, self.b) as usize;
-        let cell = &mut self.cells[row * self.cols + col];
-        if matches!(cell, Some(c) if c.entry.id == id) {
-            *cell = None;
-            true
-        } else {
-            false
+        match self.cells.get_mut(row * self.cols + col) {
+            Some(cell) if cell.is_some_and(|c| c.entry.id == id) => {
+                *cell = None;
+                true
+            }
+            _ => false,
         }
     }
 
@@ -143,10 +164,14 @@ impl RoutingTable {
     /// nodes, which initialize row `i` from the `i`-th node on the join
     /// route.
     pub fn row(&self, n: usize) -> Vec<Option<RouteCell>> {
-        self.cells[n * self.cols..(n + 1) * self.cols].to_vec()
+        assert!(n < self.row_count(), "row {n} out of range");
+        match self.cells.get(n * self.cols..(n + 1) * self.cols) {
+            Some(row) => row.to_vec(),
+            None => vec![None; self.cols],
+        }
     }
 
-    /// Iterates over all populated entries.
+    /// Iterates over all populated entries, in row-major order.
     pub fn entries(&self) -> impl Iterator<Item = &RouteCell> {
         self.cells.iter().filter_map(|c| c.as_ref())
     }
@@ -261,9 +286,136 @@ mod tests {
         let rt = RoutingTable::new(own(), 4);
         assert_eq!(rt.row_count(), 32);
         assert_eq!(rt.row(0).len(), 16);
+        assert_eq!(rt.row(31).len(), 16);
+    }
+
+    #[test]
+    fn cell_fits_a_cache_line() {
+        // The footprint figures in DESIGN.md ("What a node and a cached
+        // file cost") are rows × 16 × this.
+        assert!(std::mem::size_of::<Option<RouteCell>>() <= 64);
+    }
+
+    #[test]
+    fn rows_are_allocated_by_consider_alone() {
+        let mut rt = RoutingTable::new(own(), 4);
+        let deep = entry(0x1023_3100 << 96); // shares 7 digits with own
+        assert_eq!(rt.allocated_rows(), 0);
+        // Reads and removals past the prefix see empty cells and leave
+        // it alone.
+        assert!(rt.get(7, 0).is_none());
+        assert!(rt.cell_for(deep.id).unwrap().is_none());
+        assert!(rt.row(7).iter().all(Option::is_none));
+        assert!(!rt.remove(deep.id));
+        assert_eq!(rt.allocated_rows(), 0);
+        rt.consider(entry(0xf000_0000 << 96), 1.0);
+        assert_eq!(rt.allocated_rows(), 1);
+        rt.consider(deep, 1.0);
+        assert_eq!(rt.allocated_rows(), 8);
+        assert_eq!(rt.get(7, 0).unwrap().entry, deep);
+    }
+
+    /// The table before rows were allocated on demand: all 32 × 16 cells,
+    /// always. The reference the on-demand table must be
+    /// indistinguishable from.
+    struct Dense(Vec<Option<RouteCell>>);
+
+    impl Dense {
+        fn slot(&mut self, id: NodeId) -> &mut Option<RouteCell> {
+            let row = own().shared_prefix_digits(id, 4) as usize;
+            &mut self.0[row * 16 + id.digit(row as u32, 4) as usize]
+        }
+
+        fn consider(&mut self, candidate: NodeEntry, proximity: f64) -> bool {
+            if candidate.id == own() {
+                return false;
+            }
+            let cell = self.slot(candidate.id);
+            let replace = match cell {
+                None => true,
+                Some(c) if c.entry.id == candidate.id => {
+                    c.entry.addr != candidate.addr || c.proximity != proximity
+                }
+                Some(c) => proximity < c.proximity,
+            };
+            if replace {
+                *cell = Some(RouteCell {
+                    entry: candidate,
+                    proximity,
+                });
+            }
+            replace
+        }
+
+        fn remove(&mut self, id: NodeId) -> bool {
+            if id == own() {
+                return false;
+            }
+            let cell = self.slot(id);
+            let hit = matches!(cell, Some(c) if c.entry.id == id);
+            if hit {
+                *cell = None;
+            }
+            hit
+        }
+    }
+
+    /// An id sharing exactly the first `prefix` digits with `own()` (all
+    /// of them at 32, which is `own()` itself) and continuing with the
+    /// two digits of `tail`, so that draws collide in cells, repeat ids
+    /// and reach every row.
+    fn id_at(prefix: u8, tail: u8) -> u128 {
+        let keep = (prefix as u32 % 33) * 4;
+        let own = own().as_u128();
+        if keep == 128 {
+            return own;
+        }
+        let mask = !(u128::MAX >> keep);
+        let mut v = (own & mask) | ((tail as u128) << 120 >> keep);
+        let digit_shift = 124 - keep;
+        if (v >> digit_shift) & 0xf == (own >> digit_shift) & 0xf {
+            v ^= 1 << digit_shift; // keep the shared prefix exact
+        }
+        v
     }
 
     proptest! {
+        #[test]
+        fn prop_on_demand_rows_match_dense_table(
+            ops in prop::collection::vec(any::<(u8, u8, u8, u8)>(), 0..200),
+        ) {
+            let mut rt = RoutingTable::new(own(), 4);
+            let mut dense = Dense(vec![None; 32 * 16]);
+            let mut deepest = 0;
+            for (op, prefix, tail, prox) in ops {
+                let e = entry(id_at(prefix, tail));
+                if op % 4 == 0 {
+                    prop_assert_eq!(rt.remove(e.id), dense.remove(e.id));
+                } else {
+                    let p = (prox % 4) as f64;
+                    prop_assert_eq!(rt.consider(e, p), dense.consider(e, p));
+                    if e.id != own() {
+                        deepest = deepest.max(own().shared_prefix_digits(e.id, 4) as usize + 1);
+                    }
+                }
+                prop_assert_eq!(rt.allocated_rows(), deepest);
+                match rt.cell_for(e.id) {
+                    Some(cell) => prop_assert_eq!(cell, &*dense.slot(e.id)),
+                    None => prop_assert_eq!(e.id, own()),
+                }
+            }
+            for r in 0..32 {
+                prop_assert_eq!(&rt.row(r)[..], &dense.0[r * 16..(r + 1) * 16]);
+                for c in 0..16 {
+                    prop_assert_eq!(rt.get(r, c), dense.0[r * 16 + c].as_ref());
+                }
+            }
+            let order: Vec<&RouteCell> = dense.0.iter().flatten().collect();
+            prop_assert_eq!(rt.entries().collect::<Vec<_>>(), order);
+            prop_assert_eq!(rt.len(), order.len());
+            prop_assert_eq!(rt.is_empty(), order.is_empty());
+        }
+
         #[test]
         fn prop_entry_shares_exactly_row_digits(ids: Vec<u128>) {
             let mut rt = RoutingTable::new(own(), 4);

@@ -19,27 +19,28 @@
 //! & Roychowdhury (arXiv cs/0210010) serves as a stateless-replacement
 //! baseline for the flash-crowd study.
 
-use std::collections::BTreeSet;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
-use past_id::IdHashMap;
+use past_crypto::SharedFileCert;
+use past_id::{FileId, IdHashMap};
 
-use past_id::FileId;
-
-/// Total order wrapper for finite priorities.
-#[derive(Clone, Copy, PartialEq, Debug)]
-struct Priority(f64);
-
-impl Eq for Priority {}
-impl PartialOrd for Priority {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
+/// Everything the cache keeps about one resident file: one record in
+/// one map, so a probe touches one bucket.
+#[derive(Debug)]
+struct Resident {
+    size: u64,
+    /// Touch sequence of this file's live entry in the order heap
+    /// (GD-S and LRU; unused by the other policies).
+    stamp: u64,
+    /// The file's certificate, so a cache hit can serve the file.
+    cert: SharedFileCert,
 }
-impl Ord for Priority {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
+
+/// An order-heap entry: `(weight bits, touch sequence, file)`, smallest
+/// first. The sequence is unique per touch, so the comparison never
+/// reaches the file id.
+type OrderEntry = Reverse<(u64, u64, FileId)>;
 
 /// Which replacement policy a cache runs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -113,30 +114,27 @@ fn splitmix64(state: &mut u64) -> u64 {
 /// Internal replacement state.
 #[derive(Debug)]
 enum PolicyState {
-    Gds {
-        /// Inflation value L.
+    /// GD-S and LRU: residents ranked by `(weight, touch sequence)`. LRU
+    /// is the constant-weight case, which leaves recency alone to decide.
+    ///
+    /// Deletion from `order` is lazy. Every touch pushes a fresh entry
+    /// and stamps the resident with its sequence; an entry is live iff
+    /// its file is resident and carries that stamp. Entries orphaned by
+    /// a re-touch, a removal or an eviction are skipped when popped and
+    /// swept once they outnumber the live ones (see `Cache::compact`).
+    Ranked {
+        /// Inflation value L (stays 0 under LRU).
         inflation: f64,
-        /// Monotonic touch sequence used to break weight ties by recency.
+        /// Monotonic touch sequence: breaks weight ties by recency.
         seq: u64,
-        /// Current (weight, touch sequence) per file.
-        weight: IdHashMap<FileId, (f64, u64)>,
-        /// Files ordered by weight, then touch recency, then id.
-        order: BTreeSet<(Priority, u64, FileId)>,
-    },
-    Lru {
-        /// Logical clock.
-        tick: u64,
-        /// Last-use tick per file.
-        last_use: IdHashMap<FileId, u64>,
-        /// Files ordered by last use.
-        order: BTreeSet<(u64, FileId)>,
+        /// Min-heap over the residents' live entries, plus stale ones.
+        order: BinaryHeap<OrderEntry>,
     },
     PopRandom {
         /// Private SplitMix64 state (admission coin + victim choice).
         rng: u64,
         /// Requests observed per file (probes and insert offers),
-        /// saturating. Grows with the node's working set, like the GDS
-        /// weight map.
+        /// saturating. Grows with the node's working set.
         seen: IdHashMap<FileId, u32>,
         /// Residents in arbitrary order, for O(1) uniform victim choice.
         slots: Vec<FileId>,
@@ -146,17 +144,42 @@ enum PolicyState {
     None,
 }
 
+impl PolicyState {
+    /// Ranks a file that was just admitted or referenced: pushes a fresh
+    /// order entry weighing `L + benefit` and returns its touch sequence,
+    /// the stamp that makes it the file's live entry. Popularity tracking
+    /// happens in `note_request` and eviction there is uniform, so under
+    /// the unranked policies a touch carries no information.
+    fn rank(&mut self, id: FileId, benefit: f64) -> u64 {
+        let PolicyState::Ranked {
+            inflation,
+            seq,
+            order,
+        } = self
+        else {
+            return 0;
+        };
+        let h = *inflation + benefit;
+        // `to_bits` orders finite non-negative floats as `total_cmp` does.
+        debug_assert!(h.is_finite() && h.is_sign_positive(), "weight {h}");
+        *seq += 1;
+        order.push(Reverse((h.to_bits(), *seq, id)));
+        *seq
+    }
+}
+
 /// A size-bounded file cache with pluggable replacement policy.
 ///
-/// The cache stores file metadata only (id and size); actual content
-/// lives with the simulation's file registry. Its capacity is managed by
-/// the surrounding [`crate::NodeStore`]: replicas take precedence, and
-/// the store shrinks the cache (evicting entries) whenever replicas need
-/// the space.
+/// The cache holds one record per resident file (size, certificate and
+/// its place in the replacement order); actual content lives with the
+/// simulation's file registry. Its capacity is managed by the
+/// surrounding [`crate::NodeStore`]: replicas take precedence, and the
+/// store shrinks the cache (evicting entries) whenever replicas need the
+/// space.
 #[derive(Debug)]
 pub struct Cache {
     kind: CachePolicyKind,
-    entries: IdHashMap<FileId, u64>,
+    residents: IdHashMap<FileId, Resident>,
     used: u64,
     policy: PolicyState,
     hits: u64,
@@ -169,16 +192,10 @@ impl Cache {
     /// Creates an empty cache with the given policy.
     pub fn new(kind: CachePolicyKind) -> Self {
         let policy = match kind {
-            CachePolicyKind::GreedyDualSize => PolicyState::Gds {
+            CachePolicyKind::GreedyDualSize | CachePolicyKind::Lru => PolicyState::Ranked {
                 inflation: 0.0,
                 seq: 0,
-                weight: IdHashMap::default(),
-                order: BTreeSet::new(),
-            },
-            CachePolicyKind::Lru => PolicyState::Lru {
-                tick: 0,
-                last_use: IdHashMap::default(),
-                order: BTreeSet::new(),
+                order: BinaryHeap::new(),
             },
             CachePolicyKind::PopularityRandom => PolicyState::PopRandom {
                 rng: POPRAND_SEED,
@@ -190,7 +207,7 @@ impl Cache {
         };
         Cache {
             kind,
-            entries: IdHashMap::default(),
+            residents: IdHashMap::default(),
             used: 0,
             policy,
             hits: 0,
@@ -212,17 +229,22 @@ impl Cache {
 
     /// Number of cached files.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.residents.len()
     }
 
     /// Returns `true` when nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.residents.is_empty()
     }
 
     /// Whether `id` is cached.
     pub fn contains(&self, id: FileId) -> bool {
-        self.entries.contains_key(&id)
+        self.residents.contains_key(&id)
+    }
+
+    /// The certificate of a cached file.
+    pub fn cert(&self, id: FileId) -> Option<&SharedFileCert> {
+        self.residents.get(&id).map(|r| &r.cert)
     }
 
     /// (hits, misses, insertions, evictions) so far.
@@ -234,11 +256,13 @@ impl Cache {
     /// statistics. Returns the file size if present.
     pub fn probe(&mut self, id: FileId) -> Option<u64> {
         self.note_request(id);
-        match self.entries.get(&id).copied() {
-            Some(size) => {
+        match self.residents.get_mut(&id) {
+            Some(r) => {
+                let size = r.size;
+                r.stamp = self.policy.rank(id, benefit(self.kind, size));
                 self.hits += 1;
                 past_obs::counter(self.metric_name(CacheEvent::Hit), 1);
-                self.touch(id, size);
+                self.compact();
                 Some(size)
             }
             None => {
@@ -298,79 +322,47 @@ impl Cache {
         }
     }
 
-    fn touch(&mut self, id: FileId, size: u64) {
-        match &mut self.policy {
-            PolicyState::Gds {
-                inflation,
-                seq,
-                weight,
-                order,
-            } => {
-                if let Some((old_w, old_s)) = weight.get(&id).copied() {
-                    order.remove(&(Priority(old_w), old_s, id));
-                }
-                *seq += 1;
-                let h = *inflation + gds_benefit(size);
-                weight.insert(id, (h, *seq));
-                order.insert((Priority(h), *seq, id));
-            }
-            PolicyState::Lru {
-                tick,
-                last_use,
-                order,
-            } => {
-                if let Some(old) = last_use.get(&id).copied() {
-                    order.remove(&(old, id));
-                }
-                *tick += 1;
-                last_use.insert(id, *tick);
-                order.insert((*tick, id));
-            }
-            // Popularity tracking happens in `note_request`; eviction is
-            // uniform, so a touch carries no recency information.
-            PolicyState::PopRandom { .. } => {}
-            PolicyState::None => {}
-        }
-    }
-
-    /// Inserts a file of `size` bytes, evicting lowest-priority entries
-    /// until it fits within `budget` total bytes. Returns the evicted ids.
+    /// Offers the file `cert` describes, evicting lowest-priority entries
+    /// until it fits within `budget` total bytes. Returns whether the
+    /// file is cached afterwards.
     ///
-    /// The insertion is refused (empty return, nothing cached) when the
-    /// policy is [`CachePolicyKind::None`], the file alone exceeds the
-    /// budget, the popularity-random admission coin says no, or it is
-    /// already cached (which just refreshes it).
-    pub fn insert(&mut self, id: FileId, size: u64, budget: u64) -> Vec<FileId> {
+    /// The offer is refused (nothing cached) when the policy is
+    /// [`CachePolicyKind::None`], the file alone exceeds the budget, or
+    /// the popularity-random admission coin says no. Offering a file
+    /// that is already cached refreshes it.
+    pub fn insert(&mut self, cert: &SharedFileCert, budget: u64) -> bool {
         if matches!(self.policy, PolicyState::None) {
-            return Vec::new();
+            return false;
         }
+        let (id, size) = (cert.file_id, cert.file_size);
         self.note_request(id);
-        if let Some(stored) = self.entries.get(&id).copied() {
+        if let Some(r) = self.residents.get_mut(&id) {
             // Refresh from the *stored* size: a caller-supplied size that
             // disagreed would desynchronize the GDS weight from the byte
-            // accounting in `entries`/`used`.
+            // accounting in `used`.
             debug_assert_eq!(
-                stored, size,
+                r.size, size,
                 "cached size for re-inserted id drifted from the caller's"
             );
-            self.touch(id, stored);
-            return Vec::new();
+            r.cert = cert.clone();
+            r.stamp = self.policy.rank(id, benefit(self.kind, r.size));
+            self.compact();
+            return true;
         }
-        if size > budget {
-            return Vec::new();
+        if size > budget || !self.admit(id) {
+            return false;
         }
-        if !self.admit(id) {
-            return Vec::new();
-        }
-        let mut evicted = Vec::new();
-        while self.used + size > budget {
-            match self.evict_one() {
-                Some(victim) => evicted.push(victim),
-                None => break,
-            }
-        }
+        while self.used + size > budget && self.evict_one().is_some() {}
         debug_assert!(self.used + size <= budget);
-        self.entries.insert(id, size);
+        let stamp = self.policy.rank(id, benefit(self.kind, size));
+        self.residents.insert(
+            id,
+            Resident {
+                size,
+                stamp,
+                cert: cert.clone(),
+            },
+        );
         self.used += size;
         if let PolicyState::PopRandom { slots, pos, .. } = &mut self.policy {
             pos.insert(id, slots.len() as u32);
@@ -378,81 +370,49 @@ impl Cache {
         }
         self.insertions += 1;
         past_obs::counter(self.metric_name(CacheEvent::Insert), 1);
-        self.touch(id, size);
-        evicted
+        self.compact();
+        true
     }
 
     /// Shrinks the cache to at most `budget` bytes (called by the store
-    /// when replicas claim space). Returns evicted ids.
-    pub fn shrink_to(&mut self, budget: u64) -> Vec<FileId> {
-        let mut evicted = Vec::new();
-        while self.used > budget {
-            match self.evict_one() {
-                Some(victim) => evicted.push(victim),
-                None => break,
-            }
-        }
-        evicted
+    /// when replicas claim space).
+    pub fn shrink_to(&mut self, budget: u64) {
+        while self.used > budget && self.evict_one().is_some() {}
+        self.compact();
     }
 
     /// Removes a specific file (e.g. it became a primary replica here).
     pub fn remove(&mut self, id: FileId) -> bool {
-        match self.entries.remove(&id) {
-            Some(size) => {
-                self.used -= size;
-                match &mut self.policy {
-                    PolicyState::Gds { weight, order, .. } => {
-                        if let Some((w, s)) = weight.remove(&id) {
-                            order.remove(&(Priority(w), s, id));
-                        }
-                    }
-                    PolicyState::Lru {
-                        last_use, order, ..
-                    } => {
-                        if let Some(t) = last_use.remove(&id) {
-                            order.remove(&(t, id));
-                        }
-                    }
-                    PolicyState::PopRandom { slots, pos, .. } => {
-                        if let Some(i) = pos.remove(&id) {
-                            let i = i as usize;
-                            slots.swap_remove(i);
-                            if let Some(moved) = slots.get(i).copied() {
-                                pos.insert(moved, i as u32);
-                            }
-                        }
-                    }
-                    PolicyState::None => {}
+        let Some(r) = self.residents.remove(&id) else {
+            return false;
+        };
+        self.used -= r.size;
+        if let PolicyState::PopRandom { slots, pos, .. } = &mut self.policy {
+            if let Some(i) = pos.remove(&id) {
+                let i = i as usize;
+                slots.swap_remove(i);
+                if let Some(moved) = slots.get(i).copied() {
+                    pos.insert(moved, i as u32);
                 }
-                true
             }
-            None => false,
         }
+        self.compact();
+        true
     }
 
+    /// Evicts the policy's next victim and returns it.
     fn evict_one(&mut self) -> Option<FileId> {
         let victim = match &mut self.policy {
-            PolicyState::Gds {
-                inflation,
-                weight,
-                order,
-                ..
-            } => {
-                let (pri, s, id) = order.iter().next().copied()?;
-                order.remove(&(pri, s, id));
-                weight.remove(&id);
-                // GreedyDual aging: L rises to the victim's weight.
-                *inflation = pri.0;
-                id
-            }
-            PolicyState::Lru {
-                last_use, order, ..
-            } => {
-                let (t, id) = order.iter().next().copied()?;
-                order.remove(&(t, id));
-                last_use.remove(&id);
-                id
-            }
+            PolicyState::Ranked {
+                inflation, order, ..
+            } => loop {
+                let Reverse((bits, seq, id)) = order.pop()?;
+                if self.residents.get(&id).is_some_and(|r| r.stamp == seq) {
+                    // GreedyDual aging: L rises to the victim's weight.
+                    *inflation = f64::from_bits(bits);
+                    break id;
+                }
+            },
             PolicyState::PopRandom {
                 rng, slots, pos, ..
             } => {
@@ -469,32 +429,65 @@ impl Cache {
             }
             PolicyState::None => return None,
         };
-        let size = self
-            .entries
+        let r = self
+            .residents
             .remove(&victim)
-            .expect("policy and entries in sync");
-        self.used -= size;
+            .expect("policy and residents in sync");
+        self.used -= r.size;
         self.evictions += 1;
         past_obs::counter(self.metric_name(CacheEvent::Evict), 1);
         Some(victim)
     }
+
+    /// Sweeps stale order entries once they outnumber the live ones (one
+    /// per resident) by a margin, so the heap stays within
+    /// `2·len + 64` entries whatever the mix of touches and removals.
+    /// A sweep costs one pass over the heap and leaves it all live, and
+    /// at least `len + 64` operations staled the entries it drops, so
+    /// the amortized price per operation is constant.
+    fn compact(&mut self) {
+        if let PolicyState::Ranked { order, .. } = &mut self.policy {
+            if order.len() > 2 * self.residents.len() + 64 {
+                let residents = &self.residents;
+                order.retain(|Reverse((_, seq, id))| {
+                    residents.get(id).is_some_and(|r| r.stamp == *seq)
+                });
+            }
+        }
+    }
 }
 
-/// GD-S benefit term c(d)/s(d) with c(d) = 1; guards the zero-size files
-/// present in the NLANR trace.
-fn gds_benefit(size: u64) -> f64 {
-    1.0 / (size.max(1) as f64)
+/// The benefit term of a policy's weights: under GD-S c(d)/s(d) with
+/// c(d) = 1, guarding the zero-size files present in the NLANR trace;
+/// under LRU a constant, which leaves the touch sequence to decide.
+fn benefit(kind: CachePolicyKind, size: u64) -> f64 {
+    match kind {
+        CachePolicyKind::GreedyDualSize => 1.0 / (size.max(1) as f64),
+        _ => 0.0,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use past_crypto::{FileCertificate, KeyPair, Scheme, Sha1};
     use proptest::prelude::*;
+    use rand::{rngs::StdRng, SeedableRng};
 
     fn fid(v: u32) -> FileId {
         let mut bytes = [0u8; 20];
         bytes[..4].copy_from_slice(&v.to_be_bytes());
         FileId::from_bytes(bytes)
+    }
+
+    /// A certificate for file `fid(v)` of `size` bytes. The cache reads
+    /// nothing else of it, so the rest is filler.
+    fn cert(v: u32, size: u64) -> SharedFileCert {
+        let owner = KeyPair::generate(Scheme::Keyed, &mut StdRng::seed_from_u64(1));
+        SharedFileCert::new(FileCertificate {
+            file_id: fid(v),
+            ..FileCertificate::issue_unsigned(&owner, "f", Sha1::digest(b""), size, 1, 0, 0)
+        })
     }
 
     /// Deterministic per-id size, so re-inserts of the same id always
@@ -503,25 +496,32 @@ mod tests {
         (id as u64 * 37) % 977 + 1
     }
 
+    /// Evicts everything: the residents in the policy's victim order.
+    fn drain(c: &mut Cache) -> Vec<FileId> {
+        std::iter::from_fn(|| c.evict_one()).collect()
+    }
+
     #[test]
     fn insert_and_probe() {
         let mut c = Cache::new(CachePolicyKind::GreedyDualSize);
-        assert!(c.insert(fid(1), 100, 1000).is_empty());
+        let a = cert(1, 100);
+        assert!(c.insert(&a, 1000));
         assert_eq!(c.probe(fid(1)), Some(100));
         assert_eq!(c.probe(fid(2)), None);
         assert_eq!(c.stats().0, 1);
         assert_eq!(c.stats().1, 1);
+        assert!(std::sync::Arc::ptr_eq(c.cert(fid(1)).unwrap(), &a));
+        assert!(c.cert(fid(2)).is_none());
     }
 
     #[test]
     fn gds_evicts_larger_file_first() {
         let mut c = Cache::new(CachePolicyKind::GreedyDualSize);
-        c.insert(fid(1), 900, 1000); // benefit 1/900 — low priority
-        c.insert(fid(2), 50, 1000); // benefit 1/50 — higher
-        let evicted = c.insert(fid(3), 100, 1000);
-        assert_eq!(evicted, vec![fid(1)], "big file is the GD-S victim");
-        assert!(c.contains(fid(2)));
-        assert!(c.contains(fid(3)));
+        c.insert(&cert(1, 900), 1000); // benefit 1/900 — low priority
+        c.insert(&cert(2, 50), 1000); // benefit 1/50 — higher
+        assert!(c.insert(&cert(3, 100), 1000));
+        assert!(!c.contains(fid(1)), "big file is the GD-S victim");
+        assert_eq!(drain(&mut c), vec![fid(3), fid(2)]);
     }
 
     #[test]
@@ -529,32 +529,34 @@ mod tests {
         let mut c = Cache::new(CachePolicyKind::GreedyDualSize);
         // Two same-size files; a is older but gets re-referenced after an
         // eviction raised L, so b becomes the victim.
-        c.insert(fid(1), 400, 1000);
-        c.insert(fid(2), 400, 1000);
+        c.insert(&cert(1, 400), 1000);
+        c.insert(&cert(2, 400), 1000);
         // Force an eviction to inflate L: insert big file into small room.
-        let evicted = c.insert(fid(3), 400, 1000);
-        assert_eq!(evicted, vec![fid(1)], "oldest same-size entry evicted");
+        c.insert(&cert(3, 400), 1000);
+        assert!(!c.contains(fid(1)), "oldest same-size entry evicted");
         // Re-reference fid(2) — its weight now includes the raised L.
         c.probe(fid(2));
-        let evicted = c.insert(fid(4), 400, 1000);
-        assert_eq!(evicted, vec![fid(3)], "unreferenced entry evicted");
+        c.insert(&cert(4, 400), 1000);
+        assert!(!c.contains(fid(3)), "unreferenced entry evicted");
         assert!(c.contains(fid(2)));
+        assert_eq!(c.stats().3, 2);
     }
 
     #[test]
     fn lru_evicts_least_recent() {
         let mut c = Cache::new(CachePolicyKind::Lru);
-        c.insert(fid(1), 400, 1000);
-        c.insert(fid(2), 400, 1000);
+        c.insert(&cert(1, 400), 1000);
+        c.insert(&cert(2, 400), 1000);
         c.probe(fid(1)); // 2 is now least recent
-        let evicted = c.insert(fid(3), 400, 1000);
-        assert_eq!(evicted, vec![fid(2)]);
+        c.insert(&cert(3, 400), 1000);
+        assert!(!c.contains(fid(2)));
+        assert_eq!(drain(&mut c), vec![fid(1), fid(3)]);
     }
 
     #[test]
     fn none_policy_caches_nothing() {
         let mut c = Cache::new(CachePolicyKind::None);
-        assert!(c.insert(fid(1), 10, 1000).is_empty());
+        assert!(!c.insert(&cert(1, 10), 1000));
         assert!(!c.contains(fid(1)));
         assert_eq!(c.probe(fid(1)), None);
     }
@@ -562,7 +564,7 @@ mod tests {
     #[test]
     fn oversized_file_refused() {
         let mut c = Cache::new(CachePolicyKind::GreedyDualSize);
-        c.insert(fid(1), 2000, 1000);
+        assert!(!c.insert(&cert(1, 2000), 1000));
         assert!(!c.contains(fid(1)));
         assert_eq!(c.used(), 0);
     }
@@ -570,13 +572,19 @@ mod tests {
     #[test]
     fn duplicate_insert_refreshes() {
         let mut c = Cache::new(CachePolicyKind::Lru);
-        c.insert(fid(1), 400, 1000);
-        c.insert(fid(2), 400, 1000);
-        c.insert(fid(1), 400, 1000); // refresh, not duplicate
+        c.insert(&cert(1, 400), 1000);
+        c.insert(&cert(2, 400), 1000);
+        let again = cert(1, 400);
+        assert!(c.insert(&again, 1000)); // refresh, not duplicate
         assert_eq!(c.len(), 2);
         assert_eq!(c.used(), 800);
-        let evicted = c.insert(fid(3), 400, 1000);
-        assert_eq!(evicted, vec![fid(2)], "refresh made fid(1) most recent");
+        assert!(
+            std::sync::Arc::ptr_eq(c.cert(fid(1)).unwrap(), &again),
+            "a refresh keeps the certificate it was offered"
+        );
+        c.insert(&cert(3, 400), 1000);
+        assert!(!c.contains(fid(2)), "refresh made fid(1) most recent");
+        assert!(c.contains(fid(1)));
     }
 
     #[test]
@@ -585,39 +593,40 @@ mod tests {
         // ordering between a refreshed large file and a small file has
         // to stay benefit-correct afterwards.
         let mut c = Cache::new(CachePolicyKind::GreedyDualSize);
-        c.insert(fid(1), 900, 1000); // benefit 1/900
-        c.insert(fid(2), 50, 1000); // benefit 1/50
-        c.insert(fid(1), 900, 1000); // refresh (same size by contract)
-        let evicted = c.insert(fid(3), 100, 1000);
-        assert_eq!(
-            evicted,
-            vec![fid(1)],
+        c.insert(&cert(1, 900), 1000); // benefit 1/900
+        c.insert(&cert(2, 50), 1000); // benefit 1/50
+        c.insert(&cert(1, 900), 1000); // refresh (same size by contract)
+        c.insert(&cert(3, 100), 1000);
+        assert!(
+            !c.contains(fid(1)),
             "refreshed big file still the GD-S victim"
         );
+        assert_eq!(c.len(), 2);
     }
 
     #[test]
     fn shrink_to_evicts_until_budget() {
         let mut c = Cache::new(CachePolicyKind::Lru);
         for i in 0..5 {
-            c.insert(fid(i), 100, 1000);
+            c.insert(&cert(i, 100), 1000);
         }
-        let evicted = c.shrink_to(250);
-        assert_eq!(evicted.len(), 3);
+        c.shrink_to(250);
+        assert_eq!(c.stats().3, 3);
         assert!(c.used() <= 250);
-        assert_eq!(c.len(), 2);
+        assert_eq!(drain(&mut c), vec![fid(3), fid(4)]);
     }
 
     #[test]
     fn remove_specific_entry() {
         let mut c = Cache::new(CachePolicyKind::GreedyDualSize);
-        c.insert(fid(1), 100, 1000);
+        c.insert(&cert(1, 100), 1000);
         assert!(c.remove(fid(1)));
         assert!(!c.remove(fid(1)));
         assert_eq!(c.used(), 0);
         // Removal must not corrupt the order structures.
-        c.insert(fid(2), 100, 1000);
+        c.insert(&cert(2, 100), 1000);
         assert_eq!(c.probe(fid(2)), Some(100));
+        assert_eq!(drain(&mut c), vec![fid(2)]);
     }
 
     #[test]
@@ -625,7 +634,7 @@ mod tests {
         // The NLANR trace contains 0-byte files; GD-S weights must stay
         // finite.
         let mut c = Cache::new(CachePolicyKind::GreedyDualSize);
-        c.insert(fid(1), 0, 10);
+        c.insert(&cert(1, 0), 10);
         assert!(c.contains(fid(1)));
         assert_eq!(c.probe(fid(1)), Some(0));
     }
@@ -652,19 +661,15 @@ mod tests {
         // A file offered over and over gets admitted within a few tries
         // (p ≥ 1/5 per offer, rising), while the budget invariant holds.
         let mut c = Cache::new(CachePolicyKind::PopularityRandom);
-        let mut admitted_after = None;
-        for attempt in 1..=64 {
-            c.insert(fid(7), 100, 1000);
-            if c.contains(fid(7)) {
-                admitted_after = Some(attempt);
-                break;
-            }
-        }
-        let attempts = admitted_after.expect("popular file never admitted");
+        let f = cert(7, 100);
+        let attempts = (1..=64)
+            .find(|_| c.insert(&f, 1000))
+            .expect("popular file never admitted");
         assert!(attempts <= 64);
+        assert!(c.contains(fid(7)));
         assert_eq!(c.used(), 100);
         // Once resident, repeated offers refresh rather than duplicate.
-        c.insert(fid(7), 100, 1000);
+        c.insert(&f, 1000);
         assert_eq!(c.len(), 1);
     }
 
@@ -674,9 +679,10 @@ mod tests {
             let mut c = Cache::new(CachePolicyKind::PopularityRandom);
             let mut log = Vec::new();
             for i in 0..200u32 {
-                let id = fid(i % 23);
-                let ev = c.insert(id, 50, 300);
-                log.push((id, c.contains(id), ev));
+                let cached = c.insert(&cert(i % 23, 50), 300);
+                let mut residents: Vec<u32> = (0..23).filter(|v| c.contains(fid(*v))).collect();
+                residents.sort_unstable();
+                log.push((cached, residents));
                 c.probe(fid((i * 7) % 23));
             }
             (log, c.stats())
@@ -694,19 +700,126 @@ mod tests {
             }
         }
         for i in 0..6u32 {
-            for _ in 0..16 {
-                c.insert(fid(i), 100, 300);
-                if c.contains(fid(i)) {
-                    break;
-                }
-            }
+            let f = cert(i, 100);
+            let _ = (0..16).find(|_| c.insert(&f, 300));
         }
         assert!(c.used() <= 300);
         assert!(c.len() <= 3);
         assert!(c.stats().3 > 0, "evictions must have occurred");
     }
 
+    /// GD-S and LRU by brute force: every resident carries its
+    /// `(weight, touch sequence)` and the victim is the minimum over all
+    /// of them, found by a scan under `f64::total_cmp`.
+    struct Model {
+        kind: CachePolicyKind,
+        inflation: f64,
+        seq: u64,
+        /// `(file, size, weight, touch sequence)`.
+        residents: Vec<(FileId, u64, f64, u64)>,
+    }
+
+    impl Model {
+        fn used(&self) -> u64 {
+            self.residents.iter().map(|r| r.1).sum()
+        }
+
+        fn touch(&mut self, id: FileId, size: u64) {
+            self.seq += 1;
+            let rank = (id, size, self.inflation + benefit(self.kind, size), self.seq);
+            match self.residents.iter_mut().find(|r| r.0 == id) {
+                Some(r) => *r = rank,
+                None => self.residents.push(rank),
+            }
+        }
+
+        fn evict(&mut self) -> Option<FileId> {
+            let i = (0..self.residents.len()).min_by(|&a, &b| {
+                let (a, b) = (&self.residents[a], &self.residents[b]);
+                a.2.total_cmp(&b.2).then(a.3.cmp(&b.3))
+            })?;
+            let (id, _, weight, _) = self.residents.swap_remove(i);
+            self.inflation = weight;
+            Some(id)
+        }
+
+        fn insert(&mut self, id: FileId, size: u64, budget: u64) {
+            let resident = self.residents.iter().any(|r| r.0 == id);
+            if !resident {
+                if size > budget {
+                    return;
+                }
+                while self.used() + size > budget && self.evict().is_some() {}
+            }
+            self.touch(id, size);
+        }
+
+        fn probe(&mut self, id: FileId) {
+            if let Some(size) = self.residents.iter().find(|r| r.0 == id).map(|r| r.1) {
+                self.touch(id, size);
+            }
+        }
+
+        fn shrink_to(&mut self, budget: u64) {
+            while self.used() > budget && self.evict().is_some() {}
+        }
+    }
+
     proptest! {
+        #[test]
+        fn prop_victims_match_brute_force_minimum(
+            ops in prop::collection::vec(any::<(u8, u8)>(), 0..1200),
+            evicting: bool,
+        ) {
+            // Evictions pop the stale entries below their victim, so a
+            // cache under pressure keeps its heap short by itself. Half
+            // the cases therefore never evict (no budget, no shrinking):
+            // there only the sweep bounds the heap.
+            let budget = if evicting { 4096 } else { u64::MAX };
+            // Few distinct files, so that touches outnumber residents.
+            let files: Vec<SharedFileCert> = (0..48).map(|v| cert(v, sized(v as u8))).collect();
+            for kind in [CachePolicyKind::GreedyDualSize, CachePolicyKind::Lru] {
+                let mut c = Cache::new(kind);
+                let mut m = Model { kind, inflation: 0.0, seq: 0, residents: Vec::new() };
+                for (op, pick) in &ops {
+                    let f = &files[*pick as usize % files.len()];
+                    let (id, size) = (f.file_id, f.file_size);
+                    match op % 8 {
+                        0..=2 => {
+                            prop_assert!(c.insert(f, budget));
+                            m.insert(id, size, budget);
+                        }
+                        3..=5 => {
+                            c.probe(id);
+                            m.probe(id);
+                        }
+                        6 => {
+                            c.remove(id);
+                            m.residents.retain(|r| r.0 != id);
+                        }
+                        _ if evicting => {
+                            c.shrink_to(size * 3);
+                            m.shrink_to(size * 3);
+                        }
+                        _ => {}
+                    }
+                    let PolicyState::Ranked { inflation, order, .. } = &c.policy else {
+                        unreachable!()
+                    };
+                    prop_assert_eq!(inflation.to_bits(), m.inflation.to_bits());
+                    prop_assert!(order.len() <= 2 * c.len() + 64, "heap {}", order.len());
+                    prop_assert_eq!(c.len(), m.residents.len());
+                    prop_assert_eq!(c.used(), m.used());
+                    for r in &m.residents {
+                        prop_assert!(c.contains(r.0), "model and cache contents diverged");
+                    }
+                }
+                // What is left leaves in the model's order too.
+                let rest: Vec<FileId> = std::iter::from_fn(|| m.evict()).collect();
+                prop_assert_eq!(drain(&mut c), rest);
+            }
+        }
+
         #[test]
         fn prop_used_equals_sum_of_entries(ops: Vec<(u8, u8)>) {
             for kind in [
@@ -717,12 +830,12 @@ mod tests {
                 let mut c = Cache::new(kind);
                 for (op, id) in &ops {
                     match op % 5 {
-                        0 | 1 => { c.insert(fid(*id as u32), sized(*id), 4096); }
+                        0 | 1 => { c.insert(&cert(*id as u32, sized(*id)), 4096); }
                         2 => { c.probe(fid(*id as u32)); }
                         3 => { c.remove(fid(*id as u32)); }
                         _ => { c.shrink_to(sized(*id) * 2); }
                     }
-                    let sum: u64 = c.entries.values().sum();
+                    let sum: u64 = c.residents.values().map(|r| r.size).sum();
                     prop_assert_eq!(c.used(), sum);
                     prop_assert!(c.used() <= 4096);
                 }
@@ -733,7 +846,7 @@ mod tests {
         fn prop_budget_respected(sizes: Vec<u16>, budget in 1u64..5000) {
             let mut c = Cache::new(CachePolicyKind::GreedyDualSize);
             for (i, s) in sizes.iter().enumerate() {
-                c.insert(fid(i as u32), *s as u64, budget);
+                c.insert(&cert(i as u32, *s as u64), budget);
                 prop_assert!(c.used() <= budget);
             }
         }
@@ -744,13 +857,13 @@ mod tests {
             // victim's weight) — it is the aging clock of the policy.
             let mut c = Cache::new(CachePolicyKind::GreedyDualSize);
             let read_l = |c: &Cache| match &c.policy {
-                PolicyState::Gds { inflation, .. } => *inflation,
+                PolicyState::Ranked { inflation, .. } => *inflation,
                 _ => unreachable!(),
             };
             let mut last = read_l(&c);
             for (op, id) in &ops {
                 match op % 5 {
-                    0 | 1 => { c.insert(fid(*id as u32), sized(*id), 2048); }
+                    0 | 1 => { c.insert(&cert(*id as u32, sized(*id)), 2048); }
                     2 => { c.probe(fid(*id as u32)); }
                     3 => { c.remove(fid(*id as u32)); }
                     _ => { c.shrink_to(sized(*id)); }
@@ -758,59 +871,6 @@ mod tests {
                 let now = read_l(&c);
                 prop_assert!(now >= last, "L fell from {} to {}", last, now);
                 last = now;
-            }
-        }
-
-        #[test]
-        fn prop_lru_evicts_in_strict_recency_order(ops: Vec<(u8, u8)>) {
-            // Model: a recency queue (front = least recent). Every
-            // eviction batch the cache reports must equal the model's
-            // least-recent entries, in order.
-            let mut c = Cache::new(CachePolicyKind::Lru);
-            let mut model: Vec<(FileId, u64)> = Vec::new();
-            const BUDGET: u64 = 2048;
-            for (op, id) in &ops {
-                let id32 = fid(*id as u32);
-                let size = sized(*id);
-                match op % 4 {
-                    0 | 1 => {
-                        let evicted = c.insert(id32, size, BUDGET);
-                        if let Some(i) = model.iter().position(|(f, _)| *f == id32) {
-                            // Refresh: most recent now; nothing evicted.
-                            let e = model.remove(i);
-                            model.push(e);
-                            prop_assert!(evicted.is_empty());
-                        } else if size <= BUDGET {
-                            let mut used: u64 = model.iter().map(|(_, s)| s).sum();
-                            let mut expect = Vec::new();
-                            while used + size > BUDGET {
-                                let (f, s) = model.remove(0);
-                                expect.push(f);
-                                used -= s;
-                            }
-                            model.push((id32, size));
-                            prop_assert_eq!(&evicted, &expect,
-                                "LRU evicted out of recency order");
-                        } else {
-                            prop_assert!(evicted.is_empty());
-                        }
-                    }
-                    2 => {
-                        if c.probe(id32).is_some() {
-                            let i = model.iter().position(|(f, _)| *f == id32).unwrap();
-                            let e = model.remove(i);
-                            model.push(e);
-                        }
-                    }
-                    _ => {
-                        c.remove(id32);
-                        model.retain(|(f, _)| *f != id32);
-                    }
-                }
-                for (f, _) in &model {
-                    prop_assert!(c.contains(*f), "model and cache contents diverged");
-                }
-                prop_assert_eq!(c.len(), model.len());
             }
         }
     }

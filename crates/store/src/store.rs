@@ -174,9 +174,6 @@ pub struct NodeStore<H: Copy> {
     backup_pointers: IdHashMap<FileId, H>,
     replica_used: u64,
     cache: Cache,
-    /// Certificates of cached files (pruned in lock-step with the cache),
-    /// so a cache hit can serve the file.
-    cache_certs: IdHashMap<FileId, SharedFileCert>,
     rejected_inserts: u64,
 }
 
@@ -192,7 +189,6 @@ impl<H: Copy> NodeStore<H> {
             backup_pointers: IdHashMap::default(),
             replica_used: 0,
             cache: Cache::new(cache_policy),
-            cache_certs: IdHashMap::default(),
             rejected_inserts: 0,
         }
     }
@@ -307,12 +303,8 @@ impl<H: Copy> NodeStore<H> {
         // primary or redirected replica, it typically evicts one or more
         // cached files").
         self.cache.remove(id);
-        self.cache_certs.remove(&id);
         self.replica_used += size;
-        let budget = self.cache_budget();
-        for evicted in self.cache.shrink_to(budget) {
-            self.cache_certs.remove(&evicted);
-        }
+        self.cache.shrink_to(self.cache_budget());
         if primary {
             past_obs::counter("store.replica.primary", 1);
             self.primaries.insert(id, cert);
@@ -458,19 +450,12 @@ impl<H: Copy> NodeStore<H> {
         if !admit {
             return false;
         }
-        for evicted in self.cache.insert(cert.file_id, cert.file_size, budget) {
-            self.cache_certs.remove(&evicted);
-        }
-        let cached = self.cache.contains(cert.file_id);
-        if cached {
-            self.cache_certs.insert(cert.file_id, cert.clone());
-        }
-        cached
+        self.cache.insert(cert, budget)
     }
 
     /// The certificate of a cached file, if cached.
     pub fn cached_cert(&self, id: FileId) -> Option<&SharedFileCert> {
-        self.cache_certs.get(&id)
+        self.cache.cert(id)
     }
 
     /// Probes the cache alone (used by lookups hitting intermediate
@@ -660,6 +645,23 @@ mod tests {
         assert!(!s.cache().contains(id));
         // And a held replica is not re-admitted to the cache.
         assert!(!s.cache_file(&c));
+    }
+
+    #[test]
+    fn cached_cert_lives_and_dies_with_the_cache_entry() {
+        let mut s = store(10_000);
+        let (a, b) = (cert("a", 8_500), cert("b", 800));
+        assert!(s.cache_file(&a) && s.cache_file(&b));
+        assert!(std::sync::Arc::ptr_eq(s.cached_cert(a.file_id).unwrap(), &a));
+        // A replica shrinks the cache budget to 9000: the bigger file is
+        // the GD-S victim and its certificate goes with it.
+        s.store_primary(cert("replica", 1_000)).unwrap();
+        assert!(s.cached_cert(a.file_id).is_none());
+        assert!(s.cached_cert(b.file_id).is_some());
+        // Promotion to a replica drops the cached copy's certificate too.
+        s.store_primary(b.clone()).unwrap();
+        assert!(s.cached_cert(b.file_id).is_none());
+        assert_eq!(s.cache().len(), 0);
     }
 
     #[test]

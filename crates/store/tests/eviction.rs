@@ -7,14 +7,32 @@
 //! below is derived from the arithmetic in the comments, not from
 //! running the code.
 
+use past_crypto::{FileCertificate, KeyPair, Scheme, Sha1, SharedFileCert};
 use past_id::FileId;
 use past_obs::{self, Recorder};
 use past_store::{Cache, CachePolicyKind};
+use rand::{rngs::StdRng, SeedableRng};
 
 fn fid(v: u32) -> FileId {
     let mut bytes = [0u8; 20];
     bytes[..4].copy_from_slice(&v.to_be_bytes());
     FileId::from_bytes(bytes)
+}
+
+/// A certificate for file `fid(v)` of `size` bytes. The cache reads
+/// nothing else of it, so the rest is filler.
+fn cert(v: u32, size: u64) -> SharedFileCert {
+    let owner = KeyPair::generate(Scheme::Keyed, &mut StdRng::seed_from_u64(1));
+    SharedFileCert::new(FileCertificate {
+        file_id: fid(v),
+        ..FileCertificate::issue_unsigned(&owner, "f", Sha1::digest(b""), size, 1, 0, 0)
+    })
+}
+
+/// Which of `ids` the cache holds. An insert's victims are the files
+/// that drop out of this between two calls.
+fn held(c: &Cache, ids: &[u32]) -> Vec<u32> {
+    ids.iter().copied().filter(|v| c.contains(fid(*v))).collect()
 }
 
 const A: u32 = 1;
@@ -39,20 +57,23 @@ const D: u32 = 4;
 fn gds_hand_computed_weights() {
     let mut c = Cache::new(CachePolicyKind::GreedyDualSize);
 
-    assert!(c.insert(fid(A), 500, 1000).is_empty());
-    assert!(c.insert(fid(B), 250, 1000).is_empty());
+    assert!(c.insert(&cert(A, 500), 1000));
+    assert!(c.insert(&cert(B, 250), 1000));
+    assert_eq!(held(&c, &[A, B]), [A, B]);
     assert_eq!(c.used(), 750);
 
-    let evicted = c.insert(fid(C), 400, 1000);
-    assert_eq!(evicted, vec![fid(A)], "A has the lowest weight 0.002");
+    assert!(c.insert(&cert(C, 400), 1000));
+    assert_eq!(held(&c, &[A, B, C]), [B, C], "A has the lowest weight 0.002");
     assert_eq!(c.used(), 650);
 
     assert_eq!(c.probe(fid(B)), Some(250), "B re-weighted to 0.006");
 
-    let evicted = c.insert(fid(D), 600, 1000);
-    assert_eq!(evicted, vec![fid(C)], "C (0.0045) now below B (0.006)");
-    assert!(c.contains(fid(B)));
-    assert!(c.contains(fid(D)));
+    assert!(c.insert(&cert(D, 600), 1000));
+    assert_eq!(
+        held(&c, &[A, B, C, D]),
+        [B, D],
+        "C (0.0045) now below B (0.006)"
+    );
     assert_eq!(c.used(), 850);
 
     // (hits, misses, insertions, evictions)
@@ -71,15 +92,15 @@ fn gds_hand_computed_weights() {
 fn lru_hand_computed_recency() {
     let mut c = Cache::new(CachePolicyKind::Lru);
     for id in [1u32, 2, 3] {
-        assert!(c.insert(fid(id), 100, 300).is_empty());
+        assert!(c.insert(&cert(id, 100), 300));
     }
+    assert_eq!(held(&c, &[1, 2, 3]), [1, 2, 3]);
     assert_eq!(c.probe(fid(1)), Some(100));
-    assert_eq!(c.insert(fid(4), 100, 300), vec![fid(2)]);
+    assert!(c.insert(&cert(4, 100), 300));
+    assert_eq!(held(&c, &[1, 2, 3, 4]), [1, 3, 4], "2 evicted");
     assert_eq!(c.probe(fid(3)), Some(100));
-    assert_eq!(c.insert(fid(5), 100, 300), vec![fid(1)]);
-    assert!(c.contains(fid(4)));
-    assert!(c.contains(fid(3)));
-    assert!(c.contains(fid(5)));
+    assert!(c.insert(&cert(5, 100), 300));
+    assert_eq!(held(&c, &[1, 2, 3, 4, 5]), [3, 4, 5], "1 evicted");
     assert_eq!(c.stats(), (2, 0, 5, 2));
 }
 
@@ -90,11 +111,11 @@ fn gds_hit_accounting_matches_obs_counters() {
     past_obs::install(Recorder::new());
 
     let mut c = Cache::new(CachePolicyKind::GreedyDualSize);
-    c.insert(fid(A), 500, 1000);
-    c.insert(fid(B), 250, 1000);
-    c.insert(fid(C), 400, 1000); // evicts A
+    c.insert(&cert(A, 500), 1000);
+    c.insert(&cert(B, 250), 1000);
+    c.insert(&cert(C, 400), 1000); // evicts A
     c.probe(fid(B)); // hit
-    c.insert(fid(D), 600, 1000); // evicts C
+    c.insert(&cert(D, 600), 1000); // evicts C
     c.probe(fid(A)); // miss
 
     let rec = past_obs::uninstall().expect("recorder installed above");
@@ -116,12 +137,12 @@ fn lru_hit_accounting_matches_obs_counters() {
 
     let mut c = Cache::new(CachePolicyKind::Lru);
     for id in 0..5u32 {
-        c.insert(fid(id), 100, 1000);
+        c.insert(&cert(id, 100), 1000);
     }
     c.probe(fid(0)); // hit
     c.probe(fid(99)); // miss
-    let shrink_evicted = c.shrink_to(250).len() as u64;
-    assert_eq!(shrink_evicted, 3);
+    c.shrink_to(250);
+    assert_eq!(held(&c, &[0, 1, 2, 3, 4]), [0, 4], "1, 2, 3 least recent");
 
     let rec = past_obs::uninstall().expect("recorder installed above");
     let (hits, misses, inserts, evictions) = c.stats();
@@ -130,7 +151,7 @@ fn lru_hit_accounting_matches_obs_counters() {
     assert_eq!(m.counter_value("store.cache.miss.lru"), misses);
     assert_eq!(m.counter_value("store.cache.insert.lru"), inserts);
     assert_eq!(m.counter_value("store.cache.evict.lru"), evictions);
-    assert_eq!(evictions, shrink_evicted);
+    assert_eq!(evictions, 3);
 }
 
 /// With no recorder installed, cache bookkeeping still works and the
@@ -139,7 +160,7 @@ fn lru_hit_accounting_matches_obs_counters() {
 fn counters_noop_without_recorder() {
     assert!(!past_obs::is_enabled());
     let mut c = Cache::new(CachePolicyKind::GreedyDualSize);
-    c.insert(fid(A), 100, 1000);
+    c.insert(&cert(A, 100), 1000);
     assert_eq!(c.probe(fid(A)), Some(100));
     assert_eq!(c.stats(), (1, 0, 1, 0));
 }

@@ -53,11 +53,14 @@ workloads = {(w["name"], w["scale"]) for w in report["workloads"]}
 want = {("insert_heavy", "env"), ("lookup_heavy", "env"), ("churn", "env")}
 missing = want - workloads
 assert not missing, f"perf_suite JSON missing workloads: {missing}"
-# RSS budget: each smoke workload peaks at ~9-13 MB since-reset today
-# (streaming traces, interned certs, packed inventories). The ceiling
-# has ~5x headroom for allocator/kernel variance while still catching a
-# regression that re-materializes per-replica state at scale.
-RSS_BUDGET_KB = 64 * 1024
+# RSS budget: the smoke workloads peak at 7.1 / 9.4 / 7.6 MB since-reset
+# today (streaming traces, interned certs, packed inventories,
+# routing-table rows and the verify memo allocated on first use). The
+# ceiling has ~5x headroom over the largest for allocator/kernel
+# variance while still catching a regression that re-materializes
+# per-replica or per-node state at scale.
+RSS_BUDGET_KB = 48 * 1024
+peaks = []
 for w in report["workloads"]:
     assert w["wall_seconds"] > 0, f"{w['name']}: non-positive wall time"
     assert w["peak_semantics"] in ("since_reset", "process_wide"), w
@@ -67,8 +70,9 @@ for w in report["workloads"]:
             f"{w['name']}/{w['scale']}: peak RSS {w['peak_rss_kb']} kB "
             f"blew the {RSS_BUDGET_KB} kB smoke budget"
         )
+    peaks.append(f"{w['name']} {w['peak_rss_kb']} kB ({w['peak_semantics']})")
 print(f"perf smoke OK: {len(workloads)} workloads, JSON parseable, "
-      f"peak RSS within {RSS_BUDGET_KB} kB")
+      f"peak RSS within {RSS_BUDGET_KB} kB: " + ", ".join(peaks))
 PY
 
 echo "== repro (every paper table and figure at smoke scale, twice)"
