@@ -58,12 +58,6 @@ pub enum AuditVerdict {
 pub struct AuditBook {
     pending: BTreeMap<u64, PendingAudit>,
     next_seq: u64,
-    /// First settled verdict (`true` = passed) for files that still
-    /// have another challenge outstanding — the cross-examination
-    /// state behind [`AuditStats::disagreements`]. Entries exist only
-    /// while a sibling challenge is pending, so the map is bounded by
-    /// `pending`.
-    split_verdicts: BTreeMap<FileId, bool>,
 }
 
 /// Running audit counters, with the first-detection timestamp the
@@ -78,10 +72,6 @@ pub struct AuditStats {
     pub failed: u64,
     /// Challenges that timed out unanswered.
     pub timeouts: u64,
-    /// Same-file challenges (audit fanout ≥ 2) whose verdicts
-    /// differed: one holder proved possession while another failed or
-    /// timed out — partial corruption a single sample cannot witness.
-    pub disagreements: u64,
     /// When this auditor first caught a holder (failed proof or
     /// timeout), if ever.
     pub first_detection: Option<SimTime>,
@@ -150,7 +140,6 @@ impl AuditBook {
             Some(p) => verify_possession(&pending.expected, pending.nonce, p),
             None => false,
         };
-        self.note_outcome(pending.file_id, ok, stats);
         if ok {
             stats.passed += 1;
             (AuditVerdict::Pass, Some(pending))
@@ -158,20 +147,6 @@ impl AuditBook {
             stats.failed += 1;
             stats.record_detection(now);
             (AuditVerdict::Fail, Some(pending))
-        }
-    }
-
-    /// Cross-examination bookkeeping: compares this challenge's
-    /// outcome with its same-file sibling (if one settled already) or
-    /// parks it until the sibling resolves. With audit fanout 1 a file
-    /// never has two outstanding challenges, so this is a no-op.
-    fn note_outcome(&mut self, file_id: FileId, passed: bool, stats: &mut AuditStats) {
-        if let Some(prev) = self.split_verdicts.remove(&file_id) {
-            if prev != passed {
-                stats.disagreements += 1;
-            }
-        } else if self.pending.values().any(|p| p.file_id == file_id) {
-            self.split_verdicts.insert(file_id, passed);
         }
     }
 
@@ -185,7 +160,6 @@ impl AuditBook {
         stats: &mut AuditStats,
     ) -> Option<PendingAudit> {
         let pending = self.pending.remove(&seq)?;
-        self.note_outcome(pending.file_id, false, stats);
         stats.timeouts += 1;
         stats.record_detection(now);
         Some(pending)

@@ -30,8 +30,6 @@ pub struct PastConfig {
     /// diverted/pointed-to files onto their responsible nodes after node
     /// arrivals (§3.5). Zero disables migration.
     pub migration_period: SimDuration,
-    /// Maximum files migrated per sweep.
-    pub migration_batch: usize,
     /// Ack timeout for reliable maintenance traffic (`ReplicaTransfer`,
     /// `InstallPointer`, `FetchReplica`, `Discard`). Each unacked send
     /// is retransmitted after this timeout, doubling on every retry.
@@ -65,13 +63,6 @@ pub struct PastConfig {
     /// audits — the default; audit scheduling is RNG-free, so enabling
     /// it never perturbs any seeded RNG stream.
     pub audit_period: SimDuration,
-    /// Distinct holders challenged per sampled file per sweep
-    /// (clamped to the available other holders). The default of 1 is
-    /// the classic one-sample audit; 2 lets a single sweep
-    /// cross-examine two holders of the same file, and differing
-    /// verdicts are recorded as `AuditStats::disagreements` —
-    /// evidence of partial corruption that one sample cannot see.
-    pub audit_fanout: usize,
     /// How long the auditor waits for a possession proof before
     /// treating the challenge as failed.
     pub audit_timeout: SimDuration,
@@ -101,12 +92,10 @@ impl Default for PastConfig {
             verify_certificates: false,
             client_timeout: SimDuration::ZERO,
             migration_period: SimDuration::ZERO,
-            migration_batch: 4,
             maint_ack_timeout: SimDuration::from_secs(2),
             anti_entropy_period: SimDuration::ZERO,
             warm_restart: false,
             audit_period: SimDuration::ZERO,
-            audit_fanout: 1,
             audit_timeout: SimDuration::from_secs(2),
             verify_lookup_content: false,
             obs_window: SimDuration::ZERO,

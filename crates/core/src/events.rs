@@ -81,15 +81,6 @@ pub enum PastEvent {
         /// File id of the aborted attempt.
         file_id: FileId,
     },
-    /// A maintenance action was skipped because the supporting local
-    /// state was missing (e.g. a pointer without its certificate). The
-    /// maintenance plane counts and skips instead of panicking.
-    MaintSkipped {
-        /// File concerned.
-        file_id: FileId,
-        /// What was missing.
-        context: &'static str,
-    },
     /// A reliable maintenance message exhausted its retry budget
     /// without being acknowledged; the repair is abandoned until the
     /// next anti-entropy sweep re-issues it.

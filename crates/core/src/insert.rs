@@ -319,15 +319,14 @@ impl PastNode {
         if accepted {
             // Install the A→B pointer and the C→B backup pointer on the
             // k+1-th closest node, then report success.
-            self.store.install_pointer(file_id, holder);
-            self.pointer_certs.insert(file_id, pending.cert.clone());
+            self.store.install_pointer(file_id, holder, pending.cert.clone());
             let key = file_id.as_key();
             let own = ctx.own();
             let kplus1 = ctx.replica_candidates(key, self.cfg.k as usize + 1);
             if let Some(c_node) = kplus1.last().copied() {
                 if c_node.id != own.id && c_node.id != holder.id && kplus1.len() > self.cfg.k as usize
                 {
-                    self.pointer_backup_at.insert(file_id, c_node);
+                    self.store.set_pointer_backup(file_id, c_node);
                     self.send_maint(
                         ctx,
                         c_node,
@@ -365,12 +364,9 @@ impl PastNode {
         cert: SharedFileCert,
     ) {
         if backup {
-            self.store.install_backup_pointer(file_id, holder);
-            self.backup_certs.insert(file_id, cert);
-            self.backup_owner.insert(file_id, from.id);
+            self.store.install_backup_pointer(file_id, holder, cert, from);
         } else {
-            self.store.install_pointer(file_id, holder);
-            self.pointer_certs.insert(file_id, cert);
+            self.store.install_pointer(file_id, holder, cert);
         }
     }
 
@@ -516,17 +512,13 @@ impl PastNode {
                 diverted: replica.diverted_from.is_some(),
             });
         }
-        if let Some(holder) = self.store.remove_pointer(file_id) {
-            self.pointer_certs.remove(&file_id);
-            self.send_maint(ctx, holder, MsgKind::Discard { file_id });
-            if let Some(c_node) = self.pointer_backup_at.remove(&file_id) {
+        if let Some(pointer) = self.store.remove_pointer(file_id) {
+            self.send_maint(ctx, pointer.holder, MsgKind::Discard { file_id });
+            if let Some(c_node) = pointer.backup_at {
                 self.send_maint(ctx, c_node, MsgKind::Discard { file_id });
             }
         }
-        if self.store.remove_backup_pointer(file_id).is_some() {
-            self.backup_certs.remove(&file_id);
-            self.backup_owner.remove(&file_id);
-        }
+        self.store.remove_backup_pointer(file_id);
         // Pending diversion for an aborted insert: drop silently; a late
         // DivertResult will find no pending entry and be ignored, and the
         // B-side replica is discarded via the holder cascade above.

@@ -109,8 +109,8 @@ impl PastNode {
         hops: u32,
         kind: HitKind,
     ) {
-        let cert = match self.certificate_for(file_id) {
-            Some(c) => c,
+        let cert = match self.store.certificate(file_id) {
+            Some(c) => c.clone(),
             None => {
                 self.send_to(ctx, req.client, MsgKind::LookupMiss { req, file_id });
                 return;
@@ -322,20 +322,4 @@ impl PastNode {
         }
     }
 
-    /// Returns the certificate for a file this node can serve (replica,
-    /// cache registry is certificate-less, so cached files are served
-    /// from the pointer/backup certificate registries or the replica
-    /// store).
-    pub(crate) fn certificate_for(&self, file_id: FileId) -> Option<SharedFileCert> {
-        if let Some(r) = self.store.replica(file_id) {
-            return Some(r.cert.clone());
-        }
-        if let Some(c) = self.store.cached_cert(file_id) {
-            return Some(c.clone());
-        }
-        if let Some(c) = self.pointer_certs.get(&file_id) {
-            return Some(c.clone());
-        }
-        self.backup_certs.get(&file_id).cloned()
-    }
 }

@@ -16,6 +16,8 @@ use crate::obs;
 const MAINT_RETRY_BUDGET: u32 = 5;
 /// Maximum primaries re-audited per anti-entropy sweep.
 const ANTI_ENTROPY_BATCH: usize = 8;
+/// Maximum files pulled per background migration sweep.
+const MIGRATION_BATCH: usize = 4;
 
 impl PastNode {
     /// Sends a maintenance message reliably: enveloped with a sequence
@@ -238,30 +240,22 @@ impl PastNode {
             self.send_maint(ctx, node, MsgKind::ReplicaTransfer { cert });
         }
         // (b) A→B pointers whose holder B failed: the diverted replica is
-        // lost; re-create it (locally if possible, else divert again). A
-        // pointer whose certificate went missing cannot be repaired —
-        // skip it with an event rather than panicking on the map lookup.
-        let mut lost: Vec<(FileId, Option<SharedFileCert>)> = self
+        // lost; re-create it (locally if possible, else divert again).
+        let mut lost: Vec<FileId> = self
             .store
             .pointers()
-            .filter(|(_, holder)| holder.id == failed.id)
-            .map(|(id, _)| (*id, self.pointer_certs.get(id).cloned()))
+            .filter(|(_, p)| p.holder.id == failed.id)
+            .map(|(id, _)| *id)
             .collect();
-        lost.sort_by_key(|(id, _)| *id);
-        for (file_id, cert) in lost {
-            self.store.remove_pointer(file_id);
-            self.pointer_certs.remove(&file_id);
-            if let Some(c_node) = self.pointer_backup_at.remove(&file_id) {
-                self.send_maint(ctx, c_node, MsgKind::Discard { file_id });
-            }
-            match cert {
+        lost.sort();
+        for file_id in lost {
+            if let Some(pointer) = self.store.remove_pointer(file_id) {
+                if let Some(c_node) = pointer.backup_at {
+                    self.send_maint(ctx, c_node, MsgKind::Discard { file_id });
+                }
                 // Re-create the replica: §3.3's machinery is reused with
                 // no coordinator (no receipts at maintenance time).
-                Some(cert) => self.attempt_store(ctx, None, cert, None),
-                None => ctx.emit(PastEvent::MaintSkipped {
-                    file_id,
-                    context: "pointer without certificate",
-                }),
+                self.attempt_store(ctx, None, pointer.cert, None);
             }
         }
         // (c) Backup pointers installed by the failed diverting node A:
@@ -269,28 +263,16 @@ impl PastNode {
         // stays reachable from this node. Only pointers whose recorded
         // installer is the failed node are promoted; backups for live
         // diverting nodes stay backups.
-        let mut promoted: Vec<(FileId, NodeEntry)> = self
+        let mut promoted: Vec<FileId> = self
             .store
             .backup_pointers()
-            .filter(|(id, holder)| {
-                holder.id != failed.id && self.backup_owner.get(*id) == Some(&failed.id)
-            })
-            .map(|(id, holder)| (*id, *holder))
+            .filter(|(_, b)| b.holder.id != failed.id && b.owner.id == failed.id)
+            .map(|(id, _)| *id)
             .collect();
-        promoted.sort_by_key(|(id, _)| *id);
-        for (file_id, holder) in promoted {
-            if self.store.remove_backup_pointer(file_id).is_some() {
-                self.backup_owner.remove(&file_id);
-                match self.backup_certs.remove(&file_id) {
-                    Some(cert) => {
-                        self.store.install_pointer(file_id, holder);
-                        self.pointer_certs.insert(file_id, cert);
-                    }
-                    None => ctx.emit(PastEvent::MaintSkipped {
-                        file_id,
-                        context: "backup pointer without certificate",
-                    }),
-                }
+        promoted.sort();
+        for file_id in promoted {
+            if let Some(backup) = self.store.remove_backup_pointer(file_id) {
+                self.store.install_pointer(file_id, backup.holder, backup.cert);
             }
         }
         // (d) Backup pointers whose replica holder B failed reference a
@@ -299,14 +281,12 @@ impl PastNode {
         let mut stale: Vec<FileId> = self
             .store
             .backup_pointers()
-            .filter(|(_, holder)| holder.id == failed.id)
+            .filter(|(_, b)| b.holder.id == failed.id)
             .map(|(id, _)| *id)
             .collect();
         stale.sort();
         for file_id in stale {
             self.store.remove_backup_pointer(file_id);
-            self.backup_certs.remove(&file_id);
-            self.backup_owner.remove(&file_id);
         }
     }
 
@@ -371,7 +351,6 @@ impl PastNode {
             // If this transfer completed a migration, the old holder may
             // now drop its copy.
             self.store.remove_pointer(file_id);
-            self.pointer_certs.remove(&file_id);
             self.send_to(ctx, from, MsgKind::MigrationDone { file_id });
         } else {
             // Reuse replica diversion with no coordinator.
@@ -397,20 +376,20 @@ impl PastNode {
 
     /// Background migration sweep (§3.5: "the affected files can then be
     /// gradually migrated ... as part of a background operation"): pull
-    /// up to `migration_batch` pointed-to files whose replica lives on a
+    /// up to [`MIGRATION_BATCH`] pointed-to files whose replica lives on a
     /// node outside this node's leaf set or that this node should own.
     pub(crate) fn migration_sweep(&mut self, ctx: &mut PCtx<'_, '_>) {
         let mut pointed: Vec<(FileId, NodeEntry)> = self
             .store
             .pointers()
-            .map(|(id, holder)| (*id, *holder))
+            .map(|(id, p)| (*id, p.holder))
             .collect();
         // Sorted (not HashMap-order) so the batch picked each sweep is
         // the same across same-seed runs.
         pointed.sort_by_key(|(id, _)| *id);
         let mut migrated = 0;
         for (file_id, holder) in pointed {
-            if migrated == self.cfg.migration_batch {
+            if migrated == MIGRATION_BATCH {
                 break;
             }
             // Only migrate files this node should hold itself.
@@ -441,15 +420,6 @@ impl PastNode {
     pub(crate) fn anti_entropy_sweep(&mut self, ctx: &mut PCtx<'_, '_>) {
         let k = self.cfg.k as usize;
         let own = ctx.own();
-        // Local hygiene first: certificates whose pointer is gone (or
-        // vice versa, pointers whose certificate is gone) are repaired
-        // by dropping the orphaned half.
-        self.pointer_certs
-            .retain(|id, _| self.store.pointer(*id).is_some());
-        self.backup_certs
-            .retain(|id, _| self.store.backup_pointer(*id).is_some());
-        self.backup_owner
-            .retain(|id, _| self.store.backup_pointer(*id).is_some());
         let mut ids: Vec<FileId> = self.store.primaries().map(|(id, _)| *id).collect();
         if ids.is_empty() {
             return;

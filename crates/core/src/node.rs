@@ -140,18 +140,9 @@ pub struct PastNode {
     /// The node's smartcard key pair (signs receipts; owns inserted
     /// files when this node acts as a client).
     pub(crate) keys: KeyPair,
-    /// The local storage manager.
+    /// The local storage manager: replicas, cache and the file table's
+    /// diversion pointers (with their certificates).
     pub(crate) store: NodeStore<NodeEntry>,
-    /// Certificates backing A→B pointers (needed to re-create replicas
-    /// when the holder fails).
-    pub(crate) pointer_certs: IdHashMap<FileId, SharedFileCert>,
-    /// Where the backup (C) pointer for each of our diversions lives.
-    pub(crate) pointer_backup_at: IdHashMap<FileId, NodeEntry>,
-    /// Certificates backing backup pointers held at this node (role C).
-    pub(crate) backup_certs: IdHashMap<FileId, SharedFileCert>,
-    /// Which diverting node (A) installed each backup pointer held
-    /// here, so promotion happens only when that node fails.
-    pub(crate) backup_owner: IdHashMap<FileId, NodeId>,
     /// Last known free space of other nodes (piggybacked on messages).
     pub(crate) free_info: IdHashMap<NodeId, u64>,
     /// Client storage quota.
@@ -194,10 +185,6 @@ impl PastNode {
             cfg,
             keys,
             store,
-            pointer_certs: IdHashMap::default(),
-            pointer_backup_at: IdHashMap::default(),
-            backup_certs: IdHashMap::default(),
-            backup_owner: IdHashMap::default(),
             free_info: IdHashMap::default(),
             quota: QuotaLedger::new(quota),
             next_seq: 0,
@@ -249,18 +236,6 @@ impl PastNode {
     /// Number of maintenance messages still awaiting acknowledgement.
     pub fn maint_in_flight(&self) -> usize {
         self.maint_pending.len()
-    }
-
-    /// Files this node keeps an A→B pointer certificate for (should
-    /// pair 1:1 with the store's pointers; the invariant auditor checks
-    /// this).
-    pub fn pointer_cert_ids(&self) -> impl Iterator<Item = FileId> + '_ {
-        self.pointer_certs.keys().copied()
-    }
-
-    /// Files this node keeps a backup-pointer certificate for.
-    pub fn backup_cert_ids(&self) -> impl Iterator<Item = FileId> + '_ {
-        self.backup_certs.keys().copied()
     }
 
     /// This node's Byzantine strategy (all-false = honest).
@@ -668,36 +643,27 @@ impl PastNode {
             seed.extend_from_slice(file_id.as_bytes());
             let pick = past_crypto::audit_nonce(&seed, self.audit_stats.challenges) as usize
                 % candidates.len();
-            // Cross-examination: challenge up to `audit_fanout`
-            // *distinct* holders of this file in the same sweep, so
-            // the AuditBook can record pass/fail disagreements
-            // (partial corruption one sample cannot witness). The
-            // default fanout of 1 reproduces the classic one-sample
-            // audit exactly.
-            let fanout = self.cfg.audit_fanout.max(1).min(candidates.len());
-            for j in 0..fanout {
-                let (_, holder) = candidates[(pick + j) % candidates.len()];
-                let (seq, nonce) = self.audits.issue(
-                    &own_id,
+            let (_, holder) = candidates[pick];
+            let (seq, nonce) = self.audits.issue(
+                &own_id,
+                file_id,
+                expected,
+                holder,
+                ctx.now(),
+                &mut self.audit_stats,
+            );
+            past_obs::counter("past.audit.challenge", 1);
+            self.send_to(
+                ctx,
+                holder,
+                MsgKind::AuditChallenge {
+                    seq,
                     file_id,
-                    expected,
-                    holder,
-                    ctx.now(),
-                    &mut self.audit_stats,
-                );
-                past_obs::counter("past.audit.challenge", 1);
-                self.send_to(
-                    ctx,
-                    holder,
-                    MsgKind::AuditChallenge {
-                        seq,
-                        file_id,
-                        nonce,
-                        auditor: own,
-                    },
-                );
-                ctx.set_app_timer(self.cfg.audit_timeout, AUDIT_TIMEOUT_BASE + seq);
-            }
+                    nonce,
+                    auditor: own,
+                },
+            );
+            ctx.set_app_timer(self.cfg.audit_timeout, AUDIT_TIMEOUT_BASE + seq);
         }
     }
 

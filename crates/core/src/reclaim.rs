@@ -24,11 +24,7 @@ impl PastNode {
     ) {
         let file_id = cert.file_id;
         // Verify against the locally stored certificate where possible.
-        let stored_cert = self
-            .store
-            .replica(file_id)
-            .map(|r| r.cert.clone())
-            .or_else(|| self.pointer_certs.get(&file_id).cloned());
+        let stored_cert = self.store.certificate(file_id).cloned();
         let ok = match &stored_cert {
             Some(sc) => cert.verify_memo(sc, &mut self.verify_memo).is_ok(),
             None => false,
@@ -99,26 +95,22 @@ impl PastNode {
                 }
             }
             Resolution::Pointer(holder) => {
-                let valid = match self.pointer_certs.get(&file_id) {
-                    Some(sc) => {
-                        let sc = sc.clone();
-                        cert.verify_memo(&sc, &mut self.verify_memo).is_ok()
-                    }
-                    None => false,
-                };
-                if valid {
-                    self.store.remove_pointer(file_id);
-                    self.pointer_certs.remove(&file_id);
+                let stored = &self.store.pointer(file_id).expect("resolved").cert;
+                if cert.verify_memo(stored, &mut self.verify_memo).is_ok() {
+                    let pointer = self.store.remove_pointer(file_id).expect("resolved");
                     self.send_to(ctx, holder, MsgKind::ReclaimExec { cert: cert.clone() });
-                    if let Some(c_node) = self.pointer_backup_at.remove(&file_id) {
+                    if let Some(c_node) = pointer.backup_at {
                         self.send_to(ctx, c_node, MsgKind::Discard { file_id });
                     }
                 }
             }
             Resolution::Cached | Resolution::Miss => {
-                // Nothing authoritative here; drop any backup pointer.
-                if self.store.remove_backup_pointer(file_id).is_some() {
-                    self.backup_certs.remove(&file_id);
+                // Nothing authoritative here; a backup pointer goes on
+                // the owner's word, like the records above.
+                if let Some(backup) = self.store.backup_pointer(file_id) {
+                    if cert.verify_memo(&backup.cert, &mut self.verify_memo).is_ok() {
+                        self.store.remove_backup_pointer(file_id);
+                    }
                 }
             }
         }

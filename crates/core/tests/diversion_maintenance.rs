@@ -2,18 +2,20 @@
 //! chains under failures, reclaim of diverted files, fileId collisions,
 //! hit-kind reporting, and background migration.
 
-use past_core::{HitKind, PastConfig, PastEvent, PastNode, PastOverlayNode};
-use past_crypto::{KeyPair, Scheme};
+use past_core::{HitKind, MsgKind, PastConfig, PastEvent, PastMsg, PastNode, PastOverlayNode};
+use past_crypto::{KeyPair, ReclaimCertificate, Scheme, SharedReclaimCert};
 use past_id::FileId;
 use past_net::{Addr, EuclideanTopology, SimDuration, Simulator};
 use past_pastry::{NodeEntry, PastryConfig, PastryNode};
-use past_store::CachePolicyKind;
+use past_store::{CachePolicyKind, NodeStore};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 struct World {
     sim: Simulator<PastOverlayNode>,
     entries: Vec<NodeEntry>,
+    /// Each node's smartcard keys, by address.
+    keys: Vec<KeyPair>,
     bounded: bool,
 }
 
@@ -28,8 +30,10 @@ fn build(
     let topo = EuclideanTopology::random(n, &mut seeder);
     let mut sim: Simulator<PastOverlayNode> = Simulator::new(Box::new(topo), seed);
     let mut entries = Vec::new();
+    let mut all_keys = Vec::new();
     for i in 0..n {
         let keys = KeyPair::generate(Scheme::Keyed, &mut seeder);
+        all_keys.push(keys.clone());
         let id = past_crypto::derive_node_id(&keys.public());
         let addr = Addr(i as u32);
         let entry = NodeEntry::new(id, addr);
@@ -47,11 +51,16 @@ fn build(
     World {
         sim,
         entries,
+        keys: all_keys,
         bounded,
     }
 }
 
 impl World {
+    fn store(&self, addr: Addr) -> &NodeStore<NodeEntry> {
+        self.sim.node(addr).expect("node exists").app().store()
+    }
+
     fn settle(&mut self) {
         if self.bounded {
             self.sim.run_for(SimDuration::from_secs(10));
@@ -124,12 +133,16 @@ impl World {
     fn pointer_owners(&self, fid: FileId) -> Vec<Addr> {
         self.entries
             .iter()
-            .filter(|e| {
-                self.sim
-                    .node(e.addr)
-                    .map(|n| n.app().store().pointers().any(|(id, _)| *id == fid))
-                    .unwrap_or(false)
-            })
+            .filter(|e| self.store(e.addr).pointer(fid).is_some())
+            .map(|e| e.addr)
+            .collect()
+    }
+
+    /// Nodes (role C) keeping a backup pointer for `fid`.
+    fn backup_keepers(&self, fid: FileId) -> Vec<Addr> {
+        self.entries
+            .iter()
+            .filter(|e| self.store(e.addr).backup_pointer(fid).is_some())
             .map(|e| e.addr)
             .collect()
     }
@@ -223,6 +236,37 @@ fn diverted_file_reclaims_cleanly() {
         w.pointer_owners(fid).is_empty(),
         "pointers must be cleaned up"
     );
+    assert!(
+        w.backup_keepers(fid).is_empty(),
+        "backup pointers must be cleaned up"
+    );
+}
+
+#[test]
+fn backup_pointer_goes_only_on_the_owners_reclaim() {
+    let (p, r) = static_cfg();
+    let mut w = diversion_world(61, (p, r));
+    let (fid, _) = insert_with_diversion(&mut w);
+    let c = *w.backup_keepers(fid).first().expect("diversion leaves a backup");
+    let mut rng = StdRng::seed_from_u64(7);
+    let mut deliver = |w: &mut World, signer: usize| {
+        let cert = ReclaimCertificate::issue(&w.keys[signer], fid, 0, &mut rng);
+        let kind = MsgKind::ReclaimExec {
+            cert: SharedReclaimCert::new(cert),
+        };
+        w.sim.invoke(Addr(1), move |node, ctx| {
+            node.invoke_app(ctx, |_, actx| actx.send_app(c, PastMsg { free: 0, kind }));
+        });
+        w.settle();
+    };
+    // Node 2 does not own the file (node 1 inserted it).
+    deliver(&mut w, 2);
+    assert_eq!(w.backup_keepers(fid), [c], "a foreign reclaim must not drop the backup");
+    deliver(&mut w, 1);
+    assert!(
+        w.backup_keepers(fid).is_empty(),
+        "the owner's reclaim drops the whole record"
+    );
 }
 
 #[test]
@@ -280,6 +324,14 @@ fn holder_failure_recreates_diverted_replica() {
     // The file stays retrievable.
     let found = (0..8u32).any(|i| w.lookup(Addr(30 + i % 9), fid).is_some());
     assert!(found, "file unreachable after holder failure");
+    // Every record that named B went with it: A's pointer when the
+    // replica was re-created, C's backup as stale.
+    for e in w.entries.iter().filter(|e| w.sim.is_up(e.addr)) {
+        let store = w.store(e.addr);
+        let names_b = store.pointer(fid).is_some_and(|p| p.holder.id == b.id)
+            || store.backup_pointer(fid).is_some_and(|p| p.holder.id == b.id);
+        assert!(!names_b, "{} still points at the failed holder", e.addr);
+    }
 }
 
 #[test]
@@ -290,8 +342,21 @@ fn pointer_owner_failure_keeps_replica_reachable() {
     // Find node A (a pointer owner) and fail it: §3.3 condition (2) —
     // the backup pointer on C keeps the diverted replica reachable.
     let a = *w.pointer_owners(fid).first().expect("pointer owner exists");
+    let a_pointer = w.store(a).pointer(fid).expect("A keeps the pointer").clone();
+    let c = a_pointer.backup_at.expect("A's pointer is backed up at C").addr;
     w.sim.fail_node(a);
-    w.sim.run_for(SimDuration::from_secs(120));
+    // C notices A's failure and promotes its backup: one record moves,
+    // certificate and all.
+    let mut waited = 0;
+    while w.store(c).backup_pointer(fid).is_some() {
+        assert!(waited < 120, "C never noticed A's failure");
+        w.sim.run_for(SimDuration::from_secs(1));
+        waited += 1;
+    }
+    let promoted = w.store(c).pointer(fid).expect("C promoted its backup");
+    assert_eq!(promoted.holder, a_pointer.holder);
+    assert!(std::sync::Arc::ptr_eq(&promoted.cert, &a_pointer.cert));
+    w.sim.run_for(SimDuration::from_secs(120 - waited));
     w.events();
     let found = (0..10u32)
         .filter(|i| Addr(*i) != a)
@@ -331,7 +396,6 @@ fn duplicate_insert_of_same_file_id_is_rejected() {
 fn migration_moves_files_to_responsible_nodes() {
     let (mut p, r) = churn_cfg();
     p.migration_period = SimDuration::from_secs(20);
-    p.migration_batch = 8;
     let mut w = build(25, 66, &p, &r, |_| 50_000_000);
     let mut fids = Vec::new();
     for i in 0..20 {

@@ -152,8 +152,8 @@ impl Overlay {
             let store = node.app().store();
             let has = store.holds_replica(file_id)
                 || store
-                    .pointers()
-                    .any(|(id, holder)| *id == file_id && self.holder_has(*holder, file_id));
+                    .pointer(file_id)
+                    .is_some_and(|p| self.holder_has(p.holder, file_id));
             if !has {
                 return Err(format!("node {} lacks replica/pointer", e.id));
             }

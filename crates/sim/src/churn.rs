@@ -11,8 +11,8 @@
 //!   `min(k, live nodes)` reachable copies, where a copy is either a
 //!   primary replica or a valid A→B pointer to a live diverted holder;
 //! - **pointer integrity**: no dangling pointers (targets dead or no
-//!   longer holding the bytes) and no orphan certificates (a pointer
-//!   and its certificate must pair 1:1, for backups too);
+//!   longer holding the bytes); a pointer carries its certificate in
+//!   the same `past-store` record, so the two cannot come apart;
 //! - **quota conservation**: the client's ledger charges exactly
 //!   `k × size` for each successful, unreclaimed insert.
 //!
@@ -107,10 +107,6 @@ pub struct InvariantReport {
     pub under_replicated: Vec<UnderReplicated>,
     /// Pointers whose target is dead or no longer holds the bytes.
     pub dangling_pointers: usize,
-    /// Pointers (regular or backup) without a matching certificate.
-    pub pointers_missing_cert: usize,
-    /// Certificates (regular or backup) without a matching pointer.
-    pub orphan_certs: usize,
     /// Bytes the client's quota ledger should be charged.
     pub quota_expected: u64,
     /// Bytes the ledger actually charges.
@@ -127,21 +123,17 @@ impl InvariantReport {
     pub fn is_clean(&self) -> bool {
         self.under_replicated.is_empty()
             && self.dangling_pointers == 0
-            && self.pointers_missing_cert == 0
-            && self.orphan_certs == 0
             && self.quota_expected == self.quota_used
     }
 
     /// Human-readable one-line summary (for assertions and logs).
     pub fn summary(&self) -> String {
         format!(
-            "files={} live={} under_replicated={} dangling={} missing_cert={} orphan_cert={} quota={}/{}",
+            "files={} live={} under_replicated={} dangling={} quota={}/{}",
             self.files,
             self.live_nodes,
             self.under_replicated.len(),
             self.dangling_pointers,
-            self.pointers_missing_cert,
-            self.orphan_certs,
             self.quota_used,
             self.quota_expected,
         )
@@ -483,17 +475,6 @@ impl ChurnRunner {
         (total.challenges, total.passed, total.failed, total.timeouts)
     }
 
-    /// Same-file audit verdicts that differed (audit fanout ≥ 2: one
-    /// holder proved possession while another failed or timed out),
-    /// summed over every node. Always 0 at the default fanout of 1.
-    pub fn audit_disagreements(&self) -> u64 {
-        self.entries
-            .iter()
-            .filter_map(|e| self.sim.node(e.addr))
-            .map(|n| n.app().audit_stats().disagreements)
-            .sum()
-    }
-
     /// The earliest moment any auditor convicted a holder (first failed
     /// or timed-out audit anywhere in the overlay).
     pub fn first_detection(&self) -> Option<SimTime> {
@@ -683,8 +664,8 @@ impl ChurnRunner {
             for (fid, _cert) in app.store().primaries() {
                 *copies.entry(*fid).or_insert(0) += 1;
             }
-            for (fid, holder) in app.store().pointers() {
-                if holds_live(holder, *fid) {
+            for (fid, pointer) in app.store().pointers() {
+                if holds_live(&pointer.holder, *fid) {
                     *copies.entry(*fid).or_insert(0) += 1;
                 } else {
                     report.dangling_pointers += 1;
@@ -700,33 +681,6 @@ impl ChurnRunner {
                     found,
                     required,
                 });
-            }
-        }
-
-        // Pointer ↔ certificate pairing, both roles and both directions.
-        for node in &live {
-            let app = node.app();
-            let pointer_certs: Vec<FileId> = app.pointer_cert_ids().collect();
-            let backup_certs: Vec<FileId> = app.backup_cert_ids().collect();
-            for (fid, _) in app.store().pointers() {
-                if !pointer_certs.contains(fid) {
-                    report.pointers_missing_cert += 1;
-                }
-            }
-            for fid in &pointer_certs {
-                if app.store().pointer(*fid).is_none() {
-                    report.orphan_certs += 1;
-                }
-            }
-            for (fid, _) in app.store().backup_pointers() {
-                if !backup_certs.contains(fid) {
-                    report.pointers_missing_cert += 1;
-                }
-            }
-            for fid in &backup_certs {
-                if app.store().backup_pointer(*fid).is_none() {
-                    report.orphan_certs += 1;
-                }
             }
         }
 

@@ -498,7 +498,6 @@ impl Runner {
             }
             PastEvent::ReclaimDone { .. }
             | PastEvent::InsertAttemptAborted { .. }
-            | PastEvent::MaintSkipped { .. }
             | PastEvent::MaintExhausted { .. } => {}
         }
     }

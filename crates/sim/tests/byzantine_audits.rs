@@ -56,13 +56,6 @@ fn audits_detect_demote_and_rereplicate() {
 
     let (challenges, _passed, failed, timeouts) = r.audit_totals();
     assert!(challenges > 0, "audit sweeps must issue challenges");
-    // Default fanout challenges one holder per sampled file, so no file
-    // ever has two outstanding challenges to disagree about.
-    assert_eq!(
-        r.audit_disagreements(),
-        0,
-        "fanout-1 sweeps cannot produce split verdicts"
-    );
     assert!(
         failed + timeouts > 0,
         "the adversary must be convicted by at least one audit"
@@ -89,35 +82,6 @@ fn audits_detect_demote_and_rereplicate() {
         healed.is_some(),
         "working set never returned to full replication: {}",
         r.audit().summary()
-    );
-}
-
-/// Cross-examination: with `audit_fanout = 2` a sweep challenges two
-/// holders of the same file, so a partially corrupted replica set —
-/// one honest holder proving possession while a corrupter fails or a
-/// dropper times out — surfaces as a recorded *disagreement*, the
-/// signal a single sample per file can never produce.
-#[test]
-fn fanout_two_surfaces_split_verdicts() {
-    let mut cfg = defended_cfg(9, 20, true);
-    cfg.past.audit_fanout = 2;
-    let mut r = ChurnRunner::build(cfg);
-    let inserted = r.insert_files();
-    assert!(inserted >= 4, "only {inserted} inserts succeeded");
-    let plan = r.byzantine_plan(0.2);
-    r.apply_byzantine(&plan);
-    r.run_for(SimDuration::from_secs(120));
-    r.discard_upcalls();
-
-    let (challenges, _passed, failed, timeouts) = r.audit_totals();
-    assert!(
-        failed + timeouts > 0,
-        "the adversary must be convicted by at least one audit"
-    );
-    assert!(
-        r.audit_disagreements() > 0,
-        "two-holder sweeps over a partially corrupted set must record \
-         at least one split verdict ({challenges} challenges issued)"
     );
 }
 

@@ -3,8 +3,21 @@
 //! on any host. DESIGN.md ("What a node and a cached file cost") turns
 //! them into bytes.
 
+use std::mem::size_of;
+
+use past_id::FileId;
+use past_pastry::NodeEntry;
 use past_sim::{ExperimentConfig, Runner};
+use past_store::{BackupPointer, Pointer};
 use past_workload::WebTraceConfig;
+
+/// One diverted replica is one map bucket at A and one at C. Held as
+/// six maps in two crates, the same state was 160 + 144 B of buckets.
+#[test]
+fn a_diversion_is_two_records() {
+    assert!(size_of::<(FileId, Pointer<NodeEntry>)>() <= 128);
+    assert!(size_of::<(FileId, BackupPointer<NodeEntry>)>() <= 112);
+}
 
 #[test]
 fn a_built_overlay_allocates_only_the_state_it_uses() {

@@ -2,8 +2,9 @@
 //!
 //! [`NodeStore`] manages one node's advertised disk space: primary
 //! replicas, diverted replicas held for leaf-set neighbors, the A→B and
-//! C→B diversion pointers of §3.3, and a [`Cache`] occupying the unused
-//! remainder with GreedyDual-Size or LRU replacement.
+//! C→B diversion pointers of §3.3 ([`Pointer`], [`BackupPointer`]: one
+//! record each, certificate included), and a [`Cache`] occupying the
+//! unused remainder with GreedyDual-Size or LRU replacement.
 //!
 //! The acceptance thresholds [`StorePolicy::t_pri`]/[`StorePolicy::t_div`]
 //! implement the §3.3.1 policies: a node N rejects a file D when
@@ -15,4 +16,7 @@ mod cache;
 mod store;
 
 pub use cache::{Cache, CacheEvent, CachePolicyKind};
-pub use store::{NodeStore, ReplicaRef, Resolution, StoreError, StorePolicy, StoredReplica};
+pub use store::{
+    BackupPointer, NodeStore, Pointer, ReplicaRef, Resolution, StoreError, StorePolicy,
+    StoredReplica,
+};

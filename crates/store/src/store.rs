@@ -13,7 +13,10 @@
 //! Besides replicas, the node's *file table* records diversion pointers:
 //! if node A diverts a replica to node B, A keeps a pointer A→B, and the
 //! node C with the k+1-th closest nodeId keeps a backup pointer C→B so
-//! that A's failure does not orphan the replica.
+//! that A's failure does not orphan the replica. Each is one record
+//! ([`Pointer`], [`BackupPointer`]) that carries the file's certificate,
+//! so a pointer without the certificate needed to re-create its replica
+//! cannot be represented.
 
 
 use past_crypto::SharedFileCert;
@@ -140,6 +143,34 @@ struct DivertedEntry<H> {
     from: H,
 }
 
+/// An A→B diversion pointer: this node is responsible for the file, the
+/// replica lives at `holder` (§3.3).
+#[derive(Clone, Debug)]
+pub struct Pointer<H> {
+    /// Node B, which stores the diverted replica.
+    pub holder: H,
+    /// The file's certificate, needed to re-create the replica when B
+    /// fails.
+    pub cert: SharedFileCert,
+    /// Node C, the k+1-th closest, if a backup pointer was installed
+    /// there; whoever retires this pointer tells C to drop its backup.
+    pub backup_at: Option<H>,
+}
+
+/// A C→B backup pointer, held by the k+1-th closest node on behalf of
+/// the diverting node `owner`.
+#[derive(Clone, Debug)]
+pub struct BackupPointer<H> {
+    /// Node B, which stores the diverted replica.
+    pub holder: H,
+    /// The file's certificate; it becomes the regular pointer's when the
+    /// backup is promoted.
+    pub cert: SharedFileCert,
+    /// Node A, which installed the backup: it is promoted only when
+    /// *that* node fails.
+    pub owner: H,
+}
+
 /// How a lookup resolves against this node's storage.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Resolution<H: Copy> {
@@ -169,9 +200,9 @@ pub struct NodeStore<H: Copy> {
     primaries: IdHashMap<FileId, SharedFileCert>,
     diverted: IdHashMap<FileId, DivertedEntry<H>>,
     /// A→B pointers: this node is responsible, B holds the replica.
-    pointers: IdHashMap<FileId, H>,
+    pointers: IdHashMap<FileId, Pointer<H>>,
     /// C→B backup pointers installed on the k+1-th closest node.
-    backup_pointers: IdHashMap<FileId, H>,
+    backup_pointers: IdHashMap<FileId, BackupPointer<H>>,
     replica_used: u64,
     cache: Cache,
     rejected_inserts: u64,
@@ -336,44 +367,69 @@ impl<H: Copy> NodeStore<H> {
         Some(replica)
     }
 
-    /// Installs an A→B diversion pointer.
-    pub fn install_pointer(&mut self, id: FileId, holder: H) {
-        self.pointers.insert(id, holder);
+    /// Installs an A→B diversion pointer, replacing any earlier one for
+    /// the file. No backup location is recorded until
+    /// [`Self::set_pointer_backup`] names one.
+    pub fn install_pointer(&mut self, id: FileId, holder: H, cert: SharedFileCert) {
+        let pointer = Pointer { holder, cert, backup_at: None };
+        self.pointers.insert(id, pointer);
     }
 
-    /// Installs a C→B backup pointer (on the k+1-th closest node).
-    pub fn install_backup_pointer(&mut self, id: FileId, holder: H) {
-        self.backup_pointers.insert(id, holder);
+    /// Records that node `at` holds the backup of this node's pointer
+    /// for `id`. No-op without a pointer.
+    pub fn set_pointer_backup(&mut self, id: FileId, at: H) {
+        if let Some(p) = self.pointers.get_mut(&id) {
+            p.backup_at = Some(at);
+        }
     }
 
-    /// Removes a diversion pointer. Returns the holder if present.
-    pub fn remove_pointer(&mut self, id: FileId) -> Option<H> {
+    /// Installs a C→B backup pointer (on the k+1-th closest node) on
+    /// behalf of the diverting node `owner`.
+    pub fn install_backup_pointer(&mut self, id: FileId, holder: H, cert: SharedFileCert, owner: H) {
+        self.backup_pointers
+            .insert(id, BackupPointer { holder, cert, owner });
+    }
+
+    /// Removes a diversion pointer. Returns the whole record, so the
+    /// caller holds the certificate and the backup location it must
+    /// notify.
+    pub fn remove_pointer(&mut self, id: FileId) -> Option<Pointer<H>> {
         self.pointers.remove(&id)
     }
 
-    /// Removes a backup pointer. Returns the holder if present.
-    pub fn remove_backup_pointer(&mut self, id: FileId) -> Option<H> {
+    /// Removes a backup pointer. Returns the whole record if present.
+    pub fn remove_backup_pointer(&mut self, id: FileId) -> Option<BackupPointer<H>> {
         self.backup_pointers.remove(&id)
     }
 
-    /// The backup pointers (file → holder) currently installed.
-    pub fn backup_pointers(&self) -> impl Iterator<Item = (&FileId, &H)> {
+    /// The backup pointers currently installed.
+    pub fn backup_pointers(&self) -> impl Iterator<Item = (&FileId, &BackupPointer<H>)> {
         self.backup_pointers.iter()
     }
 
     /// The A→B pointers currently installed.
-    pub fn pointers(&self) -> impl Iterator<Item = (&FileId, &H)> {
+    pub fn pointers(&self) -> impl Iterator<Item = (&FileId, &Pointer<H>)> {
         self.pointers.iter()
     }
 
-    /// The holder a diversion pointer for `id` references, if any.
-    pub fn pointer(&self, id: FileId) -> Option<&H> {
+    /// The diversion pointer for `id`, if any.
+    pub fn pointer(&self, id: FileId) -> Option<&Pointer<H>> {
         self.pointers.get(&id)
     }
 
-    /// The holder a backup pointer for `id` references, if any.
-    pub fn backup_pointer(&self, id: FileId) -> Option<&H> {
+    /// The backup pointer for `id`, if any.
+    pub fn backup_pointer(&self, id: FileId) -> Option<&BackupPointer<H>> {
         self.backup_pointers.get(&id)
+    }
+
+    /// The certificate this node keeps for `id` in any role: replica,
+    /// cached copy, pointer, then backup pointer.
+    pub fn certificate(&self, id: FileId) -> Option<&SharedFileCert> {
+        self.replica(id)
+            .map(|r| r.cert)
+            .or_else(|| self.cache.cert(id))
+            .or_else(|| self.pointers.get(&id).map(|p| &p.cert))
+            .or_else(|| self.backup_pointers.get(&id).map(|b| &b.cert))
     }
 
     /// Resolves a lookup against replicas, pointers, then the cache.
@@ -386,8 +442,8 @@ impl<H: Copy> NodeStore<H> {
         if self.diverted.contains_key(&id) {
             return Resolution::DivertedHere;
         }
-        if let Some(h) = self.pointers.get(&id) {
-            return Resolution::Pointer(*h);
+        if let Some(p) = self.pointers.get(&id) {
+            return Resolution::Pointer(p.holder);
         }
         if self.cache.probe(id).is_some() {
             return Resolution::Cached;
@@ -451,11 +507,6 @@ impl<H: Copy> NodeStore<H> {
             return false;
         }
         self.cache.insert(cert, budget)
-    }
-
-    /// The certificate of a cached file, if cached.
-    pub fn cached_cert(&self, id: FileId) -> Option<&SharedFileCert> {
-        self.cache.cert(id)
     }
 
     /// Probes the cache alone (used by lookups hitting intermediate
@@ -591,22 +642,49 @@ mod tests {
         let mut s = store(10_000);
         let c = cert("a", 100);
         let id = c.file_id;
-        s.install_pointer(id, 42);
+        // A re-install is a new record: no backup location carries over.
+        s.install_pointer(id, 41, c.clone());
+        s.set_pointer_backup(id, 40);
+        s.install_pointer(id, 42, c.clone());
+        assert_eq!(s.pointer(id).unwrap().backup_at, None);
+        s.set_pointer_backup(id, 43);
         assert_eq!(s.resolve(id), Resolution::Pointer(42));
-        assert_eq!(s.remove_pointer(id), Some(42));
+        // Retiring the pointer hands back everything the caller needs:
+        // the holder, the certificate and where the backup lives.
+        let p = s.remove_pointer(id).unwrap();
+        assert_eq!((p.holder, p.backup_at), (42, Some(43)));
+        assert!(std::sync::Arc::ptr_eq(&p.cert, &c));
         assert_eq!(s.resolve(id), Resolution::Miss);
-        let _ = c;
     }
 
     #[test]
     fn backup_pointers_tracked_separately() {
         let mut s = store(10_000);
         let c = cert("a", 100);
-        s.install_backup_pointer(c.file_id, 9);
+        s.install_backup_pointer(c.file_id, 9, c.clone(), 3);
         // Backup pointers don't serve lookups (C only guards against A's
         // failure); resolution is a miss.
         assert_eq!(s.resolve(c.file_id), Resolution::Miss);
-        assert_eq!(s.remove_backup_pointer(c.file_id), Some(9));
+        let b = s.remove_backup_pointer(c.file_id).unwrap();
+        assert_eq!((b.holder, b.owner), (9, 3));
+    }
+
+    #[test]
+    fn certificate_answers_for_every_role() {
+        let mut s = store(10_000);
+        let (r, c, p, b) = (cert("r", 100), cert("c", 100), cert("p", 100), cert("b", 100));
+        s.store_primary(r.clone()).unwrap();
+        assert!(s.cache_file(&c));
+        s.install_pointer(p.file_id, 1, p.clone());
+        s.install_backup_pointer(b.file_id, 1, b.clone(), 2);
+        for held in [&r, &c, &p, &b] {
+            let got = s.certificate(held.file_id).expect("certificate kept");
+            assert!(std::sync::Arc::ptr_eq(got, held));
+        }
+        assert!(s.certificate(cert("unknown", 1).file_id).is_none());
+        // The certificate goes with its record.
+        s.remove_backup_pointer(b.file_id);
+        assert!(s.certificate(b.file_id).is_none());
     }
 
     #[test]
@@ -652,15 +730,15 @@ mod tests {
         let mut s = store(10_000);
         let (a, b) = (cert("a", 8_500), cert("b", 800));
         assert!(s.cache_file(&a) && s.cache_file(&b));
-        assert!(std::sync::Arc::ptr_eq(s.cached_cert(a.file_id).unwrap(), &a));
+        assert!(std::sync::Arc::ptr_eq(s.cache().cert(a.file_id).unwrap(), &a));
         // A replica shrinks the cache budget to 9000: the bigger file is
         // the GD-S victim and its certificate goes with it.
         s.store_primary(cert("replica", 1_000)).unwrap();
-        assert!(s.cached_cert(a.file_id).is_none());
-        assert!(s.cached_cert(b.file_id).is_some());
+        assert!(s.cache().cert(a.file_id).is_none());
+        assert!(s.cache().cert(b.file_id).is_some());
         // Promotion to a replica drops the cached copy's certificate too.
         s.store_primary(b.clone()).unwrap();
-        assert!(s.cached_cert(b.file_id).is_none());
+        assert!(s.cache().cert(b.file_id).is_none());
         assert_eq!(s.cache().len(), 0);
     }
 

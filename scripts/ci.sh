@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Local CI gate: build, full test suite, lint and the benchmark's own
+# Local CI gate: build, full test suite, lint, rustdoc and the benchmark's own
 # tests — all offline.
 #
 # The workspace vendors its few dev-dependencies (see vendor/ and the
@@ -29,6 +29,11 @@ cargo test -q --workspace --no-fail-fast --offline
 
 echo "== cargo clippy -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
+
+echo "== cargo doc -D warnings"
+# Deleting a public item leaves the intra-doc links that named it
+# dangling; rustdoc is the only tool that notices.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "== pastbench (helpers, BENCHMARK.json contract, --smoke run of all four workloads)"
 # The benchmark is a package of its own (benchmark/Cargo.toml); its tests
