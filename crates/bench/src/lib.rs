@@ -1,26 +1,30 @@
-//! Shared infrastructure for the bench binaries (`repro`, which
-//! regenerates every table and figure, and the plane benches).
+//! Shared infrastructure for `repro`, the one bench binary: it
+//! regenerates every table and figure of the paper and runs the churn,
+//! Byzantine, flash-crowd and streaming-replay experiments.
 //!
-//! `repro` and `perf_suite` accept two environment variables so the full
-//! paper-scale runs and quick smoke runs share one code path:
+//! Two environment variables set the scale, so the full paper-scale
+//! runs and quick smoke runs share one code path:
 //!
 //! - `PAST_NODES` — overlay size (default 2250, the paper's setting).
 //! - `PAST_FILES` — unique files in the synthetic NLANR-like trace
-//!   (default 1,863,055, the paper's unique-URL count). When scaling
-//!   down, keep `PAST_FILES ≈ 830 × PAST_NODES`: the storage policies
-//!   respond to the files-per-node ratio (DESIGN.md §2.5). The recorded
-//!   results in EXPERIMENTS.md used `PAST_NODES=450 PAST_FILES=373000`.
+//!   (default 1,863,055, the paper's unique-URL count).
+//!
+//! The storage policies respond to the files-per-node ratio (DESIGN.md
+//! §2.5), so setting only one of the two derives the other at the
+//! paper's ≈ 830 files per node. The recorded results in EXPERIMENTS.md
+//! used `PAST_NODES=450 PAST_FILES=373000`.
 //!
 //! Results are printed as aligned tables and also written as CSV under
-//! `results/`.
+//! `results/` (or `$PAST_OUT_DIR`).
 
 use std::fmt::Write as _;
-use std::io::Write as _;
+use std::io;
+use std::path::{Path, PathBuf};
 
 use past_sim::{ExperimentConfig, ExperimentResult};
 use past_workload::{FsTraceConfig, StreamTrace, Trace, WebTraceConfig};
 
-/// Scale parameters shared by all experiment binaries.
+/// Scale parameters shared by all experiments.
 #[derive(Clone, Copy, Debug)]
 pub struct Scale {
     /// Number of overlay nodes.
@@ -29,18 +33,40 @@ pub struct Scale {
     pub files: usize,
 }
 
+/// The paper's files-per-node ratio (1,863,055 / 2250).
+const FILES_PER_NODE: usize = 830;
+
 impl Scale {
-    /// Reads the scale from the environment (paper scale by default).
-    pub fn from_env() -> Scale {
-        let nodes = std::env::var("PAST_NODES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(2250);
-        let files = std::env::var("PAST_FILES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(1_863_055);
-        Scale { nodes, files }
+    /// Reads the scale from `PAST_NODES` / `PAST_FILES` (paper scale
+    /// when neither is set). A value that is not a positive integer is
+    /// an error, never a silent fall-back to paper scale.
+    pub fn from_env() -> Result<Scale, String> {
+        let var = |name| std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
+        Scale::parse(var("PAST_NODES").as_deref(), var("PAST_FILES").as_deref())
+    }
+
+    /// With one of the two given, the other follows at
+    /// [`FILES_PER_NODE`].
+    fn parse(nodes: Option<&str>, files: Option<&str>) -> Result<Scale, String> {
+        let (nodes, files) = match (
+            positive("PAST_NODES", nodes)?,
+            positive("PAST_FILES", files)?,
+        ) {
+            (None, None) => (2250, 1_863_055),
+            (Some(nodes), None) => (nodes, nodes.saturating_mul(FILES_PER_NODE)),
+            (None, Some(files)) => ((files / FILES_PER_NODE).max(10), files),
+            (Some(nodes), Some(files)) => (nodes, files),
+        };
+        Ok(Scale { nodes, files })
+    }
+}
+
+/// One scale variable: unset, or a positive integer.
+fn positive(name: &str, value: Option<&str>) -> Result<Option<usize>, String> {
+    let Some(text) = value else { return Ok(None) };
+    match text.parse() {
+        Ok(n) if n > 0 => Ok(Some(n)),
+        _ => Err(format!("{name}={text:?} is not a positive integer")),
     }
 }
 
@@ -53,7 +79,7 @@ pub fn web_trace(scale: Scale) -> Trace {
 
 /// The standard web-proxy trace as a lazy [`StreamTrace`]: the op
 /// sequence of [`web_trace`] without materializing the request vector —
-/// the form the 10M-file XL2 replay uses.
+/// the form the 10M-file `streaming_replay` uses.
 pub fn web_stream(scale: Scale) -> StreamTrace {
     WebTraceConfig::default()
         .with_unique_files(scale.files)
@@ -77,31 +103,21 @@ pub fn base_config(scale: Scale) -> ExperimentConfig {
     }
 }
 
-/// Formats one experiment's Table 2/3/4-style row.
-pub fn storage_row(label: &str, r: &ExperimentResult) -> Vec<String> {
-    vec![
-        label.to_string(),
-        format!("{:.2}%", r.success_ratio() * 100.0),
-        format!("{:.2}%", (1.0 - r.success_ratio()) * 100.0),
-        format!("{:.2}%", r.file_diversion_ratio() * 100.0),
-        format!("{:.2}%", r.replica_diversion_ratio() * 100.0),
-        format!("{:.1}%", r.final_utilization() * 100.0),
-    ]
-}
+/// A table row whose cells name their column: the header is read off
+/// the first row, so it cannot drift from the cells.
+pub type NamedRow = Vec<(&'static str, String)>;
 
-/// The header matching [`storage_row`].
-pub fn storage_header() -> Vec<String> {
-    [
-        "Config",
-        "Success",
-        "Fail",
-        "File div.",
-        "Replica div.",
-        "Util.",
+/// One experiment's Table 2/3/4-style row.
+pub fn storage_row(label: &str, r: &ExperimentResult) -> NamedRow {
+    let percent = |ratio: f64| format!("{:.2}%", ratio * 100.0);
+    vec![
+        ("Config", label.to_string()),
+        ("Success", percent(r.success_ratio())),
+        ("Fail", percent(1.0 - r.success_ratio())),
+        ("File div.", percent(r.file_diversion_ratio())),
+        ("Replica div.", percent(r.replica_diversion_ratio())),
+        ("Util.", format!("{:.1}%", r.final_utilization() * 100.0)),
     ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect()
 }
 
 /// Prints an aligned text table.
@@ -130,49 +146,32 @@ pub fn print_table(title: &str, header: &[String], rows: &[Vec<String>]) {
     }
 }
 
-/// The directory bench outputs land in: `$PAST_OUT_DIR` when set,
-/// otherwise the tracked defaults (`results/` for CSVs, the working
-/// directory for `BENCH_*.json`). Scratch runs at non-default scales
-/// should set `PAST_OUT_DIR` so they don't dirty the tree.
-pub fn out_dir() -> Option<std::path::PathBuf> {
-    std::env::var_os("PAST_OUT_DIR").map(std::path::PathBuf::from)
-}
-
-/// Resolves the path for a root-level artifact such as
-/// `BENCH_churn.json`, honouring `PAST_OUT_DIR`.
-pub fn artifact_path(name: &str) -> std::path::PathBuf {
-    match out_dir() {
-        Some(dir) => {
-            let _ = std::fs::create_dir_all(&dir);
-            dir.join(name)
-        }
-        None => std::path::PathBuf::from(name),
-    }
-}
-
 /// Writes rows as CSV under `results/<name>.csv` (or
-/// `$PAST_OUT_DIR/<name>.csv`).
-pub fn write_csv(name: &str, header: &[String], rows: &[Vec<String>]) {
-    let dir = out_dir().unwrap_or_else(|| std::path::PathBuf::from("results"));
-    write_csv_in(&dir, name, header, rows);
+/// `$PAST_OUT_DIR/<name>.csv`, so scratch runs at other scales don't
+/// dirty the tree). An error names the path it could not write.
+pub fn write_csv(name: &str, header: &[String], rows: &[Vec<String>]) -> io::Result<()> {
+    let dir =
+        std::env::var_os("PAST_OUT_DIR").map_or_else(|| PathBuf::from("results"), PathBuf::from);
+    let path = dir.join(format!("{name}.csv"));
+    write_csv_at(&path, header, rows)
+        .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", path.display())))?;
+    println!("(wrote {})", path.display());
+    Ok(())
 }
 
-/// Writes rows as `<dir>/<name>.csv`, creating `dir` if need be.
-fn write_csv_in(dir: &std::path::Path, name: &str, header: &[String], rows: &[Vec<String>]) {
-    let _ = std::fs::create_dir_all(dir);
-    let path = dir.join(format!("{name}.csv"));
-    let mut out = match std::fs::File::create(&path) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("warning: cannot write {}: {e}", path.display());
-            return;
-        }
-    };
-    let _ = writeln!(out, "{}", header.join(","));
-    for row in rows {
-        let _ = writeln!(out, "{}", row.join(","));
+/// Writes rows as the CSV file `path`, creating its directory if need
+/// be.
+fn write_csv_at(path: &Path, header: &[String], rows: &[Vec<String>]) -> io::Result<()> {
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir)?;
     }
-    println!("(wrote {})", path.display());
+    let mut body = header.join(",");
+    body.push('\n');
+    for row in rows {
+        body.push_str(&row.join(","));
+        body.push('\n');
+    }
+    std::fs::write(path, body)
 }
 
 /// Progress logger for long runs.
@@ -189,14 +188,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn storage_row_matches_header_shape() {
-        let r = ExperimentResult::default();
-        let row = storage_row("defaults", &r);
-        assert_eq!(row.len(), storage_header().len());
-        assert_eq!(row[0], "defaults");
-        // An empty result renders as all-zero percentages, not NaN.
-        assert_eq!(row[1], "0.00%");
-        assert_eq!(row[5], "0.0%");
+    fn storage_row_of_an_empty_result_is_zeros() {
+        let row = storage_row("defaults", &ExperimentResult::default());
+        assert_eq!(row[0], ("Config", "defaults".to_string()));
+        // All-zero percentages, not NaN.
+        assert_eq!(row[1], ("Success", "0.00%".to_string()));
+        assert_eq!(row[5], ("Util.", "0.0%".to_string()));
     }
 
     #[test]
@@ -204,10 +201,32 @@ mod tests {
         let header: Vec<String> = ["a", "b"].iter().map(|s| s.to_string()).collect();
         let rows = vec![vec!["1".to_string(), "2".to_string()]];
         let dir = std::env::temp_dir().join(format!("past-bench-selftest-{}", std::process::id()));
-        write_csv_in(&dir, "bench_lib_selftest", &header, &rows);
-        let body =
-            std::fs::read_to_string(dir.join("bench_lib_selftest.csv")).expect("csv written");
-        assert_eq!(body, "a,b\n1,2\n");
+        let path = dir.join("bench_lib_selftest.csv");
+        write_csv_at(&path, &header, &rows).expect("csv written");
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "a,b\n1,2\n");
+        // A directory that cannot be created (its parent is that file)
+        // is an error the caller sees, not a warning.
+        assert!(write_csv_at(&path.join("sub/x.csv"), &header, &rows).is_err());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn scale_defaults_to_the_paper_and_one_knob_sets_the_other() {
+        let scale = |n, f| Scale::parse(n, f).map(|s| (s.nodes, s.files));
+        assert_eq!(scale(None, None), Ok((2250, 1_863_055)));
+        assert_eq!(scale(Some("60"), None), Ok((60, 49_800)));
+        assert_eq!(scale(None, Some("373000")), Ok((449, 373_000)));
+        assert_eq!(scale(None, Some("5000")), Ok((10, 5_000)));
+        assert_eq!(scale(Some("450"), Some("373000")), Ok((450, 373_000)));
+    }
+
+    #[test]
+    fn malformed_or_zero_scale_is_rejected() {
+        for bad in ["6O", "", "-3", "0", "1e3", " 60"] {
+            let err = Scale::parse(Some(bad), None).expect_err(bad);
+            assert!(err.contains("PAST_NODES"), "{err}");
+            let err = Scale::parse(Some("60"), Some(bad)).expect_err(bad);
+            assert!(err.contains("PAST_FILES"), "{err}");
+        }
     }
 }

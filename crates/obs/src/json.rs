@@ -1,6 +1,5 @@
 //! Minimal hand-written JSON helpers (no serde; the workspace is
-//! offline and dependency-free by policy — see `churn_availability.rs`
-//! for the original idiom).
+//! offline and dependency-free by policy).
 
 /// Escapes a string for inclusion inside a JSON string literal.
 pub fn escape(s: &str) -> String {

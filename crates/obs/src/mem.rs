@@ -22,7 +22,7 @@
 //! Nothing in this module feeds the deterministic [`crate::Recorder`]
 //! snapshots: RSS varies run-to-run and would break the byte-identical
 //! metrics-JSON contract. Harnesses read these values directly and
-//! report them out-of-band (e.g. `BENCH_perf.json`).
+//! report them out-of-band (`repro streaming_replay` prints them).
 
 /// Reads an integer kB field (e.g. `VmRSS`, `VmHWM`) from
 /// `/proc/self/status`. Returns 0 when the field or file is missing

@@ -17,8 +17,8 @@
 //!   `k × size` for each successful, unreclaimed insert.
 //!
 //! The result is a structured [`InvariantReport`], so tests and the
-//! `churn_availability` benchmark can assert on individual violations
-//! instead of a boolean.
+//! `repro churn_availability` experiment can assert on individual
+//! violations instead of a boolean.
 
 use std::collections::{BTreeSet, HashMap};
 

@@ -59,15 +59,6 @@ pub struct ExperimentConfig {
     /// `n ≥ 1` runs the sharded engine with `n` shards (same seed ⇒
     /// same execution at any shard count; see `past_net::ShardedSim`).
     pub shards: usize,
-    /// Warm restarts: crashed nodes snapshot their state and recover
-    /// from it (validated, probe-bounded) instead of rejoining cold,
-    /// and replica maintenance switches to advertise-then-fetch. Off by
-    /// default — legacy runs stay byte-identical.
-    pub warm_restart: bool,
-    /// Peer-reliability tracking: score peers on acks/timeouts and
-    /// weight diversion-target choice by free space × reliability. Off
-    /// by default.
-    pub track_reliability: bool,
     /// Width of the windowed time-series buckets ([`PastConfig::obs_window`]):
     /// when nonzero (and metrics recording is on), lookup completions,
     /// cache hits, hop counts and per-node served load are additionally
@@ -96,8 +87,6 @@ impl Default for ExperimentConfig {
             topology: TopologyKind::Euclidean,
             seed: 2001,
             shards: 0,
-            warm_restart: false,
-            track_reliability: false,
             obs_window: SimDuration::ZERO,
         }
     }
@@ -127,7 +116,6 @@ impl ExperimentConfig {
             },
             cache_policy: self.cache_policy,
             max_file_diversions: self.max_file_diversions,
-            warm_restart: self.warm_restart,
             obs_window: self.obs_window,
             ..PastConfig::default()
         }
@@ -142,8 +130,6 @@ impl ExperimentConfig {
             leaf_set_size: self.leaf_set_size,
             neighborhood_size: self.leaf_set_size,
             keep_alive_period: SimDuration::ZERO,
-            warm_restart: self.warm_restart,
-            track_reliability: self.track_reliability,
             ..PastryConfig::default()
         }
     }

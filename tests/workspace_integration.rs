@@ -1,15 +1,17 @@
 //! Workspace-level integration tests: exercise the full stack through
 //! the `past` facade — smartcard identities, the Pastry overlay, PAST
 //! storage management, caching and quotas together, plus a smoke of
-//! the churn and sharded planes.
+//! the churn, sharded and flash-crowd planes.
 
 use past::core::{PastConfig, PastEvent, PastNode, PastOverlayNode};
 use past::crypto::{CardIssuer, Scheme};
 use past::net::{Addr, EuclideanTopology, SimDuration, Simulator};
 use past::pastry::{NodeEntry, PastryConfig, PastryNode};
-use past::sim::{run_experiment, ChurnConfig, ChurnRunner, ExperimentConfig, CLIENT};
+use past::sim::{
+    run_experiment, ChurnConfig, ChurnRunner, ExperimentConfig, Runner, TopologyKind, CLIENT,
+};
 use past::store::CachePolicyKind;
-use past::workload::WebTraceConfig;
+use past::workload::{FlashCrowdConfig, WebTraceConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -264,4 +266,53 @@ fn cache_policy_none_matches_store_accounting() {
     let result = run_experiment(cfg, &trace);
     assert!(result.lookups.iter().all(|l| !l.cache_hit));
     assert!(result.lookups.iter().filter(|l| l.found).count() > 0);
+}
+
+#[test]
+fn flash_crowd_is_absorbed_by_route_through_caching() {
+    // The flash-crowd plane, one cell of `repro flash_crowd` with and
+    // without caches: half-way through an open-loop replay four cold
+    // files take half the lookups, and the windowed series say where
+    // they were served.
+    let wl = FlashCrowdConfig::default().with_unique_files(600);
+    let trace = wl.stream();
+    let gap = SimDuration::from_millis(2);
+    let run = |cache_policy| {
+        let cfg = ExperimentConfig {
+            nodes: 60,
+            cache_policy,
+            replay_lookups: true,
+            topology: TopologyKind::Clustered { clusters: 8 },
+            seed: 0xf1a5,
+            obs_window: SimDuration::from_secs(1),
+            ..Default::default()
+        };
+        let r = Runner::build(cfg, &trace)
+            .with_metrics_quiet("flash_crowd_smoke", usize::MAX)
+            .run_pipelined(&trace, gap);
+        let series = r.windows.as_ref().expect("obs_window is set");
+        let total = |name: &str| {
+            series
+                .counters
+                .get(name)
+                .map_or(0, |w| w.values().sum::<u64>())
+        };
+        assert_eq!(total("past.win.lookup"), r.lookups_ok);
+        assert!(r.lookups_ok > 0, "the replay looked files up");
+        let flip_us = r.replay_start_us + wl.flip_index() as u64 * gap.micros();
+        let hot_node_peak = series.node_stats["past.win.served"]
+            .range(flip_us / series.width_us..)
+            .map(|(_, served)| served.max)
+            .max()
+            .expect("windows after the flip");
+        (hot_node_peak, total("past.win.lookup.cached"))
+    };
+    let (gds_peak, gds_cached) = run(CachePolicyKind::GreedyDualSize);
+    let (none_peak, none_cached) = run(CachePolicyKind::None);
+    assert!(gds_cached > 0, "GD-S caches answered lookups");
+    assert_eq!(none_cached, 0, "no cache, no cache hit");
+    assert!(
+        gds_peak < none_peak,
+        "the hot node serves less with route-through caching: {gds_peak} vs {none_peak}"
+    );
 }
