@@ -19,7 +19,7 @@
 
 use std::fmt::Write as _;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use past_sim::{ExperimentConfig, ExperimentResult};
 use past_workload::{FsTraceConfig, StreamTrace, Trace, WebTraceConfig};
@@ -150,9 +150,7 @@ pub fn print_table(title: &str, header: &[String], rows: &[Vec<String>]) {
 /// `$PAST_OUT_DIR/<name>.csv`, so scratch runs at other scales don't
 /// dirty the tree). An error names the path it could not write.
 pub fn write_csv(name: &str, header: &[String], rows: &[Vec<String>]) -> io::Result<()> {
-    let dir =
-        std::env::var_os("PAST_OUT_DIR").map_or_else(|| PathBuf::from("results"), PathBuf::from);
-    let path = dir.join(format!("{name}.csv"));
+    let path = past_sim::out_dir().join(format!("{name}.csv"));
     write_csv_at(&path, header, rows)
         .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", path.display())))?;
     println!("(wrote {})", path.display());

@@ -3,8 +3,8 @@
 //! nodes in the background.
 
 use past_crypto::SharedFileCert;
-use past_id::FileId;
-use past_pastry::NodeEntry;
+use past_id::{FileId, NodeId};
+use past_pastry::{NodeEntry, PastryState};
 
 use crate::events::PastEvent;
 use crate::messages::MsgKind;
@@ -18,6 +18,28 @@ const MAINT_RETRY_BUDGET: u32 = 5;
 const ANTI_ENTROPY_BATCH: usize = 8;
 /// Maximum files pulled per background migration sweep.
 const MIGRATION_BATCH: usize = 4;
+
+/// Whether `node`, a leaf-set member, is among the `k` closest to `key`
+/// *instead of* this node. `candidates` is scratch space.
+///
+/// The newcomer takes this node's place only for keys it is closer to:
+/// if it is among the `k` closest and this node is not, it ranks before
+/// this node. Two distances therefore settle most keys without a
+/// leaf-set scan, and nearly every other key is one this node still
+/// answers for, which needs no candidate list.
+fn displaced_by(
+    pastry: &PastryState,
+    node: NodeId,
+    key: NodeId,
+    k: usize,
+    candidates: &mut Vec<(u128, NodeEntry)>,
+) -> bool {
+    if !node.closer_to(key, pastry.own().id) || pastry.is_among_k_closest(key, k) {
+        return false;
+    }
+    pastry.replica_candidates_into(key, k, candidates);
+    candidates.iter().any(|(_, c)| c.id == node)
+}
 
 impl PastNode {
     /// Sends a maintenance message reliably: enveloped with a sequence
@@ -169,18 +191,8 @@ impl PastNode {
         let mut displaced: Vec<(FileId, SharedFileCert)> = self
             .store
             .primaries()
-            .filter_map(|(id, cert)| {
-                // Nearly every primary is one this node still answers
-                // for; that test needs no candidate list.
-                if ctx.is_among_k_closest(id.as_key(), k) {
-                    return None;
-                }
-                ctx.replica_candidates_into(id.as_key(), k, &mut candidates);
-                candidates
-                    .iter()
-                    .any(|(_, c)| c.id == node.id)
-                    .then(|| (*id, cert.clone()))
-            })
+            .filter(|(id, _)| displaced_by(ctx.pastry(), node.id, id.as_key(), k, &mut candidates))
+            .map(|(id, cert)| (*id, cert.clone()))
             .collect();
         // The store's maps iterate in per-instance random order; batches
         // derived from them are sorted so same-seed runs send identical
@@ -509,6 +521,55 @@ impl PastNode {
         let candidates = ctx.replica_candidates(file_id.as_key(), k);
         if !candidates.iter().any(|c| c.id == holder.id) {
             self.send_to(ctx, holder, MsgKind::MigrationDone { file_id });
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use past_net::Addr;
+    use past_pastry::PastryConfig;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The closer-than-own shortcut in `displaced_by` rejects only
+        /// keys the full test rejects too: a sweep with it selects the
+        /// files a sweep without it selects.
+        #[test]
+        fn prop_shortcut_selects_what_the_leaf_set_scan_selects(
+            own: u128,
+            members: Vec<(u128, bool)>,
+            newcomer: (u128, bool),
+            offsets: Vec<i64>,
+            far_keys: Vec<u128>,
+            k in 1usize..7,
+        ) {
+            let entry = |v: u128, a: u32| NodeEntry::new(NodeId::from_u128(v), Addr(a));
+            let cfg = PastryConfig { leaf_set_size: 8, ..Default::default() };
+            let mut pastry = PastryState::new(entry(own, 0), &cfg);
+            // Half the ids are drawn near the node, so that sides fill
+            // up and the newcomer competes for a place in them.
+            let place = |(v, near): (u128, bool)| if near { own.wrapping_add(v >> 100) } else { v };
+            for (i, m) in members.into_iter().enumerate() {
+                pastry.on_node_seen(entry(place(m), i as u32 + 1), 1.0);
+            }
+            let newcomer = place(newcomer);
+            pastry.on_node_seen(entry(newcomer, u32::MAX), 1.0);
+            let node = NodeId::from_u128(newcomer);
+            // Keys around the node and the newcomer, where replica sets
+            // change hands, and anywhere on the ring.
+            let keys = offsets
+                .iter()
+                .flat_map(|o| [own.wrapping_add(*o as u128), newcomer.wrapping_add(*o as u128)])
+                .chain(far_keys)
+                .map(NodeId::from_u128);
+            let mut candidates = Vec::new();
+            for key in keys {
+                let scanned = !pastry.is_among_k_closest(key, k)
+                    && pastry.replica_candidates(key, k).iter().any(|c| c.id == node);
+                prop_assert_eq!(displaced_by(&pastry, node, key, k, &mut candidates), scanned);
+            }
         }
     }
 }

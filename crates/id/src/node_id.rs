@@ -25,7 +25,14 @@ pub const NODE_ID_BYTES: usize = 16;
 /// identifier: PAST stores a file on the `k` nodes whose nodeIds are
 /// numerically closest to the 128 most significant bits of the fileId
 /// (see [`crate::FileId::as_key`]).
+///
+/// Stored at 8-byte alignment: a `u128` is 16-byte aligned on x86-64,
+/// which pads every record that holds an id beside a 4-byte address
+/// (a `NodeEntry` is 24 bytes this way, not 32). The derives copy the
+/// field out by value, so order, equality and the single `write_u128`
+/// into a hasher are those of the raw `u128`.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+#[repr(Rust, packed(8))]
 pub struct NodeId(u128);
 
 impl NodeId {
@@ -155,13 +162,13 @@ impl NodeId {
 
 impl fmt::Debug for NodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "NodeId({:032x})", self.0)
+        write!(f, "NodeId({:032x})", self.as_u128())
     }
 }
 
 impl fmt::Display for NodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:032x}", self.0)
+        write!(f, "{:032x}", self.as_u128())
     }
 }
 
@@ -260,6 +267,27 @@ mod tests {
         for _ in 0..64 {
             let id = NodeId::random(&mut rng);
             assert_eq!(NodeId::from_bytes(id.to_bytes()), id);
+        }
+    }
+
+    #[test]
+    fn stored_at_eight_byte_alignment_and_otherwise_a_u128() {
+        use std::hash::{Hash, Hasher};
+        assert_eq!(std::mem::size_of::<NodeId>(), NODE_ID_BYTES);
+        assert_eq!(std::mem::align_of::<NodeId>(), 8);
+        // Order, text and hash stream are the raw value's.
+        let raw = [0, 1, 0xdead_beef, 1 << 64, (1 << 64) + 1, 1 << 127, u128::MAX];
+        for (a, b) in raw.iter().flat_map(|a| raw.iter().map(move |b| (*a, *b))) {
+            assert_eq!(NodeId::from_u128(a).cmp(&NodeId::from_u128(b)), a.cmp(&b));
+        }
+        for v in raw {
+            let id = NodeId::from_u128(v);
+            assert_eq!(format!("{id}"), format!("{v:032x}"));
+            assert_eq!(format!("{id:?}"), format!("NodeId({v:032x})"));
+            let (mut by_id, mut by_raw) = (crate::IdHasher::default(), crate::IdHasher::default());
+            id.hash(&mut by_id);
+            v.hash(&mut by_raw);
+            assert_eq!(by_id.finish(), by_raw.finish());
         }
     }
 

@@ -2,7 +2,7 @@
 //!
 //! A binary heap sifts its entries by value, so an entry that carries the
 //! message inline makes every level of every push and pop a copy of the
-//! whole message (an `Envelope<PastMsg>` is 240 bytes; the heap is 13
+//! whole message (an `Envelope<PastMsg>` is 176 bytes; the heap is 13
 //! levels deep at an 8k-event backlog). Here the heaps hold only what
 //! ordering needs:
 //!

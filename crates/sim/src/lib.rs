@@ -25,5 +25,5 @@ pub use churn::{ChurnConfig, ChurnRunner, InvariantReport, UnderReplicated, CLIE
 pub use config::{ExperimentConfig, TopologyKind};
 pub use engine::Engine;
 pub use metrics::{ExperimentResult, InsertRecord, LookupRecord, NodeWindowStat, WindowSeries};
-pub use report::write_metrics_file;
+pub use report::{out_dir, write_metrics_file};
 pub use runner::{run_experiment, Runner};

@@ -3,10 +3,15 @@
 use std::io::Write;
 use std::path::PathBuf;
 
-/// Writes a metrics report document under `results/` (or
-/// `$PAST_OUT_DIR` when set, so scratch runs don't overwrite tracked
-/// artifacts), creating the directory if needed. The label is
-/// sanitized to a filename-safe subset. Returns the path written.
+/// Where a run's artifacts go: `results/`, or `$PAST_OUT_DIR` when set,
+/// so scratch runs don't overwrite tracked artifacts.
+pub fn out_dir() -> PathBuf {
+    std::env::var_os("PAST_OUT_DIR").map_or_else(|| PathBuf::from("results"), PathBuf::from)
+}
+
+/// Writes a metrics report document under [`out_dir`], creating the
+/// directory if needed. The label is sanitized to a filename-safe
+/// subset. Returns the path written.
 pub fn write_metrics_file(label: &str, json: &str) -> std::io::Result<PathBuf> {
     let safe: String = label
         .chars()
@@ -18,9 +23,7 @@ pub fn write_metrics_file(label: &str, json: &str) -> std::io::Result<PathBuf> {
             }
         })
         .collect();
-    let dir = std::env::var_os("PAST_OUT_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("results"));
+    let dir = out_dir();
     std::fs::create_dir_all(&dir)?;
     let path = dir.join(format!("metrics_{safe}.json"));
     let mut f = std::fs::File::create(&path)?;

@@ -5,18 +5,32 @@
 
 use std::mem::size_of;
 
-use past_id::FileId;
-use past_pastry::NodeEntry;
+use past_core::{PastMsg, ReqId};
+use past_pastry::{Envelope, NodeEntry, RouteCell};
 use past_sim::{ExperimentConfig, Runner};
 use past_store::{BackupPointer, Pointer};
 use past_workload::WebTraceConfig;
 
-/// One diverted replica is one map bucket at A and one at C. Held as
-/// six maps in two crates, the same state was 160 + 144 B of buckets.
+/// A node id is stored at 8-byte alignment, so a record that holds one
+/// beside a 4-byte address or a sequence number carries no 16-byte
+/// padding: these are the sizes DESIGN.md's per-record table multiplies.
+#[test]
+fn records_that_hold_a_node_id_are_not_padded_to_sixteen() {
+    assert_eq!(size_of::<NodeEntry>(), 24);
+    assert!(size_of::<ReqId>() <= 32);
+    // A routing-table row is 16 of these: 640 B, not 1,024.
+    assert!(size_of::<Option<RouteCell>>() <= 40);
+    assert!(size_of::<Envelope<PastMsg>>() <= 176);
+}
+
+/// One diverted replica is one table record at A and one at C, each
+/// found by the certificate it holds (no second copy of the file's id).
+/// Held as six maps in two crates, the same state was 160 + 144 B of
+/// buckets; as two maps keyed by `FileId`, 128 + 112 B.
 #[test]
 fn a_diversion_is_two_records() {
-    assert!(size_of::<(FileId, Pointer<NodeEntry>)>() <= 128);
-    assert!(size_of::<(FileId, BackupPointer<NodeEntry>)>() <= 112);
+    assert!(size_of::<Pointer<NodeEntry>>() <= 72);
+    assert!(size_of::<BackupPointer<NodeEntry>>() <= 64);
 }
 
 #[test]

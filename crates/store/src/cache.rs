@@ -19,22 +19,39 @@
 //! & Roychowdhury (arXiv cs/0210010) serves as a stateless-replacement
 //! baseline for the flash-crowd study.
 
+// `Resident::stamp` is a `Cell` inside a set element; the set's `Hash`
+// and `Eq` read `cert.file_id` alone (`ByCert`), never the stamp.
+#![allow(clippy::mutable_key_type)]
+
+use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use past_crypto::SharedFileCert;
+use past_crypto::{FileCertificate, SharedFileCert};
 use past_id::{FileId, IdHashMap};
 
-/// Everything the cache keeps about one resident file: one record in
-/// one map, so a probe touches one bucket.
+use crate::table::{ByCert, FileTable};
+
+/// Everything the cache keeps about one resident file: one 16-byte
+/// record in one table, so a probe touches one bucket. The file's id and
+/// size are the certificate's.
 #[derive(Debug)]
 struct Resident {
-    size: u64,
-    /// Touch sequence of this file's live entry in the order heap
-    /// (GD-S and LRU; unused by the other policies).
-    stamp: u64,
+    /// Where the policy keeps this file: under GD-S and LRU the touch
+    /// sequence of its live entry in the order heap, under
+    /// PopularityRandom its position in `slots`. A `Cell`, because the
+    /// table is a set and a touch restamps the record in place; the
+    /// table hashes and compares `cert.file_id` alone, which never
+    /// changes while the record is in it.
+    stamp: Cell<u64>,
     /// The file's certificate, so a cache hit can serve the file.
     cert: SharedFileCert,
+}
+
+impl AsRef<FileCertificate> for Resident {
+    fn as_ref(&self) -> &FileCertificate {
+        &self.cert
+    }
 }
 
 /// An order-heap entry: `(weight bits, touch sequence, file)`, smallest
@@ -136,41 +153,65 @@ enum PolicyState {
         /// Requests observed per file (probes and insert offers),
         /// saturating. Grows with the node's working set.
         seen: IdHashMap<FileId, u32>,
-        /// Residents in arbitrary order, for O(1) uniform victim choice.
+        /// Residents in arbitrary order, for O(1) uniform victim choice;
+        /// each resident's `stamp` is its position here.
         slots: Vec<FileId>,
-        /// Position of each resident in `slots`.
-        pos: IdHashMap<FileId, u32>,
     },
     None,
 }
 
 impl PolicyState {
     /// Ranks a file that was just admitted or referenced: pushes a fresh
-    /// order entry weighing `L + benefit` and returns its touch sequence,
-    /// the stamp that makes it the file's live entry. Popularity tracking
-    /// happens in `note_request` and eviction there is uniform, so under
-    /// the unranked policies a touch carries no information.
-    fn rank(&mut self, id: FileId, benefit: f64) -> u64 {
+    /// order entry weighing `L + benefit` and stamps the resident with
+    /// its touch sequence, which makes it the file's live entry.
+    /// Popularity tracking happens in `note_request` and eviction there
+    /// is uniform, so under the unranked policies a touch carries no
+    /// information.
+    fn rank(&mut self, r: &Resident, benefit: f64) {
         let PolicyState::Ranked {
             inflation,
             seq,
             order,
         } = self
         else {
-            return 0;
+            return;
         };
         let h = *inflation + benefit;
         // `to_bits` orders finite non-negative floats as `total_cmp` does.
         debug_assert!(h.is_finite() && h.is_sign_positive(), "weight {h}");
         *seq += 1;
-        order.push(Reverse((h.to_bits(), *seq, id)));
-        *seq
+        order.push(Reverse((h.to_bits(), *seq, r.cert.file_id)));
+        r.stamp.set(*seq);
     }
+
+    /// Places a newly admitted file: PopularityRandom gives it the next
+    /// slot, the ranked policies their first order entry.
+    fn place(&mut self, r: &Resident, benefit: f64) {
+        match self {
+            PolicyState::PopRandom { slots, .. } => {
+                r.stamp.set(slots.len() as u64);
+                slots.push(r.cert.file_id);
+            }
+            _ => self.rank(r, benefit),
+        }
+    }
+}
+
+/// PopularityRandom: frees slot `i` and returns the file that held it.
+/// `swap_remove` moves the last resident into the gap, so that one is
+/// restamped with its new position.
+fn vacate(slots: &mut Vec<FileId>, residents: &FileTable<Resident>, i: usize) -> FileId {
+    let id = slots.swap_remove(i);
+    if let Some(moved) = slots.get(i) {
+        let ByCert(r) = residents.get(moved).expect("slots and residents in sync");
+        r.stamp.set(i as u64);
+    }
+    id
 }
 
 /// A size-bounded file cache with pluggable replacement policy.
 ///
-/// The cache holds one record per resident file (size, certificate and
+/// The cache holds one record per resident file (its certificate and
 /// its place in the replacement order); actual content lives with the
 /// simulation's file registry. Its capacity is managed by the
 /// surrounding [`crate::NodeStore`]: replicas take precedence, and the
@@ -179,7 +220,7 @@ impl PolicyState {
 #[derive(Debug)]
 pub struct Cache {
     kind: CachePolicyKind,
-    residents: IdHashMap<FileId, Resident>,
+    residents: FileTable<Resident>,
     used: u64,
     policy: PolicyState,
     hits: u64,
@@ -201,13 +242,12 @@ impl Cache {
                 rng: POPRAND_SEED,
                 seen: IdHashMap::default(),
                 slots: Vec::new(),
-                pos: IdHashMap::default(),
             },
             CachePolicyKind::None => PolicyState::None,
         };
         Cache {
             kind,
-            residents: IdHashMap::default(),
+            residents: FileTable::default(),
             used: 0,
             policy,
             hits: 0,
@@ -239,12 +279,12 @@ impl Cache {
 
     /// Whether `id` is cached.
     pub fn contains(&self, id: FileId) -> bool {
-        self.residents.contains_key(&id)
+        self.residents.contains(&id)
     }
 
     /// The certificate of a cached file.
     pub fn cert(&self, id: FileId) -> Option<&SharedFileCert> {
-        self.residents.get(&id).map(|r| &r.cert)
+        self.residents.get(&id).map(|r| &r.0.cert)
     }
 
     /// (hits, misses, insertions, evictions) so far.
@@ -256,10 +296,10 @@ impl Cache {
     /// statistics. Returns the file size if present.
     pub fn probe(&mut self, id: FileId) -> Option<u64> {
         self.note_request(id);
-        match self.residents.get_mut(&id) {
-            Some(r) => {
-                let size = r.size;
-                r.stamp = self.policy.rank(id, benefit(self.kind, size));
+        match self.residents.get(&id) {
+            Some(ByCert(r)) => {
+                let size = r.cert.file_size;
+                self.policy.rank(r, benefit(self.kind, size));
                 self.hits += 1;
                 past_obs::counter(self.metric_name(CacheEvent::Hit), 1);
                 self.compact();
@@ -336,16 +376,22 @@ impl Cache {
         }
         let (id, size) = (cert.file_id, cert.file_size);
         self.note_request(id);
-        if let Some(r) = self.residents.get_mut(&id) {
-            // Refresh from the *stored* size: a caller-supplied size that
-            // disagreed would desynchronize the GDS weight from the byte
-            // accounting in `used`.
+        if let Some(ByCert(old)) = self.residents.get(&id) {
+            // A certificate of another size for the same id would
+            // desynchronize the GDS weight from the byte accounting in
+            // `used`.
             debug_assert_eq!(
-                r.size, size,
+                old.cert.file_size, size,
                 "cached size for re-inserted id drifted from the caller's"
             );
-            r.cert = cert.clone();
-            r.stamp = self.policy.rank(id, benefit(self.kind, r.size));
+            // The refreshed record keeps the certificate it was offered
+            // and, under PopularityRandom, the slot it already has.
+            let r = Resident {
+                stamp: old.stamp.clone(),
+                cert: cert.clone(),
+            };
+            self.policy.rank(&r, benefit(self.kind, size));
+            self.residents.replace(ByCert(r));
             self.compact();
             return true;
         }
@@ -354,20 +400,13 @@ impl Cache {
         }
         while self.used + size > budget && self.evict_one().is_some() {}
         debug_assert!(self.used + size <= budget);
-        let stamp = self.policy.rank(id, benefit(self.kind, size));
-        self.residents.insert(
-            id,
-            Resident {
-                size,
-                stamp,
-                cert: cert.clone(),
-            },
-        );
+        let r = Resident {
+            stamp: Cell::new(0),
+            cert: cert.clone(),
+        };
+        self.policy.place(&r, benefit(self.kind, size));
+        self.residents.insert(ByCert(r));
         self.used += size;
-        if let PolicyState::PopRandom { slots, pos, .. } = &mut self.policy {
-            pos.insert(id, slots.len() as u32);
-            slots.push(id);
-        }
         self.insertions += 1;
         past_obs::counter(self.metric_name(CacheEvent::Insert), 1);
         self.compact();
@@ -383,18 +422,12 @@ impl Cache {
 
     /// Removes a specific file (e.g. it became a primary replica here).
     pub fn remove(&mut self, id: FileId) -> bool {
-        let Some(r) = self.residents.remove(&id) else {
+        let Some(ByCert(r)) = self.residents.take(&id) else {
             return false;
         };
-        self.used -= r.size;
-        if let PolicyState::PopRandom { slots, pos, .. } = &mut self.policy {
-            if let Some(i) = pos.remove(&id) {
-                let i = i as usize;
-                slots.swap_remove(i);
-                if let Some(moved) = slots.get(i).copied() {
-                    pos.insert(moved, i as u32);
-                }
-            }
+        self.used -= r.cert.file_size;
+        if let PolicyState::PopRandom { slots, .. } = &mut self.policy {
+            vacate(slots, &self.residents, r.stamp.get() as usize);
         }
         self.compact();
         true
@@ -407,33 +440,26 @@ impl Cache {
                 inflation, order, ..
             } => loop {
                 let Reverse((bits, seq, id)) = order.pop()?;
-                if self.residents.get(&id).is_some_and(|r| r.stamp == seq) {
+                if self.residents.get(&id).is_some_and(|r| r.0.stamp.get() == seq) {
                     // GreedyDual aging: L rises to the victim's weight.
                     *inflation = f64::from_bits(bits);
                     break id;
                 }
             },
-            PolicyState::PopRandom {
-                rng, slots, pos, ..
-            } => {
+            PolicyState::PopRandom { rng, slots, .. } => {
                 if slots.is_empty() {
                     return None;
                 }
                 let i = (splitmix64(rng) % slots.len() as u64) as usize;
-                let id = slots.swap_remove(i);
-                pos.remove(&id);
-                if let Some(moved) = slots.get(i).copied() {
-                    pos.insert(moved, i as u32);
-                }
-                id
+                vacate(slots, &self.residents, i)
             }
             PolicyState::None => return None,
         };
-        let r = self
+        let ByCert(r) = self
             .residents
-            .remove(&victim)
+            .take(&victim)
             .expect("policy and residents in sync");
-        self.used -= r.size;
+        self.used -= r.cert.file_size;
         self.evictions += 1;
         past_obs::counter(self.metric_name(CacheEvent::Evict), 1);
         Some(victim)
@@ -450,7 +476,7 @@ impl Cache {
             if order.len() > 2 * self.residents.len() + 64 {
                 let residents = &self.residents;
                 order.retain(|Reverse((_, seq, id))| {
-                    residents.get(id).is_some_and(|r| r.stamp == *seq)
+                    residents.get(id).is_some_and(|r| r.0.stamp.get() == *seq)
                 });
             }
         }
@@ -835,9 +861,17 @@ mod tests {
                         3 => { c.remove(fid(*id as u32)); }
                         _ => { c.shrink_to(sized(*id) * 2); }
                     }
-                    let sum: u64 = c.residents.values().map(|r| r.size).sum();
+                    let sum: u64 = c.residents.iter().map(|r| r.0.cert.file_size).sum();
                     prop_assert_eq!(c.used(), sum);
                     prop_assert!(c.used() <= 4096);
+                    // PopularityRandom: every resident's stamp is its slot.
+                    if let PolicyState::PopRandom { slots, .. } = &c.policy {
+                        prop_assert_eq!(slots.len(), c.len());
+                        for (i, id) in slots.iter().enumerate() {
+                            let stamp = c.residents.get(id).map(|r| r.0.stamp.get());
+                            prop_assert_eq!(stamp, Some(i as u64));
+                        }
+                    }
                 }
             }
         }

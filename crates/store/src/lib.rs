@@ -14,6 +14,7 @@
 
 mod cache;
 mod store;
+mod table;
 
 pub use cache::{Cache, CacheEvent, CachePolicyKind};
 pub use store::{

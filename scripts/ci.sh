@@ -11,7 +11,8 @@
 #   3. cargo test --workspace
 #   4. cargo clippy -D warnings
 #   5. cargo doc -D warnings
-#   6. pastbench's own tests (benchmark/, a package of its own)
+#   6. pastbench's own tests (benchmark/, a package of its own), and
+#      the layout guards in the profile pastbench measures
 #   7. repro: every experiment at smoke scale, twice, asserts on
 #   8. the count-alloc feature build
 set -euo pipefail
@@ -48,6 +49,11 @@ echo "== pastbench (helpers, BENCHMARK.json contract, --smoke run of all four wo
 # engine change that breaks `repetitions_identical` or
 # `ops_attempted_once` fails here, before the driver sees it (~7 s).
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
+# pastbench measures a release build, and the footprint guards and the
+# file-table model check are statements about layout: hold them in that
+# profile too, not only in stage 3's debug build.
+cargo test -q --release --offline -p past-store
+cargo test -q --release --offline -p past-sim --test footprint
 
 echo "== repro (every experiment at smoke scale, twice)"
 # One binary regenerates Tables 1-4, Figures 2-8, the ablations and the
