@@ -27,13 +27,13 @@ use past_bench::{
     base_config, fs_trace, print_table, progress_logger, storage_row, web_stream, web_trace,
     write_csv, NamedRow, Scale,
 };
-use past_core::{PastConfig, PastEvent, PastNode, PastOverlayNode};
-use past_crypto::{KeyPair, Scheme};
-use past_net::{Addr, EuclideanTopology, FaultPlan, SimDuration, Simulator};
+use past_core::{PastConfig, PastEvent};
+use past_net::{Addr, EuclideanTopology, FaultPlan, SimDuration};
 use past_obs::mem;
-use past_pastry::{NodeEntry, PastryNode};
+use past_pastry::Reliability;
 use past_sim::{
-    ChurnConfig, ChurnRunner, ExperimentConfig, ExperimentResult, Runner, TopologyKind,
+    ChurnConfig, ChurnRunner, Engine, ExperimentConfig, ExperimentResult, Overlay, Runner,
+    TopologyKind,
 };
 use past_store::CachePolicyKind;
 use past_workload::{CapacityDistribution, FlashCrowdConfig, MB};
@@ -643,46 +643,25 @@ fn render_pastry_props(e: &Experiment, scale: Scale, _: Vec<Vec<Table>>) -> Vec<
     let n = scale.nodes;
     let mut seeder = StdRng::seed_from_u64(31);
     let topo = EuclideanTopology::random(n, &mut seeder);
-    let mut sim: Simulator<PastOverlayNode> = Simulator::new(Box::new(topo), 32);
     let past_cfg = PastConfig {
         cache_policy: CachePolicyKind::None,
         ..Default::default()
     };
-    let pastry_cfg = ExperimentConfig::default().pastry_config();
     eprintln!("pastry_props: building {n}-node overlay ...");
-    for i in 0..n {
-        let keys = KeyPair::generate(Scheme::Keyed, &mut seeder);
-        let id = past_crypto::derive_node_id(&keys.public());
-        let addr = Addr(i as u32);
-        let app = PastNode::new(past_cfg.clone(), keys, u64::MAX / 4, u64::MAX / 2);
-        let bootstrap = (i > 0).then(|| Addr(seeder.gen_range(0..i) as u32));
-        sim.add_node(
-            addr,
-            PastryNode::new(pastry_cfg.clone(), NodeEntry::new(id, addr), app, bootstrap),
-        );
-        sim.run_until_idle();
-    }
+    let mut overlay = Overlay::build(
+        Engine::build(Box::new(topo), 32, 0),
+        &ExperimentConfig::default().pastry_config(),
+        &past_cfg,
+        &vec![u64::MAX / 4; n],
+        &mut seeder,
+    );
     let mut file_ids = Vec::new();
     let mut rng = StdRng::seed_from_u64(77);
     for f in 0..500 {
         let from = Addr(rng.gen_range(0..n) as u32);
-        let name = format!("props{f}");
-        sim.invoke(from, move |node, ctx| {
-            node.invoke_app(ctx, |app, actx| {
-                app.insert(actx, &name, 1024);
-            });
-        });
-        sim.run_until_idle();
-        for (_, _, event) in sim.drain_upcalls() {
-            if let PastEvent::InsertDone {
-                file_id,
-                success: true,
-                ..
-            } = event
-            {
-                file_ids.push(file_id);
-            }
-        }
+        overlay.insert(from, &format!("props{f}"), 1024);
+        overlay.engine.run_until_idle();
+        file_ids.extend(overlay.drain_inserted().map(|(fid, _)| fid));
     }
     eprintln!(
         "pastry_props: {} files inserted; issuing lookups ...",
@@ -692,14 +671,9 @@ fn render_pastry_props(e: &Experiment, scale: Scale, _: Vec<Vec<Table>>) -> Vec<
     let mut total_hops = 0u64;
     let mut lookups = 0u64;
     for (i, &fid) in file_ids.iter().enumerate() {
-        let from = Addr(((i * 37) % n) as u32);
-        sim.invoke(from, move |node, ctx| {
-            node.invoke_app(ctx, |app, actx| {
-                app.lookup(actx, fid);
-            });
-        });
-        sim.run_until_idle();
-        for (_, _, event) in sim.drain_upcalls() {
+        overlay.lookup(Addr(((i * 37) % n) as u32), fid);
+        overlay.engine.run_until_idle();
+        for (_, _, event) in overlay.drain_upcalls() {
             if let PastEvent::LookupDone {
                 found: true, hops, ..
             } = event
@@ -841,9 +815,10 @@ fn restart_run(mtbf_s: u64, warm: bool) -> RestartRun {
         seed: 7000 + mtbf_s,
         ..Default::default()
     };
-    cfg.past.warm_restart = warm;
     cfg.pastry.warm_restart = warm;
-    cfg.pastry.track_reliability = warm;
+    if warm {
+        cfg.pastry.reliability = Reliability::Track;
+    }
     // 300 s of churn with 30 s mean downtime (well past the 15 s
     // failure detector, so every outage is noticed) and no message
     // loss. The long window is what separates the modes: at mtbf 60 s
@@ -936,8 +911,7 @@ fn render_byzantine_audit(e: &Experiment, _: Scale, _: Vec<Vec<Table>>) -> Vec<T
                 cfg.past.audit_period = SimDuration::from_secs(10);
                 cfg.past.audit_timeout = SimDuration::from_secs(2);
                 cfg.past.verify_lookup_content = true;
-                cfg.pastry.track_reliability = true;
-                cfg.pastry.demote_unreliable = true;
+                cfg.pastry.reliability = Reliability::TrackAndDemote;
             }
             let mut r = ChurnRunner::build(cfg);
             assert!(

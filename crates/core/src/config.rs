@@ -41,19 +41,10 @@ pub struct PastConfig {
     /// the default, because the periodic timer keeps the event queue
     /// non-empty, which static experiments driving the simulator with
     /// `run_until_idle` cannot tolerate. Bounded (`run_for`) churn
-    /// experiments enable it.
+    /// experiments enable it. Under `PastryConfig::warm_restart` the
+    /// sweep ships certificates and receivers fetch what they miss,
+    /// instead of re-shipping whole replicas.
     pub anti_entropy_period: SimDuration,
-    /// Warm-restart mode for the storage layer: the application payload
-    /// of the Pastry snapshot carries the node's file inventory and
-    /// quota ledger; on recovery the node validates it against its
-    /// store and re-advertises its replicas to the current coordinator
-    /// (cheap certificates instead of full re-replication), and the
-    /// anti-entropy sweep switches from re-shipping whole replicas to
-    /// advertise-then-fetch. Also enables deterministic over-replication
-    /// reconciliation (the farthest holder drops). Off by default so
-    /// legacy runs stay byte-identical; pair with
-    /// `PastryConfig::warm_restart`.
-    pub warm_restart: bool,
     /// Period of the sampled storage-audit sweep: each sweep the node
     /// challenges a sampled replica holder per audited file to prove
     /// possession via SHA-1(file ‖ nonce) (LOCKSS-style rate-limited
@@ -94,7 +85,6 @@ impl Default for PastConfig {
             migration_period: SimDuration::ZERO,
             maint_ack_timeout: SimDuration::from_secs(2),
             anti_entropy_period: SimDuration::ZERO,
-            warm_restart: false,
             audit_period: SimDuration::ZERO,
             audit_timeout: SimDuration::from_secs(2),
             verify_lookup_content: false,

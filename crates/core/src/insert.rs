@@ -199,11 +199,11 @@ impl PastNode {
     /// are tried optimistically. Different replica holders de-collide by
     /// offsetting their pick with their rank in the replica set.
     ///
-    /// With `track_reliability` on, the ordering becomes free space ×
-    /// decayed peer reliability, so both insert-time diversions and the
-    /// §3.5 maintenance re-creations (which reuse this chooser with no
-    /// coordinator) prefer targets that have been answering their
-    /// maintenance acks.
+    /// With `PastryConfig::reliability` tracking, the ordering becomes
+    /// free space × decayed peer reliability, so both insert-time
+    /// diversions and the §3.5 maintenance re-creations (which reuse
+    /// this chooser with no coordinator) prefer targets that have been
+    /// answering their maintenance acks.
     pub(crate) fn pick_diversion_target(
         &self,
         ctx: &mut PCtx<'_, '_>,
@@ -216,7 +216,7 @@ impl PastNode {
         // Under reliability tracking the score is free × reliability (u128:
         // the optimistic u64::MAX times 1000 milli-units must not wrap).
         // Each score is computed once; ties keep leaf-set order.
-        let track = ctx.config().track_reliability;
+        let track = ctx.config().reliability.tracks();
         let mut eligible: Vec<(Reverse<u128>, usize, NodeEntry)> = ctx
             .pastry()
             .leaf_set()

@@ -93,13 +93,13 @@ impl PastNode {
     /// always run (plain integers, invisible to legacy metrics); the
     /// obs counters are emitted only in warm-restart mode so existing
     /// metrics reports stay byte-identical.
-    pub(crate) fn count_maint_bytes(&mut self, bytes: u64, refresh: bool) {
+    pub(crate) fn count_maint_bytes(&mut self, ctx: &PCtx<'_, '_>, bytes: u64, refresh: bool) {
         if refresh {
             self.maint_stats.bytes_refresh += bytes;
         } else {
             self.maint_stats.bytes_rereplication += bytes;
         }
-        if self.cfg.warm_restart && past_obs::is_enabled() {
+        if ctx.config().warm_restart && past_obs::is_enabled() {
             past_obs::counter(
                 if refresh {
                     "maint.bytes.refresh"
@@ -248,7 +248,7 @@ impl PastNode {
         }
         to_restore.sort_by_key(|(_, cert)| cert.file_id);
         for (node, cert) in to_restore {
-            self.count_maint_bytes(cert.file_size, false);
+            self.count_maint_bytes(ctx, cert.file_size, false);
             self.send_maint(ctx, node, MsgKind::ReplicaTransfer { cert });
         }
         // (b) A→B pointers whose holder B failed: the diverted replica is
@@ -320,7 +320,7 @@ impl PastNode {
         }
         if let Some(replica) = self.store.replica(file_id) {
             let cert = replica.cert.clone();
-            self.count_maint_bytes(cert.file_size, refresh);
+            self.count_maint_bytes(ctx, cert.file_size, refresh);
             self.send_maint(ctx, from, MsgKind::ReplicaTransfer { cert });
         }
     }
@@ -344,7 +344,7 @@ impl PastNode {
             // outside the current replica set (i.e. farther than every
             // candidate) is told to drop; its own `on_migration_done`
             // re-checks standing before doing so.
-            if self.cfg.warm_restart {
+            if ctx.config().warm_restart {
                 let k = self.cfg.k as usize;
                 let candidates = ctx.replica_candidates(file_id.as_key(), k);
                 if !candidates.iter().any(|c| c.id == from.id) {
@@ -461,7 +461,7 @@ impl PastNode {
                 if node.id == own.id {
                     continue;
                 }
-                if self.cfg.warm_restart {
+                if ctx.config().warm_restart {
                     // Advertise-then-fetch: ship the certificate, not
                     // the file. Receivers that miss the replica pull it
                     // (`FetchReplica { refresh: true }`); receivers that
@@ -476,7 +476,7 @@ impl PastNode {
                         },
                     );
                 } else {
-                    self.count_maint_bytes(cert.file_size, true);
+                    self.count_maint_bytes(ctx, cert.file_size, true);
                     self.send_maint(ctx, node, MsgKind::ReplicaTransfer { cert: cert.clone() });
                 }
             }

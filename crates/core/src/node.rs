@@ -283,6 +283,22 @@ impl PastNode {
         ctx.send_app(to.addr, m);
     }
 
+    /// Arms the timer of each periodic sweep among `tokens` whose period
+    /// is nonzero: all three when the node joins or restarts warm, its
+    /// own when a sweep has run.
+    fn arm_sweeps(&self, ctx: &mut PCtx<'_, '_>, tokens: impl IntoIterator<Item = u64>) {
+        for token in tokens {
+            let period = match token {
+                MIGRATION_TOKEN => self.cfg.migration_period,
+                ANTI_ENTROPY_TOKEN => self.cfg.anti_entropy_period,
+                _ => self.cfg.audit_period,
+            };
+            if period.micros() > 0 {
+                ctx.set_app_timer(period, token);
+            }
+        }
+    }
+
     /// Records a peer's advertised free space. Free-space info is only
     /// ever consulted for current leaf-set members (diversion targeting,
     /// §3.3), so advertisements from other correspondents — e.g. the
@@ -1032,15 +1048,7 @@ impl Application for PastNode {
     }
 
     fn on_joined(&mut self, ctx: &mut PCtx<'_, '_>) {
-        if self.cfg.migration_period.micros() > 0 {
-            ctx.set_app_timer(self.cfg.migration_period, MIGRATION_TOKEN);
-        }
-        if self.cfg.anti_entropy_period.micros() > 0 {
-            ctx.set_app_timer(self.cfg.anti_entropy_period, ANTI_ENTROPY_TOKEN);
-        }
-        if self.cfg.audit_period.micros() > 0 {
-            ctx.set_app_timer(self.cfg.audit_period, AUDIT_SWEEP_TOKEN);
-        }
+        self.arm_sweeps(ctx, MIGRATION_TOKEN..=AUDIT_SWEEP_TOKEN);
     }
 
     fn snapshot(&self) -> Vec<u8> {
@@ -1048,21 +1056,10 @@ impl Application for PastNode {
     }
 
     fn on_restore(&mut self, ctx: &mut PCtx<'_, '_>, payload: &[u8]) {
-        if !self.cfg.warm_restart {
-            return;
-        }
         // The periodic sweeps' timer chains broke while the node was
         // down (timers addressed to a down node are discarded); re-arm
         // them so a warm-restarted node resumes background repair.
-        if self.cfg.migration_period.micros() > 0 {
-            ctx.set_app_timer(self.cfg.migration_period, MIGRATION_TOKEN);
-        }
-        if self.cfg.anti_entropy_period.micros() > 0 {
-            ctx.set_app_timer(self.cfg.anti_entropy_period, ANTI_ENTROPY_TOKEN);
-        }
-        if self.cfg.audit_period.micros() > 0 {
-            ctx.set_app_timer(self.cfg.audit_period, AUDIT_SWEEP_TOKEN);
-        }
+        self.arm_sweeps(ctx, MIGRATION_TOKEN..=AUDIT_SWEEP_TOKEN);
         let inventory = match Self::decode_inventory(payload) {
             Some(v) => v,
             None => return,
@@ -1093,14 +1090,10 @@ impl Application for PastNode {
     fn on_app_timer(&mut self, ctx: &mut PCtx<'_, '_>, token: u64) {
         if token == MIGRATION_TOKEN {
             self.migration_sweep(ctx);
-            if self.cfg.migration_period.micros() > 0 {
-                ctx.set_app_timer(self.cfg.migration_period, MIGRATION_TOKEN);
-            }
+            self.arm_sweeps(ctx, [token]);
         } else if token == ANTI_ENTROPY_TOKEN {
             self.anti_entropy_sweep(ctx);
-            if self.cfg.anti_entropy_period.micros() > 0 {
-                ctx.set_app_timer(self.cfg.anti_entropy_period, ANTI_ENTROPY_TOKEN);
-            }
+            self.arm_sweeps(ctx, [token]);
         } else if token >= MAINT_RETRY_BASE {
             self.on_maint_retry(ctx, token - MAINT_RETRY_BASE);
         } else if token >= TIMEOUT_BASE {
@@ -1109,9 +1102,7 @@ impl Application for PastNode {
             self.on_audit_timeout(ctx, token - AUDIT_TIMEOUT_BASE);
         } else if token == AUDIT_SWEEP_TOKEN {
             self.audit_sweep(ctx);
-            if self.cfg.audit_period.micros() > 0 {
-                ctx.set_app_timer(self.cfg.audit_period, AUDIT_SWEEP_TOKEN);
-            }
+            self.arm_sweeps(ctx, [token]);
         }
     }
 }

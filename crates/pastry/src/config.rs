@@ -2,6 +2,28 @@
 
 use past_net::SimDuration;
 
+/// What a node does with its peers' reliability scores.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Reliability {
+    /// No scores are kept.
+    Off,
+    /// Score peers on acks/timeouts and maintenance outcomes, and let
+    /// the application weight placement decisions by reliability.
+    Track,
+    /// [`Reliability::Track`], and each keep-alive sweep evicts
+    /// routing-table candidates whose decayed peer score fell below
+    /// 250 of 1000, half the uninformed prior (leaf-set members are
+    /// exempt — the failure detector owns them).
+    TrackAndDemote,
+}
+
+impl Reliability {
+    /// Whether scores are kept at all.
+    pub fn tracks(self) -> bool {
+        self != Reliability::Off
+    }
+}
+
 /// Tunable Pastry parameters (paper §2.1).
 #[derive(Clone, Debug)]
 pub struct PastryConfig {
@@ -41,18 +63,15 @@ pub struct PastryConfig {
     /// (leaf set, routing table, neighborhood, peer scores, application
     /// payload) and on recovery restores from it — replaying every
     /// entry through the normal validation paths — instead of rejoining
-    /// cold. Off by default so legacy runs stay byte-identical.
+    /// cold. The application reads the same flag: PAST's payload is its
+    /// file inventory and quota ledger, which a restored node validates
+    /// against its store and re-advertises, and its anti-entropy sweep
+    /// and over-replication reconciliation switch to the advertise-based
+    /// forms. Off by default so legacy runs stay byte-identical.
     pub warm_restart: bool,
-    /// Per-peer reliability tracking: score peers on acks/timeouts and
-    /// maintenance outcomes, and let the application weight placement
-    /// decisions by reliability. Off by default (byte-identical runs).
-    pub track_reliability: bool,
-    /// Reliability-driven routing-table demotion: each keep-alive sweep
-    /// evicts routing-table candidates whose decayed peer score fell
-    /// below 250 of 1000, half the uninformed prior (leaf-set members
-    /// are exempt — the failure detector owns them). Requires
-    /// `track_reliability`; off by default.
-    pub demote_unreliable: bool,
+    /// Per-peer reliability: off, tracked, or tracked and acted on by
+    /// the routing table. Off by default (byte-identical runs).
+    pub reliability: Reliability,
 }
 
 impl Default for PastryConfig {
@@ -67,8 +86,7 @@ impl Default for PastryConfig {
             best_hop_bias: 0.9,
             per_hop_acks: false,
             warm_restart: false,
-            track_reliability: false,
-            demote_unreliable: false,
+            reliability: Reliability::Off,
         }
     }
 }
@@ -112,8 +130,7 @@ mod tests {
         // Robustness extensions ship disabled: default runs must stay
         // byte-identical to the paper configuration.
         assert!(!c.warm_restart);
-        assert!(!c.track_reliability);
-        assert!(!c.demote_unreliable);
+        assert_eq!(c.reliability, Reliability::Off);
     }
 
     #[test]

@@ -8,7 +8,7 @@ use std::cell::{Ref, RefCell};
 use past_id::{IdHashMap, NodeId};
 use past_net::{Addr, Ctx, Protocol, SimDuration, SimTime};
 
-use crate::config::PastryConfig;
+use crate::config::{PastryConfig, Reliability};
 use crate::leaf_set::NodeEntry;
 use crate::peer_score::PeerScoreTable;
 use crate::routing_table::RouteCell;
@@ -33,8 +33,8 @@ const RELIABILITY_HALF_LIFE: SimDuration = SimDuration::from_secs(300);
 /// many restored leaf-set members (highest reliability first) instead
 /// of the whole leaf set.
 const RESTART_PROBE_FANOUT: usize = 8;
-/// Score floor (milli-units, 0–1000) below which `demote_unreliable`
-/// evicts a routing-table candidate. The uninformed prior is 500, so
+/// Score floor (milli-units, 0–1000) below which
+/// [`Reliability::TrackAndDemote`] evicts a routing-table candidate. The uninformed prior is 500, so
 /// only peers with sustained failure evidence fall this low.
 const DEMOTE_THRESHOLD_MILLI: u64 = 250;
 
@@ -313,9 +313,9 @@ impl<'a, 'b, M: Clone, U> AppCtx<'a, 'b, M, U> {
     }
 
     /// Records a successful exchange with `id` (ack received, transfer
-    /// fulfilled). A no-op unless [`PastryConfig::track_reliability`].
+    /// fulfilled). A no-op unless [`PastryConfig::reliability`] tracks.
     pub fn record_peer_success(&mut self, id: NodeId) {
-        if self.cfg.track_reliability {
+        if self.cfg.reliability.tracks() {
             let now = self.net.now();
             let mut scores = self.scores.borrow_mut();
             scores.record_success(id, now);
@@ -324,9 +324,9 @@ impl<'a, 'b, M: Clone, U> AppCtx<'a, 'b, M, U> {
     }
 
     /// Records a failed exchange with `id` (timeout, exhausted retries).
-    /// A no-op unless [`PastryConfig::track_reliability`].
+    /// A no-op unless [`PastryConfig::reliability`] tracks.
     pub fn record_peer_failure(&mut self, id: NodeId) {
-        if self.cfg.track_reliability {
+        if self.cfg.reliability.tracks() {
             let now = self.net.now();
             let mut scores = self.scores.borrow_mut();
             scores.record_failure(id, now);
@@ -560,9 +560,9 @@ impl<A: Application> PastryNode<A> {
     }
 
     /// Records reliability evidence about a peer (no-op unless
-    /// [`PastryConfig::track_reliability`]).
+    /// [`PastryConfig::reliability`] tracks).
     fn score_peer(&self, now: SimTime, id: NodeId, success: bool) {
-        if !self.cfg.track_reliability {
+        if !self.cfg.reliability.tracks() {
             return;
         }
         let mut scores = self.scores.borrow_mut();
@@ -1025,7 +1025,7 @@ impl<A: Application> Protocol for PastryNode<A> {
         // whose decayed peer score fell below the demotion threshold
         // (leaf-set members are exempt — the failure detector above
         // owns their fate).
-        if self.cfg.track_reliability && self.cfg.demote_unreliable {
+        if self.cfg.reliability == Reliability::TrackAndDemote {
             let victims = self.state.demote_unreliable_candidates(
                 &self.scores.borrow(),
                 now,

@@ -179,13 +179,6 @@ impl Engine {
         }
     }
 
-    pub fn remove_node(&mut self, addr: Addr) -> Option<PastOverlayNode> {
-        match self {
-            Engine::Single(s) => s.remove_node(addr),
-            Engine::Sharded(s) => s.remove_node(addr),
-        }
-    }
-
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         match self {
             Engine::Single(s) => s.set_fault_plan(plan),

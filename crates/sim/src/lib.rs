@@ -1,29 +1,33 @@
 //! Experiment harness for the PAST reproduction.
 //!
-//! [`ExperimentConfig`] captures one run of the paper's evaluation
-//! (§5): a 2250-node overlay, Table 1 node capacities scaled to the
-//! trace, the `t_pri`/`t_div` policies under test, and the workload
-//! replay mode (insert-only for the storage experiments, full replay
-//! with lookups for the caching experiment). [`Runner`] builds the
-//! overlay and replays a `past-workload` trace; [`ExperimentResult`]
-//! exposes exactly the aggregates each table and figure needs.
-
+//! The paper runs every experiment of §5 — storage, caching and the
+//! §3.5 failure cases — against one emulated overlay, and so does this
+//! crate: [`Overlay`] builds the nodes on an [`Engine`], issues client
+//! operations, drains upcalls, runs the `past-obs` recording, folds
+//! per-node counters and audits the global storage invariants into an
+//! [`InvariantReport`]. Two harnesses add what is specific to them:
 //!
-//! [`ChurnRunner`] drives the robustness experiments instead: it
-//! subjects a smaller overlay to fault-plan churn (crashes, partitions,
-//! message loss) and audits the §3.5 storage invariants globally,
-//! reporting violations as a structured [`InvariantReport`].
+//! - [`Runner`] replays a `past-workload` trace under an
+//!   [`ExperimentConfig`] (a 2250-node overlay, Table 1 capacities
+//!   scaled to the trace, the `t_pri`/`t_div` policies under test),
+//!   closed or open loop, and accounts it into an [`ExperimentResult`]
+//!   — exactly the aggregates each table and figure needs.
+//! - [`ChurnRunner`] inserts a working set under a [`ChurnConfig`] and
+//!   subjects the overlay to fault plans (crashes, partitions, message
+//!   loss, Byzantine holders).
 
 mod churn;
 mod config;
 mod engine;
 mod metrics;
+mod overlay;
 mod report;
 mod runner;
 
-pub use churn::{ChurnConfig, ChurnRunner, InvariantReport, UnderReplicated, CLIENT};
+pub use churn::{ChurnConfig, ChurnRunner, CLIENT};
 pub use config::{ExperimentConfig, TopologyKind};
 pub use engine::Engine;
 pub use metrics::{ExperimentResult, InsertRecord, LookupRecord, NodeWindowStat, WindowSeries};
+pub use overlay::{InvariantReport, Overlay, UnderReplicated};
 pub use report::{out_dir, write_metrics_file};
 pub use runner::{run_experiment, Runner};

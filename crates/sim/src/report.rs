@@ -11,7 +11,8 @@ pub fn out_dir() -> PathBuf {
 
 /// Writes a metrics report document under [`out_dir`], creating the
 /// directory if needed. The label is sanitized to a filename-safe
-/// subset. Returns the path written.
+/// subset. Returns the path written; an error names the path it could
+/// not write.
 pub fn write_metrics_file(label: &str, json: &str) -> std::io::Result<PathBuf> {
     let safe: String = label
         .chars()
@@ -24,11 +25,14 @@ pub fn write_metrics_file(label: &str, json: &str) -> std::io::Result<PathBuf> {
         })
         .collect();
     let dir = out_dir();
-    std::fs::create_dir_all(&dir)?;
     let path = dir.join(format!("metrics_{safe}.json"));
-    let mut f = std::fs::File::create(&path)?;
-    f.write_all(json.as_bytes())?;
-    f.write_all(b"\n")?;
+    let write = || {
+        std::fs::create_dir_all(&dir)?;
+        let mut f = std::fs::File::create(&path)?;
+        f.write_all(json.as_bytes())?;
+        f.write_all(b"\n")
+    };
+    write().map_err(|e| std::io::Error::new(e.kind(), format!("{}: {e}", path.display())))?;
     Ok(path)
 }
 

@@ -1,32 +1,38 @@
-//! The experiment runner: builds a PAST overlay and replays a workload
-//! trace against it, collecting the paper's metrics.
+//! The trace-replay harness: an [`Overlay`] whose capacities are scaled
+//! to a workload trace, the client→node mapping, and the
+//! [`ExperimentResult`] accounting of the paper's metrics.
 
-use past_core::{PastEvent, PastNode, PastOverlayNode};
-use past_crypto::{KeyPair, Scheme};
+use std::collections::{BTreeMap, HashMap};
+
+use past_core::PastEvent;
 use past_id::{FileId, IdHashMap};
-use past_net::{Addr, ClusteredTopology, EuclideanTopology, SimTime, Simulator, Topology};
-
-use crate::engine::Engine;
-use past_pastry::{NodeEntry, PastryNode};
+use past_net::{Addr, ClusteredTopology, EuclideanTopology, SimDuration, Topology};
+use past_pastry::NodeEntry;
 use past_workload::Workload;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 use crate::config::{ExperimentConfig, TopologyKind};
+use crate::engine::Engine;
 use crate::metrics::{
     is_cache_hit, ExperimentResult, InsertRecord, LookupRecord, NodeWindowStat, ReplicaSample,
     WindowSeries,
 };
+use crate::overlay::Overlay;
+
+/// How a replay paces its operations.
+#[derive(Clone, Copy)]
+enum Pacing {
+    /// Drain the network to idle after each operation.
+    Closed,
+    /// Inject operation `i` at `start + i × gap`, whatever is in flight.
+    Open(SimDuration),
+}
 
 /// A built overlay plus replay state.
 pub struct Runner {
     cfg: ExperimentConfig,
-    sim: Engine,
-    entries: Vec<NodeEntry>,
-    total_capacity: u64,
-    stored_bytes: u64,
-    replicas_now: u64,
-    diverted_now: u64,
+    overlay: Overlay,
     /// fileId assigned to each successfully inserted trace file.
     /// Populated only when `cfg.replay_lookups` is set — insert-only
     /// replays (the XL/XL2 rows) never read it, and at 10M files the
@@ -34,23 +40,16 @@ pub struct Runner {
     file_ids: IdHashMap<u32, FileId>,
     /// Keep 1-in-N per-event records (`inserts`, `lookups`,
     /// `replica_samples`); 1 = keep everything (the default).
-    record_every: usize,
-    /// Insert/lookup completions seen, for the sampling phase.
-    inserts_seen: u64,
-    lookups_seen: u64,
-    /// Reused upcall drain buffer (one allocation for the whole replay
-    /// instead of one per trace operation).
-    upcall_buf: Vec<(SimTime, Addr, PastEvent)>,
+    record_every: u64,
     result: ExperimentResult,
     /// Progress callback (trace ops completed, total).
     progress: Option<Box<dyn FnMut(usize, usize)>>,
-    /// Metrics recording (label, snapshot interval in trace ops).
-    metrics: Option<(String, usize)>,
-    /// Whether the metrics report is also written to
+    /// Metrics recording: label, snapshot interval in trace ops, and
+    /// whether the report is also written to
     /// `results/metrics_<label>.json` (true for [`Self::with_metrics`];
     /// [`Self::with_metrics_quiet`] keeps it in-memory only, so sweeps
     /// over dozens of configurations don't litter the results dir).
-    metrics_write: bool,
+    metrics: Option<(String, usize, bool)>,
 }
 
 impl Runner {
@@ -66,7 +65,6 @@ impl Runner {
         let scale = cfg.capacity.scale_for_total(cfg.nodes, target_total);
         let capacity_dist = cfg.capacity.scaled(scale);
         let capacities = capacity_dist.sample_nodes(cfg.nodes, &mut seeder);
-        let total_capacity: u64 = capacities.iter().sum();
 
         let topo: Box<dyn Topology> = match cfg.topology {
             TopologyKind::Euclidean => Box::new(EuclideanTopology::random(cfg.nodes, &mut seeder)),
@@ -74,53 +72,25 @@ impl Runner {
                 Box::new(ClusteredTopology::round_robin(cfg.nodes, clusters))
             }
         };
-        let mut sim = Engine::build(topo, cfg.seed ^ 0x517, cfg.shards);
-        // One insert fans out to ~k replicate/receipt exchanges per hop;
-        // sizing the queue to the overlay keeps the binary heap from
-        // repeatedly doubling (and copying every in-flight message)
-        // while the first operations warm it up.
-        sim.reserve_capacity(cfg.nodes.saturating_mul(8).min(1 << 20), 256);
-        let past_cfg = cfg.past_config();
-        let pastry_cfg = cfg.pastry_config();
-        let mut entries = Vec::with_capacity(cfg.nodes);
-        for (i, &capacity) in capacities.iter().enumerate() {
-            let keys = KeyPair::generate(Scheme::Keyed, &mut seeder);
-            let id = past_crypto::derive_node_id(&keys.public());
-            let addr = Addr(i as u32);
-            let entry = NodeEntry::new(id, addr);
-            let app = PastNode::new(past_cfg.clone(), keys, capacity, u64::MAX / 2);
-            let bootstrap = if i == 0 {
-                None
-            } else {
-                Some(Addr(seeder.gen_range(0..i) as u32))
-            };
-            sim.add_node(
-                addr,
-                PastryNode::new(pastry_cfg.clone(), entry, app, bootstrap),
-            );
-            sim.run_until_idle();
-            entries.push(entry);
-        }
+        let engine = Engine::build(topo, cfg.seed ^ 0x517, cfg.shards);
+        let overlay = Overlay::build(
+            engine,
+            &cfg.pastry_config(),
+            &cfg.past_config(),
+            &capacities,
+            &mut seeder,
+        );
         Runner {
             cfg,
-            sim,
-            entries,
-            total_capacity,
-            stored_bytes: 0,
-            replicas_now: 0,
-            diverted_now: 0,
+            overlay,
             file_ids: IdHashMap::default(),
             record_every: 1,
-            inserts_seen: 0,
-            lookups_seen: 0,
-            upcall_buf: Vec::with_capacity(64),
             result: ExperimentResult {
-                total_capacity,
+                total_capacity: capacities.iter().sum(),
                 ..Default::default()
             },
             progress: None,
             metrics: None,
-            metrics_write: true,
         }
     }
 
@@ -132,7 +102,7 @@ impl Runner {
     /// a larger stride so 10M completions do not materialize hundreds
     /// of MB of records.
     pub fn with_record_sampling(mut self, every: usize) -> Self {
-        self.record_every = every.max(1);
+        self.record_every = every.max(1) as u64;
         self
     }
 
@@ -149,8 +119,7 @@ impl Runner {
     /// [`ExperimentResult::metrics_json`]. Recording starts at replay
     /// time, so overlay-construction traffic is excluded.
     pub fn with_metrics(mut self, label: &str, snapshot_every: usize) -> Self {
-        self.metrics = Some((label.to_string(), snapshot_every.max(1)));
-        self.metrics_write = true;
+        self.metrics = Some((label.to_string(), snapshot_every.max(1), true));
         self
     }
 
@@ -159,37 +128,18 @@ impl Runner {
     /// the results directory. Parameter sweeps that run the same
     /// experiment dozens of times use this to avoid one file per cell.
     pub fn with_metrics_quiet(mut self, label: &str, snapshot_every: usize) -> Self {
-        self.metrics = Some((label.to_string(), snapshot_every.max(1)));
-        self.metrics_write = false;
+        self.metrics = Some((label.to_string(), snapshot_every.max(1), false));
         self
-    }
-
-    /// Current global storage utilization in [0, 1].
-    pub fn utilization(&self) -> f64 {
-        self.stored_bytes as f64 / self.total_capacity as f64
-    }
-
-    /// Access to the built overlay (for tests and custom experiments).
-    ///
-    /// # Panics
-    ///
-    /// Panics under the sharded engine (`cfg.shards >= 1`); scenario
-    /// surgery against raw simulator internals is a legacy-engine
-    /// affordance. Use [`Runner::engine`] for engine-agnostic access.
-    pub fn sim(&self) -> &Simulator<PastOverlayNode> {
-        self.sim
-            .as_single()
-            .expect("Runner::sim() requires the single-threaded engine (cfg.shards == 0)")
     }
 
     /// Engine-agnostic access to the simulation backend.
     pub fn engine(&self) -> &Engine {
-        &self.sim
+        &self.overlay.engine
     }
 
     /// The overlay's node identities.
     pub fn entries(&self) -> &[NodeEntry] {
-        &self.entries
+        self.overlay.entries()
     }
 
     /// Maps a trace client to its access-point node, respecting cluster
@@ -209,28 +159,74 @@ impl Runner {
         }
     }
 
-    /// Replays the trace: first references insert, repeated references
-    /// look up (when `replay_lookups` is set). Returns the collected
-    /// metrics.
-    pub fn run<W: Workload + ?Sized>(mut self, trace: &W) -> ExperimentResult {
+    /// Replays the trace **closed-loop**: first references insert,
+    /// repeated references look up (when `replay_lookups` is set), and
+    /// the network drains to idle after each operation. Returns the
+    /// collected metrics.
+    pub fn run<W: Workload + ?Sized>(self, trace: &W) -> ExperimentResult {
+        self.replay(trace, Pacing::Closed)
+    }
+
+    /// Replays the trace **open-loop**: operation `i` is injected at
+    /// simulated time `start + i × gap` without waiting for earlier
+    /// operations to finish, so many inserts are in flight at once.
+    /// This is the throughput mode the sharded engine is built for —
+    /// per-op replay (`run`) drains the network between operations,
+    /// which leaves too few concurrent events to spread across shards.
+    ///
+    /// Lookups of files whose insert has not yet completed are skipped
+    /// (the per-op replay cannot hit that case; an open-loop replay
+    /// can).
+    pub fn run_pipelined<W: Workload + ?Sized>(
+        self,
+        trace: &W,
+        gap: SimDuration,
+    ) -> ExperimentResult {
+        self.replay(trace, Pacing::Open(gap))
+    }
+
+    /// The replay loop of both modes. A completed insert is attributed
+    /// to its trace file by the `(client node, client-local seq)` pair
+    /// that `PastNode` stamps on every `InsertDone` upcall.
+    fn replay<W: Workload + ?Sized>(mut self, trace: &W, pacing: Pacing) -> ExperimentResult {
         let started = std::time::Instant::now();
-        if self.metrics.is_some() {
-            past_obs::install(past_obs::Recorder::new());
+        if let Some((label, ..)) = &self.metrics {
+            self.overlay.start_recording(label);
         }
-        self.result.replay_start_us = self.sim.now().micros();
+        let t0 = self.overlay.engine.now();
+        self.result.replay_start_us = t0.micros();
         let total_ops = trace.op_count();
+        // (client addr, client-local seq) → trace file index, kept only
+        // where the fileId will be looked up later.
+        let mut pending: HashMap<(u32, u64), u32> = HashMap::new();
         for (i, op) in trace.ops_iter().enumerate() {
-            let addr = self.node_of_client(op.client, trace);
-            if op.is_insert {
-                self.do_insert(addr, op.file, &trace.file_name(op.file), trace.file_size(op.file));
-            } else if self.cfg.replay_lookups {
-                if let Some(fid) = self.file_ids.get(&op.file).copied() {
-                    self.do_lookup(addr, fid);
-                }
+            if let Pacing::Open(gap) = pacing {
+                let at = t0 + SimDuration(gap.0.saturating_mul(i as u64));
+                self.overlay.engine.run_until(at);
+                self.collect(&mut pending);
             }
-            if let Some((_, every)) = &self.metrics {
+            let addr = self.node_of_client(op.client, trace);
+            let issued = if op.is_insert {
+                let name = trace.file_name(op.file);
+                let seq = self.overlay.insert(addr, &name, trace.file_size(op.file));
+                if self.cfg.replay_lookups {
+                    pending.insert((addr.0, seq), op.file);
+                }
+                true
+            } else if let Some(&fid) = self.file_ids.get(&op.file) {
+                self.overlay.lookup(addr, fid);
+                true
+            } else {
+                false
+            };
+            if issued && matches!(pacing, Pacing::Closed) {
+                self.overlay.engine.run_until_idle();
+                self.collect(&mut pending);
+            }
+            if let Some((_, every, _)) = &self.metrics {
                 if (i + 1) % every == 0 {
-                    self.snapshot_metrics();
+                    let gauges = self.gauges();
+                    self.overlay.snapshot(&gauges);
                 }
             }
             if i % 1000 == 0 {
@@ -239,36 +235,33 @@ impl Runner {
                 }
             }
         }
-        self.finish_metrics();
-        self.result.stored_bytes = self.stored_bytes;
-        self.result.wall_seconds = started.elapsed().as_secs_f64();
-        self.result.net = self.sim.stats();
-        self.result
-    }
-
-    /// Final metrics snapshot + report extraction, shared by both replay
-    /// modes: uninstalls the recorder, renders the JSON report (written
-    /// to the results dir unless the quiet variant was used) and pulls
-    /// the windowed time series out of the registry when
-    /// [`ExperimentConfig::obs_window`] is nonzero.
-    fn finish_metrics(&mut self) {
-        if let Some((label, _)) = self.metrics.take() {
-            self.snapshot_metrics();
-            if let Some(rec) = past_obs::uninstall() {
-                let json = rec.report_json(&label, self.cfg.seed);
-                if self.metrics_write {
-                    let _ = crate::report::write_metrics_file(&label, &json);
-                }
+        self.overlay.engine.run_until_idle();
+        self.collect(&mut pending);
+        if let Some((.., write)) = self.metrics {
+            let (seed, gauges) = (self.cfg.seed, self.gauges());
+            if let Some((json, rec)) = self.overlay.finish_recording(seed, &gauges, write) {
                 self.result.metrics_json = Some(json);
                 self.result.windows = self.extract_windows(&rec);
             }
         }
+        self.result.wall_seconds = started.elapsed().as_secs_f64();
+        self.result.net = self.overlay.engine.stats();
+        self.result
+    }
+
+    /// The harness-level gauges of a metrics snapshot.
+    fn gauges(&self) -> [(&'static str, i64); 2] {
+        [
+            ("sim.stored_bytes", self.result.stored_bytes as i64),
+            ("sim.replicas_now", self.result.replicas_stored as i64),
+        ]
     }
 
     /// Builds the [`WindowSeries`] from the final (shard-merged)
-    /// registry state. Per-node series are collapsed to per-bucket
-    /// total / distinct-node / max — the load-spread statistics the
-    /// flash-crowd study charts.
+    /// registry state when [`ExperimentConfig::obs_window`] is nonzero.
+    /// Per-node series are collapsed to per-bucket total /
+    /// distinct-node / max — the load-spread statistics the flash-crowd
+    /// study charts.
     fn extract_windows(&self, rec: &past_obs::Recorder) -> Option<WindowSeries> {
         let width_us = self.cfg.obs_window.micros();
         if width_us == 0 {
@@ -283,8 +276,7 @@ impl Runner {
             series.counters.insert(name.clone(), buckets.clone());
         }
         for (name, cells) in m.node_windows() {
-            let mut per: std::collections::BTreeMap<u64, NodeWindowStat> =
-                std::collections::BTreeMap::new();
+            let mut per: BTreeMap<u64, NodeWindowStat> = BTreeMap::new();
             for (&(bucket, _node), &count) in cells {
                 let s = per.entry(bucket).or_default();
                 s.total += count;
@@ -296,205 +288,78 @@ impl Runner {
         Some(series)
     }
 
-    /// Records harness-level gauges and appends a registry snapshot
-    /// stamped with the current sim time.
-    fn snapshot_metrics(&mut self) {
-        self.sim.sync_obs();
-        past_obs::gauge("net.queue_len", self.sim.queue_len() as i64);
-        past_obs::gauge("sim.stored_bytes", self.stored_bytes as i64);
-        past_obs::gauge("sim.replicas_now", self.replicas_now as i64);
-        let at = self.sim.now().micros();
-        past_obs::with_recorder(|r| r.take_snapshot(at));
-    }
-
-    /// Replays the trace **open-loop**: operation `i` is injected at
-    /// simulated time `start + i × gap` without waiting for earlier
-    /// operations to finish, so many inserts are in flight at once.
-    /// This is the throughput mode the sharded engine is built for —
-    /// per-op replay (`run`) drains the network between operations,
-    /// which leaves too few concurrent events to spread across shards.
-    ///
-    /// Completed operations are attributed to their trace entry by the
-    /// `(client node, client-local seq)` pair that `PastNode` stamps on
-    /// every `InsertDone`/`LookupDone` upcall. Lookups of files whose
-    /// insert has not yet completed are skipped (the per-op replay
-    /// cannot hit that case; an open-loop replay can).
-    pub fn run_pipelined<W: Workload + ?Sized>(
-        mut self,
-        trace: &W,
-        gap: past_net::SimDuration,
-    ) -> ExperimentResult {
-        let started = std::time::Instant::now();
-        if self.metrics.is_some() {
-            past_obs::install(past_obs::Recorder::new());
-        }
-        self.result.replay_start_us = self.sim.now().micros();
-        let total_ops = trace.op_count();
-        let t0 = self.sim.now();
-        // (client addr, client-local seq) → trace file index.
-        let mut pending: std::collections::HashMap<(u32, u64), u32> =
-            std::collections::HashMap::new();
-        for (i, op) in trace.ops_iter().enumerate() {
-            let at = t0 + past_net::SimDuration(gap.0.saturating_mul(i as u64));
-            self.sim.run_until(at);
-            self.collect_pipelined(&mut pending);
-            let addr = self.node_of_client(op.client, trace);
-            if op.is_insert {
-                let name = trace.file_name(op.file);
-                let size = trace.file_size(op.file);
-                let mut seq = 0u64;
-                self.sim.invoke(addr, |node, ctx| {
-                    node.invoke_app(ctx, |app, actx| {
-                        seq = app.insert(actx, &name, size);
-                    });
-                });
-                pending.insert((addr.0, seq), op.file);
-            } else if self.cfg.replay_lookups {
-                if let Some(fid) = self.file_ids.get(&op.file).copied() {
-                    self.sim.invoke(addr, move |node, ctx| {
-                        node.invoke_app(ctx, |app, actx| {
-                            app.lookup(actx, fid);
-                        });
-                    });
+    /// Folds the upcalls emitted since the last drain into the result,
+    /// and remembers the fileId of each successful insert in `pending`.
+    fn collect(&mut self, pending: &mut HashMap<(u32, u64), u32>) {
+        for (_, addr, event) in self.overlay.drain_upcalls() {
+            if let PastEvent::InsertDone {
+                seq,
+                file_id,
+                success,
+                ..
+            } = event
+            {
+                if let (Some(file), true) = (pending.remove(&(addr.0, seq)), success) {
+                    self.file_ids.insert(file, file_id);
                 }
             }
-            if let Some((_, every)) = &self.metrics {
-                if (i + 1) % every == 0 {
-                    self.snapshot_metrics();
-                }
-            }
-            if i % 1000 == 0 {
-                if let Some(cb) = self.progress.as_mut() {
-                    cb(i, total_ops);
-                }
-            }
+            self.result.absorb(event, self.record_every);
         }
-        self.sim.run_until_idle();
-        self.collect_pipelined(&mut pending);
-        self.finish_metrics();
-        self.result.stored_bytes = self.stored_bytes;
-        self.result.wall_seconds = started.elapsed().as_secs_f64();
-        self.result.net = self.sim.stats();
-        self.result
     }
+}
 
-    fn do_insert(&mut self, addr: Addr, file_index: u32, name: &str, size: u64) {
-        let name = name.to_string();
-        self.sim.invoke(addr, move |node, ctx| {
-            node.invoke_app(ctx, |app, actx| {
-                app.insert(actx, &name, size);
-            });
-        });
-        self.sim.run_until_idle();
-        self.collect(Some(file_index));
-    }
-
-    fn do_lookup(&mut self, addr: Addr, fid: FileId) {
-        self.sim.invoke(addr, move |node, ctx| {
-            node.invoke_app(ctx, |app, actx| {
-                app.lookup(actx, fid);
-            });
-        });
-        self.sim.run_until_idle();
-        self.collect(None);
-    }
-
-    fn collect(&mut self, file_index: Option<u32>) {
-        let mut buf = std::mem::take(&mut self.upcall_buf);
-        buf.clear();
-        self.sim.drain_upcalls_into(&mut buf);
-        for (_, _, event) in buf.drain(..) {
-            self.absorb_event(event, file_index);
-        }
-        self.upcall_buf = buf;
-    }
-
-    /// Open-loop drain: attributes each `InsertDone` to its trace file
-    /// via the issuing node's `(addr, seq)` recorded at injection time.
-    fn collect_pipelined(&mut self, pending: &mut std::collections::HashMap<(u32, u64), u32>) {
-        let mut buf = std::mem::take(&mut self.upcall_buf);
-        buf.clear();
-        self.sim.drain_upcalls_into(&mut buf);
-        for (_, addr, event) in buf.drain(..) {
-            let file_index = if let PastEvent::InsertDone { seq, .. } = &event {
-                pending.remove(&(addr.0, *seq))
-            } else {
-                None
-            };
-            self.absorb_event(event, file_index);
-        }
-        self.upcall_buf = buf;
-    }
-
-    fn absorb_event(&mut self, event: PastEvent, file_index: Option<u32>) {
+impl ExperimentResult {
+    /// Accounts one upcall, keeping 1-in-`record_every` of the
+    /// per-event records.
+    fn absorb(&mut self, event: PastEvent, record_every: u64) {
         match event {
             PastEvent::ReplicaStored { size, diverted, .. } => {
                 self.stored_bytes += size;
-                self.replicas_now += 1;
-                self.result.replicas_stored += 1;
-                if diverted {
-                    self.diverted_now += 1;
-                    self.result.replicas_diverted += 1;
-                }
+                self.replicas_stored += 1;
+                self.replicas_diverted += diverted as u64;
             }
             PastEvent::ReplicaDropped { size, diverted, .. } => {
                 self.stored_bytes = self.stored_bytes.saturating_sub(size);
-                self.replicas_now = self.replicas_now.saturating_sub(1);
-                self.result.replicas_stored = self.result.replicas_stored.saturating_sub(1);
-                if diverted {
-                    self.diverted_now = self.diverted_now.saturating_sub(1);
-                    self.result.replicas_diverted = self.result.replicas_diverted.saturating_sub(1);
-                }
+                self.replicas_stored = self.replicas_stored.saturating_sub(1);
+                self.replicas_diverted = self.replicas_diverted.saturating_sub(diverted as u64);
             }
             PastEvent::InsertDone {
-                file_id,
                 size,
                 attempts,
                 success,
                 ..
             } => {
-                if success {
-                    self.result.inserts_ok += 1;
-                    if let Some(idx) = file_index {
-                        if self.cfg.replay_lookups {
-                            self.file_ids.insert(idx, file_id);
-                        }
-                    }
-                }
-                self.result.inserts_total += 1;
-                self.inserts_seen += 1;
-                if (self.inserts_seen - 1).is_multiple_of(self.record_every as u64) {
-                    let utilization = self.utilization();
-                    self.result.inserts.push(InsertRecord {
+                self.inserts_ok += success as u64;
+                if self.inserts_total.is_multiple_of(record_every) {
+                    let utilization = self.final_utilization();
+                    self.inserts.push(InsertRecord {
                         utilization,
                         size,
                         attempts,
                         success,
                     });
-                    self.result.replica_samples.push(ReplicaSample {
+                    self.replica_samples.push(ReplicaSample {
                         utilization,
-                        replicas: self.replicas_now,
-                        diverted: self.diverted_now,
+                        replicas: self.replicas_stored,
+                        diverted: self.replicas_diverted,
                     });
                 }
+                self.inserts_total += 1;
             }
             PastEvent::LookupDone {
                 found, hops, kind, ..
             } => {
-                self.result.lookups_total += 1;
-                if found {
-                    self.result.lookups_ok += 1;
-                }
-                self.lookups_seen += 1;
-                if (self.lookups_seen - 1).is_multiple_of(self.record_every as u64) {
-                    let utilization = self.utilization();
-                    self.result.lookups.push(LookupRecord {
+                self.lookups_ok += found as u64;
+                if self.lookups_total.is_multiple_of(record_every) {
+                    let utilization = self.final_utilization();
+                    self.lookups.push(LookupRecord {
                         utilization,
                         found,
                         hops,
                         cache_hit: is_cache_hit(kind),
                     });
                 }
+                self.lookups_total += 1;
             }
             PastEvent::ReclaimDone { .. }
             | PastEvent::InsertAttemptAborted { .. }

@@ -22,8 +22,7 @@ fn defended_cfg(seed: u64, nodes: usize, audits: bool) -> ChurnConfig {
         cfg.past.audit_period = SimDuration::from_secs(10);
         cfg.past.audit_timeout = SimDuration::from_secs(2);
         cfg.past.verify_lookup_content = true;
-        cfg.pastry.track_reliability = true;
-        cfg.pastry.demote_unreliable = true;
+        cfg.pastry.reliability = past_pastry::Reliability::TrackAndDemote;
     }
     cfg
 }

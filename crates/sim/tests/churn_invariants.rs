@@ -117,6 +117,11 @@ fn acked_retries_restore_invariants_after_partition() {
         report.summary()
     );
     assert!(report.is_clean(), "audit violations: {}", report.summary());
+    assert_eq!(
+        r.overlay().audit(r.files()).summary(),
+        report.summary(),
+        "ChurnRunner::audit is the overlay's audit of the working set"
+    );
     let maint = r.maint_totals();
     assert!(
         maint.retries > 0,

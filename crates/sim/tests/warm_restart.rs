@@ -13,6 +13,7 @@
 //!   identical results on the legacy engine and at any shard count.
 
 use past_net::{FaultPlan, SimDuration};
+use past_pastry::Reliability;
 use past_sim::{ChurnConfig, ChurnRunner};
 
 fn warm_cfg(seed: u64, warm: bool, shards: usize) -> ChurnConfig {
@@ -25,9 +26,10 @@ fn warm_cfg(seed: u64, warm: bool, shards: usize) -> ChurnConfig {
     };
     // Arm the anti-entropy sweep: reconciliation rides on it.
     cfg.past.anti_entropy_period = SimDuration::from_secs(10);
-    cfg.past.warm_restart = warm;
     cfg.pastry.warm_restart = warm;
-    cfg.pastry.track_reliability = warm;
+    if warm {
+        cfg.pastry.reliability = Reliability::Track;
+    }
     cfg
 }
 

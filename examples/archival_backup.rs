@@ -1,24 +1,24 @@
 //! Archival backup scenario: a user archives a filesystem snapshot into
 //! PAST, nodes fail, and every file remains retrievable — the paper's
 //! core durability argument ("obviates the need for physical transport
-//! of storage media to protect backup and archival data").
+//! of storage media to protect backup and archival data"). Runs on a
+//! [`past::sim::Overlay`] with keep-alives armed.
 //!
 //! Run with: `cargo run --release --example archival_backup`
 
-use past::core::{PastConfig, PastEvent, PastNode, PastOverlayNode};
-use past::crypto::{derive_node_id, KeyPair, Scheme};
-use past::net::{Addr, EuclideanTopology, SimDuration, Simulator};
-use past::pastry::{NodeEntry, PastryConfig, PastryNode};
+use past::core::{PastConfig, PastEvent};
+use past::net::{Addr, EuclideanTopology, SimDuration};
+use past::pastry::PastryConfig;
+use past::sim::{Engine, Overlay};
 use past::store::CachePolicyKind;
 use past::workload::FsTraceConfig;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 fn main() {
     let nodes = 60;
     let mut rng = StdRng::seed_from_u64(11);
     let topology = EuclideanTopology::random(nodes, &mut rng);
-    let mut sim: Simulator<PastOverlayNode> = Simulator::new(Box::new(topology), 11);
 
     // Keep-alives ON: the overlay must detect failures and re-replicate.
     let pastry_cfg = PastryConfig {
@@ -36,18 +36,13 @@ fn main() {
         ..Default::default()
     };
     println!("booting a {nodes}-node archival overlay (keep-alives on) ...");
-    for i in 0..nodes {
-        let keys = KeyPair::generate(Scheme::Keyed, &mut rng);
-        let id = derive_node_id(&keys.public());
-        let addr = Addr(i as u32);
-        let app = PastNode::new(past_cfg.clone(), keys, 200 << 20, u64::MAX / 2);
-        let bootstrap = (i > 0).then(|| Addr(rng.gen_range(0..i) as u32));
-        sim.add_node(
-            addr,
-            PastryNode::new(pastry_cfg.clone(), NodeEntry::new(id, addr), app, bootstrap),
-        );
-        sim.run_for(SimDuration::from_secs(1));
-    }
+    let mut overlay = Overlay::build(
+        Engine::build(Box::new(topology), 11, 0),
+        &pastry_cfg,
+        &past_cfg,
+        &vec![200 << 20; nodes],
+        &mut rng,
+    );
 
     // Archive a small filesystem snapshot (sizes follow the paper's
     // filesystem workload statistics) from one access point.
@@ -62,57 +57,38 @@ fn main() {
     println!("archiving {} files ...", snapshot.files.len());
     let mut archived = Vec::new();
     for spec in &snapshot.files {
-        let name = format!("backup/{}", spec.name());
-        let size = spec.size;
-        sim.invoke(Addr(0), move |node, ctx| {
-            node.invoke_app(ctx, |app, actx| {
-                app.insert(actx, &name, size);
-            });
-        });
-        sim.run_for(SimDuration::from_secs(2));
-        for (_, _, event) in sim.drain_upcalls() {
-            if let PastEvent::InsertDone {
-                file_id,
-                success: true,
-                ..
-            } = event
-            {
-                archived.push(file_id);
-            }
-        }
+        overlay.insert(Addr(0), &format!("backup/{}", spec.name()), spec.size);
+        overlay.engine.run_for(SimDuration::from_secs(2));
+        archived.extend(overlay.drain_inserted().map(|(fid, _)| fid));
     }
     println!("{} files archived with k = 5 replicas each", archived.len());
+    assert_eq!(archived.len(), snapshot.files.len(), "an insert failed");
 
     // Disaster: 8 nodes fail (scattered). Keep-alives detect the
     // failures; §3.5 maintenance re-creates lost replicas.
     let victims = [5u32, 12, 19, 26, 33, 40, 47, 54];
     println!("failing {} nodes ...", victims.len());
     for v in victims {
-        sim.fail_node(Addr(v));
+        overlay.engine.fail_node(Addr(v));
     }
-    sim.run_for(SimDuration::from_secs(180));
-    sim.drain_upcalls();
+    overlay.engine.run_for(SimDuration::from_secs(180));
+    overlay.engine.discard_upcalls();
 
     // Every archived file must still be retrievable from a live node.
     // A request routed through a stale table entry can be swallowed by a
     // dead node; like a real client, retry from a different access point.
     let mut found = 0;
     let mut lost = 0;
-    for (i, fid) in archived.iter().enumerate() {
-        let fid = *fid;
+    for (i, &fid) in archived.iter().enumerate() {
         let mut ok = false;
         for attempt in 0..3u32 {
             let from = Addr((1 + i as u32 * 7 + attempt * 13) % nodes as u32);
             if victims.contains(&from.0) {
                 continue;
             }
-            sim.invoke(from, move |node, ctx| {
-                node.invoke_app(ctx, |app, actx| {
-                    app.lookup(actx, fid);
-                });
-            });
-            sim.run_for(SimDuration::from_secs(3));
-            for (_, _, event) in sim.drain_upcalls() {
+            overlay.lookup(from, fid);
+            overlay.engine.run_for(SimDuration::from_secs(3));
+            for (_, _, event) in overlay.drain_upcalls() {
                 if let PastEvent::LookupDone { found: f, .. } = event {
                     ok = ok || f;
                 }

@@ -1,26 +1,20 @@
 //! Content distribution scenario: a popular file is fetched by clients
 //! all over an 8-site network; PAST's route-through caching pulls copies
 //! toward each site, cutting fetch distance and balancing query load —
-//! the §4/§5.2 story.
+//! the §4/§5.2 story. One [`past::sim::Overlay`] per cache policy.
 //!
 //! Run with: `cargo run --release --example content_distribution`
 
-use past::core::{PastConfig, PastEvent, PastNode, PastOverlayNode};
-use past::crypto::{derive_node_id, KeyPair, Scheme};
-use past::net::{Addr, ClusteredTopology, SimDuration, Simulator};
-use past::pastry::{NodeEntry, PastryConfig, PastryNode};
+use past::core::{HitKind, PastConfig, PastEvent};
+use past::net::{Addr, ClusteredTopology, SimDuration};
+use past::pastry::PastryConfig;
+use past::sim::{Engine, Overlay};
 use past::store::CachePolicyKind;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-fn build(
-    nodes: usize,
-    cache: CachePolicyKind,
-    seed: u64,
-) -> Simulator<PastOverlayNode> {
-    let mut rng = StdRng::seed_from_u64(seed);
+fn build(nodes: usize, cache: CachePolicyKind, seed: u64) -> Overlay {
     let topology = ClusteredTopology::round_robin(nodes, 8);
-    let mut sim: Simulator<PastOverlayNode> = Simulator::new(Box::new(topology), seed);
     let pastry_cfg = PastryConfig {
         leaf_set_size: 16,
         neighborhood_size: 16,
@@ -31,56 +25,31 @@ fn build(
         cache_policy: cache,
         ..Default::default()
     };
-    for i in 0..nodes {
-        let keys = KeyPair::generate(Scheme::Keyed, &mut rng);
-        let id = derive_node_id(&keys.public());
-        let addr = Addr(i as u32);
-        let app = PastNode::new(past_cfg.clone(), keys, 64 << 20, u64::MAX / 2);
-        let bootstrap = (i > 0).then(|| Addr(rng.gen_range(0..i) as u32));
-        sim.add_node(
-            addr,
-            PastryNode::new(pastry_cfg.clone(), NodeEntry::new(id, addr), app, bootstrap),
-        );
-        sim.run_until_idle();
-    }
-    sim
+    Overlay::build(
+        Engine::build(Box::new(topology), seed, 0),
+        &pastry_cfg,
+        &past_cfg,
+        &vec![64 << 20; nodes],
+        &mut StdRng::seed_from_u64(seed),
+    )
 }
 
-fn run_workload(sim: &mut Simulator<PastOverlayNode>, nodes: usize) -> (f64, f64, u64) {
+fn run_workload(overlay: &mut Overlay, nodes: usize) -> (f64, f64, u64) {
     // Publish one popular file.
-    sim.invoke(Addr(0), |node, ctx| {
-        node.invoke_app(ctx, |app, actx| {
-            app.insert(actx, "viral-video.mp4", 2 << 20);
-        });
-    });
-    sim.run_until_idle();
-    let mut file_id = None;
-    for (_, _, e) in sim.drain_upcalls() {
-        if let PastEvent::InsertDone {
-            file_id: fid,
-            success: true,
-            ..
-        } = e
-        {
-            file_id = Some(fid);
-        }
-    }
-    let file_id = file_id.expect("publish succeeded");
+    overlay.insert(Addr(0), "viral-video.mp4", 2 << 20);
+    overlay.engine.run_until_idle();
+    let (file_id, _) = overlay.drain_inserted().next().expect("publish succeeded");
     // 400 fetches from clients across all 8 sites.
     let mut rng = StdRng::seed_from_u64(99);
     let mut early_hops = 0u64;
     let mut late_hops = 0u64;
     let mut cache_hits = 0u64;
+    let mut fetched = 0;
     let rounds = 400;
     for r in 0..rounds {
-        let from = Addr(rng.gen_range(0..nodes) as u32);
-        sim.invoke(from, move |node, ctx| {
-            node.invoke_app(ctx, |app, actx| {
-                app.lookup(actx, file_id);
-            });
-        });
-        sim.run_until_idle();
-        for (_, _, e) in sim.drain_upcalls() {
+        overlay.lookup(Addr(rng.gen_range(0..nodes) as u32), file_id);
+        overlay.engine.run_until_idle();
+        for (_, _, e) in overlay.drain_upcalls() {
             if let PastEvent::LookupDone {
                 found: true,
                 hops,
@@ -88,17 +57,19 @@ fn run_workload(sim: &mut Simulator<PastOverlayNode>, nodes: usize) -> (f64, f64
                 ..
             } = e
             {
+                fetched += 1;
                 if r < rounds / 4 {
                     early_hops += hops as u64;
                 } else if r >= 3 * rounds / 4 {
                     late_hops += hops as u64;
                 }
-                if matches!(kind, Some(past::core::HitKind::Cached)) {
+                if matches!(kind, Some(HitKind::Cached)) {
                     cache_hits += 1;
                 }
             }
         }
     }
+    assert_eq!(fetched, rounds, "every fetch found the file");
     (
         early_hops as f64 / (rounds / 4) as f64,
         late_hops as f64 / (rounds / 4) as f64,
@@ -114,8 +85,8 @@ fn main() {
         ("LRU", CachePolicyKind::Lru),
         ("no caching", CachePolicyKind::None),
     ] {
-        let mut sim = build(nodes, policy, 21);
-        let (early, late, hits) = run_workload(&mut sim, nodes);
+        let mut overlay = build(nodes, policy, 21);
+        let (early, late, hits) = run_workload(&mut overlay, nodes);
         println!(
             "{label:>16}: mean hops first-quarter {early:.2} -> last-quarter {late:.2}  (cache hits: {hits})"
         );

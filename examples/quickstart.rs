@@ -1,14 +1,15 @@
 //! Quickstart: build a small PAST overlay, insert a file, look it up
-//! from another node, then reclaim it.
+//! from another node, then reclaim it — all through
+//! [`past::sim::Overlay`], the harness every experiment runs on.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use past::core::{PastConfig, PastEvent, PastNode, PastOverlayNode};
-use past::crypto::{derive_node_id, KeyPair, Scheme};
-use past::net::{Addr, EuclideanTopology, SimDuration, Simulator};
-use past::pastry::{NodeEntry, PastryConfig, PastryNode};
+use past::core::{PastConfig, PastEvent};
+use past::net::{Addr, EuclideanTopology, SimDuration};
+use past::pastry::PastryConfig;
+use past::sim::{Engine, Overlay};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 fn main() {
     let nodes = 50;
@@ -17,7 +18,7 @@ fn main() {
     // 1. An emulated network: nodes scattered in a unit square, message
     //    latency proportional to distance.
     let topology = EuclideanTopology::random(nodes, &mut rng);
-    let mut sim: Simulator<PastOverlayNode> = Simulator::new(Box::new(topology), 7);
+    let engine = Engine::build(Box::new(topology), 7, 0);
 
     // 2. Boot the overlay: every node gets a key pair, derives its
     //    nodeId from the key (so it cannot choose its position), and
@@ -30,31 +31,20 @@ fn main() {
     };
     let past_cfg = PastConfig::default(); // k = 5, t_pri = 0.1, t_div = 0.05, GD-S cache
     println!("booting a {nodes}-node PAST overlay ...");
-    for i in 0..nodes {
-        let keys = KeyPair::generate(Scheme::Keyed, &mut rng);
-        let id = derive_node_id(&keys.public());
-        let addr = Addr(i as u32);
-        let app = PastNode::new(past_cfg.clone(), keys, 100 << 20, u64::MAX / 2);
-        let bootstrap = (i > 0).then(|| Addr(rng.gen_range(0..i) as u32));
-        sim.add_node(
-            addr,
-            PastryNode::new(pastry_cfg.clone(), NodeEntry::new(id, addr), app, bootstrap),
-        );
-        sim.run_until_idle();
-    }
-    println!("overlay ready ({} messages exchanged)\n", sim.stats().delivered);
+    let capacities = vec![100 << 20; nodes];
+    let mut overlay = Overlay::build(engine, &pastry_cfg, &past_cfg, &capacities, &mut rng);
+    println!(
+        "overlay ready ({} messages exchanged)\n",
+        overlay.engine.stats().delivered
+    );
 
     // 3. Insert a file from node 3. The fileId is the SHA-1 of
     //    (name, owner key, salt); k = 5 replicas land on the nodes with
     //    the numerically closest nodeIds.
-    sim.invoke(Addr(3), |node, ctx| {
-        node.invoke_app(ctx, |app, actx| {
-            app.insert(actx, "vacation-photos.tar", 4 << 20);
-        });
-    });
-    sim.run_until_idle();
+    overlay.insert(Addr(3), "vacation-photos.tar", 4 << 20);
+    overlay.engine.run_until_idle();
     let mut file_id = None;
-    for (_, _, event) in sim.drain_upcalls() {
+    for (_, _, event) in overlay.drain_upcalls() {
         if let PastEvent::InsertDone {
             file_id: fid,
             success,
@@ -63,41 +53,40 @@ fn main() {
         } = event
         {
             println!("insert: success={success} attempts={attempts} fileId={fid}");
-            file_id = Some(fid);
+            file_id = success.then_some(fid);
         }
     }
-    let file_id = file_id.expect("insert completed");
+    let file_id = file_id.expect("insert succeeded");
 
     // 4. Look the file up from a distant node; Pastry routes toward the
     //    fileId and the first node holding a copy answers.
-    sim.invoke(Addr(42), move |node, ctx| {
-        node.invoke_app(ctx, |app, actx| {
-            app.lookup(actx, file_id);
-        });
-    });
-    sim.run_until_idle();
-    for (_, _, event) in sim.drain_upcalls() {
+    overlay.lookup(Addr(42), file_id);
+    overlay.engine.run_until_idle();
+    let mut looked_up = false;
+    for (_, _, event) in overlay.drain_upcalls() {
         if let PastEvent::LookupDone {
             found, hops, kind, ..
         } = event
         {
             println!("lookup from n42: found={found} hops={hops} served_by={kind:?}");
+            looked_up = found;
         }
     }
+    assert!(looked_up, "the lookup found the file");
 
     // 5. Reclaim the storage (only the owner's signed reclaim
     //    certificate is accepted) and confirm the space returns.
-    sim.invoke(Addr(3), move |node, ctx| {
-        node.invoke_app(ctx, |app, actx| {
-            app.reclaim(actx, file_id);
-        });
-    });
-    sim.run_until_idle();
-    for (_, _, event) in sim.drain_upcalls() {
+    overlay.reclaim(Addr(3), file_id);
+    overlay.engine.run_until_idle();
+    let mut reclaimed = false;
+    for (_, _, event) in overlay.drain_upcalls() {
         if let PastEvent::ReclaimDone { ok, freed, .. } = event {
             println!("reclaim: ok={ok} freed={freed} bytes of quota");
+            reclaimed = ok;
         }
     }
-    let quota = sim.node(Addr(3)).unwrap().app().quota();
-    println!("client quota in use after reclaim: {} bytes", quota.used());
+    let node = overlay.engine.node(Addr(3)).expect("node 3 was built");
+    let used = node.app().quota().used();
+    println!("client quota in use after reclaim: {used} bytes");
+    assert!(reclaimed && used == 0, "the reclaim refunded the quota");
 }

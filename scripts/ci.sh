@@ -14,7 +14,8 @@
 #   6. pastbench's own tests (benchmark/, a package of its own), and
 #      the layout guards in the profile pastbench measures
 #   7. repro: every experiment at smoke scale, twice, asserts on
-#   8. the count-alloc feature build
+#   8. the three examples, each asserting its own outcome
+#   9. the count-alloc feature build
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -92,6 +93,14 @@ tail -n 1 "$out/a.out"
 grep -q "ran 21 distinct replays for 36 asked" "$out/a.out" \
   || { echo "error: repro all no longer shares replays (want 21 of 36)" >&2; exit 1; }
 echo "repro OK: $experiments experiments, $(ls "$out"/a/*.csv | wc -l) CSVs byte-identical across two runs"
+
+echo "== examples (quickstart, content_distribution, archival_backup)"
+# Each drives a `past_sim::Overlay` and asserts that its insert, lookup,
+# reclaim or recovery completed: a failed assert's panic goes to stderr
+# and stops the gate.
+for example in quickstart content_distribution archival_backup; do
+  cargo run --release --offline -q --example "$example" >/dev/null
+done
 
 echo "== counting-allocator feature build"
 # The allocation-site harness is feature-gated off the default build;

@@ -8,10 +8,11 @@ use past::crypto::{CardIssuer, Scheme};
 use past::net::{Addr, EuclideanTopology, SimDuration, Simulator};
 use past::pastry::{NodeEntry, PastryConfig, PastryNode};
 use past::sim::{
-    run_experiment, ChurnConfig, ChurnRunner, ExperimentConfig, Runner, TopologyKind, CLIENT,
+    run_experiment, ChurnConfig, ChurnRunner, Engine, ExperimentConfig, Overlay, Runner,
+    TopologyKind, CLIENT,
 };
 use past::store::CachePolicyKind;
-use past::workload::{FlashCrowdConfig, WebTraceConfig};
+use past::workload::{FlashCrowdConfig, WebTraceConfig, Workload};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -224,6 +225,68 @@ fn crashed_holders_are_repaired_and_quota_stays_exact() {
     );
     assert_eq!(report.quota_used, report.quota_expected);
     assert_eq!(report.files, 6);
+}
+
+#[test]
+fn static_overlay_audits_clean_after_a_trace_replay() {
+    // The §3.5 auditor on a trace replay instead of the churn plane's
+    // fixed file list: every node of a static overlay inserts and looks
+    // up web-trace files, closed loop, until the disks are full enough
+    // that replicas are diverted and inserts fail.
+    let nodes = 40;
+    let trace = WebTraceConfig::default().with_unique_files(3_000).generate();
+    let cfg = ExperimentConfig {
+        nodes,
+        leaf_set_size: 16,
+        cache_policy: CachePolicyKind::GreedyDualSize,
+        ..Default::default()
+    };
+    // Uniform disks that together hold half the trace's k replicas.
+    let capacity = trace.total_bytes() * cfg.k as u64 / (2 * nodes as u64);
+    let mut rng = StdRng::seed_from_u64(22);
+    let topology = EuclideanTopology::random(nodes, &mut rng);
+    let mut overlay = Overlay::build(
+        Engine::build(Box::new(topology), 22, 0),
+        &cfg.pastry_config(),
+        &cfg.past_config(),
+        &vec![capacity; nodes],
+        &mut rng,
+    );
+    let mut stored = vec![None; trace.unique_files()];
+    for op in trace.ops_iter() {
+        let from = Addr(op.client % nodes as u32);
+        if op.is_insert {
+            overlay.insert(from, &trace.file_name(op.file), trace.file_size(op.file));
+        } else if let Some((fid, _)) = stored[op.file as usize] {
+            overlay.lookup(from, fid);
+        }
+        overlay.engine.run_until_idle();
+        if let Some(done) = overlay.drain_inserted().next() {
+            stored[op.file as usize] = Some(done);
+        }
+    }
+    let files: Vec<_> = stored.into_iter().flatten().collect();
+    let stores = || {
+        let nodes = overlay.entries().iter();
+        nodes.map(|e| overlay.engine.node(e.addr).expect("built").app().store())
+    };
+    let pointers: usize = stores().map(|s| s.pointer_count()).sum();
+    let cached: u64 = stores().map(|s| s.cache().used()).sum();
+    assert!(
+        files.len() < trace.unique_files() && pointers > 0 && cached > 0,
+        "the replay must fill disks and caches: {} of {} inserted, {pointers} diverted, {cached} B cached",
+        files.len(),
+        trace.unique_files()
+    );
+
+    let report = overlay.audit(&files);
+    assert_eq!(report.dangling_pointers, 0, "{}", report.summary());
+    assert!(report.under_replicated.is_empty(), "{}", report.summary());
+    assert_eq!(report.quota_used, report.quota_expected, "{}", report.summary());
+    for store in stores() {
+        assert!(store.replica_used() <= store.capacity());
+        assert!(store.cache().used() <= store.free(), "cache exceeds the unused space");
+    }
 }
 
 #[test]
