@@ -9,6 +9,7 @@
 use rand::rngs::StdRng;
 
 use crate::addr::Addr;
+use crate::queue::Parcels;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
 
@@ -59,11 +60,16 @@ pub struct Ctx<'a, M, U> {
     pub(crate) self_addr: Addr,
     pub(crate) topology: &'a dyn Topology,
     pub(crate) rng: &'a mut StdRng,
-    pub(crate) out: &'a mut Vec<Output<M, U>>,
+    /// The engine's parcel slab: a sent message is written here, once.
+    pub(crate) parcels: &'a mut Parcels<M>,
+    pub(crate) out: &'a mut Vec<Output<U>>,
 }
 
-pub(crate) enum Output<M, U> {
-    Send { dst: Addr, msg: M },
+/// What a handler asked for, in the order it asked; the engine turns
+/// these into queued events once the handler returns. A send is only
+/// the slot its message already occupies.
+pub(crate) enum Output<U> {
+    Send { dst: Addr, slot: u32 },
     Timer { delay: SimDuration, token: u64 },
     Upcall(U),
 }
@@ -80,8 +86,10 @@ impl<'a, M, U> Ctx<'a, M, U> {
     }
 
     /// Sends `msg` to `dst`; it arrives after the topology's latency.
+    #[inline]
     pub fn send(&mut self, dst: Addr, msg: M) {
-        self.out.push(Output::Send { dst, msg });
+        let slot = self.parcels.insert(self.self_addr, dst, msg);
+        self.out.push(Output::Send { dst, slot });
     }
 
     /// Arms a timer that fires after `delay` with the given token.

@@ -1,16 +1,23 @@
-//! The event queue shared by both engines.
+//! The event queue and the parcel slab shared by both engines.
 //!
 //! A binary heap sifts its entries by value, so an entry that carries the
 //! message inline makes every level of every push and pop a copy of the
 //! whole message (an `Envelope<PastMsg>` is 176 bytes; the heap is 13
 //! levels deep at an 8k-event backlog). Here the heaps hold only what
-//! ordering needs:
+//! ordering needs, and nothing between a send and its delivery holds
+//! the message but the slab:
 //!
-//! - **Deliveries**: the heap entry is the ordering key plus a `u32`
-//!   slot. The parcel (source, destination, message) sits in a slab and
-//!   is written once on push and moved out once on pop; freed slots go
+//! - **Parcels** ([`Parcels`]): [`crate::Ctx::send`] writes (source,
+//!   destination, message) into a free slot of the slab and hands the
+//!   engine the `u32` slot. The engine reads source and destination in
+//!   place for its drop checks, then either frees the slot or moves the
+//!   message out once, into the destination's handler. Freed slots go
 //!   on a free list and are reused before the slab grows, so the slab
-//!   is never longer than the deepest delivery backlog.
+//!   is never longer than the most parcels in flight at once. The slab
+//!   is a field of the engine beside the queue, not of the queue, so
+//!   that a handler's [`crate::Ctx`] can borrow it while the engine
+//!   still holds the nodes.
+//! - **Deliveries**: the heap entry is the ordering key plus the slot.
 //! - **Timers** carry no slot: a timer *is* `(node, token)`, twelve
 //!   bytes, less than the slab line a slot would point at, so it rides
 //!   whole in a heap of its own. Timers wait seconds where messages wait
@@ -31,11 +38,92 @@ use std::collections::BinaryHeap;
 
 use crate::addr::Addr;
 
-/// A message in flight, as stored in the slab.
+/// A message in flight. `msg` is `None` while the slot is on the free
+/// list; an `Option` field rather than an `Option<Parcel>` so that a
+/// send writes the message straight into the slot.
 struct Parcel<M> {
     src: Addr,
     dst: Addr,
-    msg: M,
+    msg: Option<M>,
+}
+
+/// The slab every in-flight message waits in, from `send` to delivery.
+pub(crate) struct Parcels<M> {
+    slots: Vec<Parcel<M>>,
+    /// Vacant indices of `slots`, reused last-freed-first.
+    free: Vec<u32>,
+}
+
+impl<M> Parcels<M> {
+    pub(crate) fn with_capacity(parcels: usize) -> Self {
+        Parcels {
+            slots: Vec::with_capacity(parcels),
+            free: Vec::new(),
+        }
+    }
+
+    /// Makes room for `parcels` in flight without regrowing.
+    pub(crate) fn reserve(&mut self, parcels: usize) {
+        self.slots
+            .reserve(parcels.saturating_sub(self.slots.len()));
+    }
+
+    /// Stores a message and returns its slot.
+    #[inline]
+    pub(crate) fn insert(&mut self, src: Addr, dst: Addr, msg: M) -> u32 {
+        match self.free.pop() {
+            Some(slot) => {
+                let parcel = &mut self.slots[slot as usize];
+                parcel.src = src;
+                parcel.dst = dst;
+                parcel.msg = Some(msg);
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.slots.len())
+                    .expect("more than u32::MAX messages in flight");
+                self.slots.push(Parcel {
+                    src,
+                    dst,
+                    msg: Some(msg),
+                });
+                slot
+            }
+        }
+    }
+
+    /// `(source, destination)` of the parcel in `slot`.
+    #[inline]
+    pub(crate) fn route(&self, slot: u32) -> (Addr, Addr) {
+        let parcel = &self.slots[slot as usize];
+        (parcel.src, parcel.dst)
+    }
+
+    /// Moves the message out of `slot` and frees it. The move comes
+    /// last: with nothing after it, the message is copied from the slab
+    /// straight into the place the caller wants it, not via a temporary.
+    #[inline]
+    pub(crate) fn take(&mut self, slot: u32) -> M {
+        self.free.push(slot);
+        self.slots[slot as usize]
+            .msg
+            .take()
+            .expect("a queued delivery owns its slot")
+    }
+
+    /// `(slots, vacant slots)`: equal when nothing is in flight.
+    #[cfg(test)]
+    pub(crate) fn occupancy(&self) -> (usize, usize) {
+        (self.slots.len(), self.free.len())
+    }
+
+    /// Drops the message in `slot` where it lies and frees the slot.
+    pub(crate) fn discard(&mut self, slot: u32) {
+        let parcel = &mut self.slots[slot as usize];
+        debug_assert!(parcel.msg.is_some(), "a queued delivery owns its slot");
+        parcel.msg = None;
+        self.free.push(slot);
+    }
 }
 
 /// A heap entry: `item` ordered by `key` alone, earliest key first
@@ -70,27 +158,23 @@ type DeliverEntry<K> = Keyed<K, u32>;
 type TimerEntry<K> = Keyed<K, (Addr, u64)>;
 
 /// What [`EventQueue::pop`] hands back.
-pub(crate) enum Event<M> {
-    Deliver { src: Addr, dst: Addr, msg: M },
+pub(crate) enum Event {
+    /// The parcel in `slot` of the engine's [`Parcels`] is due.
+    Deliver { slot: u32 },
     Timer { node: Addr, token: u64 },
 }
 
 /// A priority queue of deliveries and timers ordered by `K`, earliest
 /// first (see the module docs).
-pub(crate) struct EventQueue<K, M> {
+pub(crate) struct EventQueue<K> {
     deliveries: BinaryHeap<DeliverEntry<K>>,
-    parcels: Vec<Option<Parcel<M>>>,
-    /// Vacant indices of `parcels`, reused last-freed-first.
-    free: Vec<u32>,
     timers: BinaryHeap<TimerEntry<K>>,
 }
 
-impl<K: Ord + Copy, M> EventQueue<K, M> {
+impl<K: Ord + Copy> EventQueue<K> {
     pub(crate) fn with_capacity(events: usize) -> Self {
         EventQueue {
             deliveries: BinaryHeap::with_capacity(events),
-            parcels: Vec::with_capacity(events),
-            free: Vec::new(),
             timers: BinaryHeap::new(),
         }
     }
@@ -104,24 +188,10 @@ impl<K: Ord + Copy, M> EventQueue<K, M> {
     pub(crate) fn reserve(&mut self, events: usize) {
         self.deliveries
             .reserve(events.saturating_sub(self.deliveries.len()));
-        self.parcels
-            .reserve(events.saturating_sub(self.parcels.len()));
     }
 
-    pub(crate) fn push_deliver(&mut self, key: K, src: Addr, dst: Addr, msg: M) {
-        let parcel = Some(Parcel { src, dst, msg });
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.parcels[slot as usize] = parcel;
-                slot
-            }
-            None => {
-                let slot = u32::try_from(self.parcels.len())
-                    .expect("more than u32::MAX messages in flight");
-                self.parcels.push(parcel);
-                slot
-            }
-        };
+    /// Queues the delivery of the parcel in `slot`.
+    pub(crate) fn push_deliver(&mut self, key: K, slot: u32) {
         self.deliveries.push(Keyed { key, item: slot });
     }
 
@@ -143,7 +213,7 @@ impl<K: Ord + Copy, M> EventQueue<K, M> {
     }
 
     /// Removes and returns the event with the smallest key.
-    pub(crate) fn pop(&mut self) -> Option<(K, Event<M>)> {
+    pub(crate) fn pop(&mut self) -> Option<(K, Event)> {
         let timer_first = match (self.deliveries.peek(), self.timers.peek()) {
             (Some(d), Some(t)) => t.key < d.key,
             (None, Some(_)) => true,
@@ -157,17 +227,14 @@ impl<K: Ord + Copy, M> EventQueue<K, M> {
             return Some((key, Event::Timer { node, token }));
         }
         let Keyed { key, item: slot } = self.deliveries.pop()?;
-        let Parcel { src, dst, msg } = self.parcels[slot as usize]
-            .take()
-            .expect("a queued delivery owns its slot");
-        self.free.push(slot);
-        Some((key, Event::Deliver { src, dst, msg }))
+        Some((key, Event::Deliver { slot }))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::Output;
     use crate::shard::ShardKey;
     use crate::sim::SeqKey;
     use crate::time::SimTime;
@@ -175,15 +242,20 @@ mod tests {
     use std::cmp::Reverse;
     use std::mem::size_of;
 
-    /// What the sift path moves, under each engine's own key type: a
-    /// later field must not silently refatten it.
+    /// What the sift path and the output scratch move, under each
+    /// engine's own key type: a later field must not silently refatten
+    /// them.
     #[test]
-    fn heap_entries_stay_small() {
+    fn heap_entries_and_outputs_stay_small() {
         assert!(size_of::<DeliverEntry<SeqKey>>() <= 24);
         assert!(size_of::<DeliverEntry<ShardKey>>() <= 40);
         // A timer entry is the whole timer, whatever the message type.
         assert!(size_of::<TimerEntry<SeqKey>>() <= 32);
         assert!(size_of::<TimerEntry<ShardKey>>() <= 48);
+        // An output names a message by its slot; nothing in it is as
+        // wide as a message.
+        assert!(size_of::<Output<u64>>() <= 24);
+        assert!(size_of::<Event>() <= 16);
     }
 
     /// The whole event in one heap entry, as both engines queued it
@@ -194,87 +266,127 @@ mod tests {
         Timer { node: u32, token: u64 },
     }
 
-    fn flatten(ev: Event<[u64; 4]>) -> Whole {
-        match ev {
-            Event::Deliver { src, dst, msg } => Whole::Deliver {
-                src: src.0,
-                dst: dst.0,
-                msg,
-            },
+    /// Pops one event and resolves a delivery against the slab the way
+    /// an engine does: read the route in place, then either move the
+    /// message out (`deliver`) or drop it where it lies.
+    fn pop_whole(
+        queue: &mut EventQueue<SeqKey>,
+        parcels: &mut Parcels<[u64; 4]>,
+        deliver: bool,
+    ) -> Option<(SeqKey, Whole)> {
+        let (key, event) = queue.pop()?;
+        let whole = match event {
+            Event::Deliver { slot } => {
+                let (src, dst) = parcels.route(slot);
+                let msg = if deliver {
+                    parcels.take(slot)
+                } else {
+                    let msg = parcels.slots[slot as usize].msg.expect("queued");
+                    parcels.discard(slot);
+                    msg
+                };
+                Whole::Deliver {
+                    src: src.0,
+                    dst: dst.0,
+                    msg,
+                }
+            }
             Event::Timer { node, token } => Whole::Timer {
                 node: node.0,
                 token,
             },
-        }
+        };
+        Some((key, whole))
     }
 
     proptest! {
-        /// Any push/pop interleaving — duplicate timestamps included —
-        /// pops in exactly the order of a heap of whole events; slots
-        /// are reused; the slab never outgrows the peak backlog.
+        /// Any interleaving of sends, flushes, timers and pops —
+        /// duplicate timestamps included, messages delivered or dropped
+        /// — pops in exactly the order of a heap of whole events. A
+        /// slot is reserved at send, before its key exists, and freed on
+        /// either way out, so the slab never outgrows the most parcels
+        /// in flight (queued or sent and not yet flushed) at once.
         #[test]
         fn pops_like_a_heap_of_whole_events(
-            ops in prop::collection::vec((0u8..5, 0u64..8, 0u32..16), 0..400)
+            ops in prop::collection::vec((0u8..7, 0u64..8, 0u32..16), 0..400)
         ) {
-            let mut queue: EventQueue<SeqKey, [u64; 4]> = EventQueue::with_capacity(4);
+            let mut queue: EventQueue<SeqKey> = EventQueue::with_capacity(4);
+            let mut parcels: Parcels<[u64; 4]> = Parcels::with_capacity(4);
             let mut reference: BinaryHeap<Reverse<(SeqKey, Whole)>> = BinaryHeap::new();
+            // Sent by the "running handler", not yet flushed: the
+            // engine's output scratch.
+            let mut unflushed: Vec<(u32, u64, Whole)> = Vec::new();
             let mut seq = 0u64;
-            let mut peak_deliveries = 0usize;
-            let mut pushed_deliveries = 0usize;
+            let mut sent = 0u64;
+            let mut peak_in_flight = 0usize;
             for (op, at, who) in ops {
                 match op {
-                    // Pop twice as rarely as push so backlogs build up.
-                    0 | 1 => {
-                        seq += 1;
-                        let key = (SimTime(at), seq);
-                        let msg = [seq, at, who as u64, !seq];
-                        queue.push_deliver(key, Addr(who), Addr(who + 1), msg);
-                        reference.push(Reverse((key, Whole::Deliver { src: who, dst: who + 1, msg })));
-                        pushed_deliveries += 1;
+                    // `Ctx::send`: the slot is taken now.
+                    0..=2 => {
+                        sent += 1;
+                        let msg = [sent, at, who as u64, !sent];
+                        let slot = parcels.insert(Addr(who), Addr(who + 1), msg);
+                        unflushed.push((slot, at, Whole::Deliver { src: who, dst: who + 1, msg }));
                     }
-                    2 => {
+                    // The flush: keys are assigned in output order.
+                    3 => {
+                        for (slot, at, whole) in unflushed.drain(..) {
+                            seq += 1;
+                            let key = (SimTime(at), seq);
+                            queue.push_deliver(key, slot);
+                            reference.push(Reverse((key, whole)));
+                        }
+                    }
+                    4 => {
                         seq += 1;
                         let key = (SimTime(at), seq);
                         queue.push_timer(key, Addr(who), seq ^ 0xABCD);
                         reference.push(Reverse((key, Whole::Timer { node: who, token: seq ^ 0xABCD })));
                     }
+                    // Pop, delivering (5) or dropping (6) a message.
                     _ => {
                         prop_assert_eq!(queue.peek_key(), reference.peek().map(|r| r.0 .0));
-                        let got = queue.pop().map(|(k, e)| (k, flatten(e)));
+                        let got = pop_whole(&mut queue, &mut parcels, op == 5);
                         let want = reference.pop().map(|r| r.0);
                         prop_assert_eq!(got, want);
                     }
                 }
                 prop_assert_eq!(queue.len(), reference.len());
-                peak_deliveries = peak_deliveries.max(queue.deliveries.len());
-                prop_assert!(queue.parcels.len() <= peak_deliveries);
-                prop_assert_eq!(
-                    queue.parcels.len(),
-                    queue.deliveries.len() + queue.free.len()
-                );
+                let in_flight = queue.deliveries.len() + unflushed.len();
+                peak_in_flight = peak_in_flight.max(in_flight);
+                prop_assert!(parcels.slots.len() <= peak_in_flight);
+                prop_assert_eq!(parcels.slots.len(), in_flight + parcels.free.len());
             }
-            // Slots were reused rather than appended once pops freed some.
-            prop_assert!(queue.parcels.len() <= pushed_deliveries);
+            for (slot, at, whole) in unflushed.drain(..) {
+                seq += 1;
+                queue.push_deliver((SimTime(at), seq), slot);
+                reference.push(Reverse(((SimTime(at), seq), whole)));
+            }
             while let Some(want) = reference.pop() {
-                let got = queue.pop().map(|(k, e)| (k, flatten(e)));
+                let got = pop_whole(&mut queue, &mut parcels, want.0 .0 .1 % 2 == 0);
                 prop_assert_eq!(got, Some(want.0));
             }
             prop_assert!(queue.pop().is_none());
-            prop_assert_eq!(queue.free.len(), queue.parcels.len());
+            prop_assert_eq!(parcels.free.len(), parcels.slots.len());
         }
     }
 
     #[test]
     fn shard_keys_break_ties_by_sent_source_and_sequence() {
-        let mut queue: EventQueue<ShardKey, &str> = EventQueue::with_capacity(0);
+        let mut queue: EventQueue<ShardKey> = EventQueue::with_capacity(0);
+        let mut parcels: Parcels<&str> = Parcels::with_capacity(0);
         let at = SimTime(10);
-        queue.push_deliver((at, SimTime(5), 2, 1), Addr(2), Addr(0), "later-sent");
+        let mut send = |queue: &mut EventQueue<ShardKey>, key: ShardKey, msg| {
+            let slot = parcels.insert(Addr(key.2), Addr(0), msg);
+            queue.push_deliver(key, slot);
+        };
+        send(&mut queue, (at, SimTime(5), 2, 1), "later-sent");
         queue.push_timer((at, SimTime(3), 7, 9), Addr(7), 42);
-        queue.push_deliver((at, SimTime(3), 1, 4), Addr(1), Addr(0), "lower-src");
-        queue.push_deliver((SimTime(9), SimTime(8), 9, 9), Addr(9), Addr(0), "earliest");
+        send(&mut queue, (at, SimTime(3), 1, 4), "lower-src");
+        send(&mut queue, (SimTime(9), SimTime(8), 9, 9), "earliest");
         let order: Vec<String> = std::iter::from_fn(|| queue.pop())
             .map(|(_, e)| match e {
-                Event::Deliver { msg, .. } => msg.to_string(),
+                Event::Deliver { slot } => parcels.take(slot).to_string(),
                 Event::Timer { token, .. } => format!("timer-{token}"),
             })
             .collect();

@@ -28,7 +28,7 @@ use rand::{Rng, SeedableRng};
 use crate::addr::Addr;
 use crate::fault::{FaultPlan, NodeFault};
 use crate::proto::{Ctx, NetStats, Output, Protocol};
-use crate::queue::{Event, EventQueue};
+use crate::queue::{Event, EventQueue, Parcels};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
 
@@ -48,12 +48,12 @@ fn node_rng_seed(master: u64, addr: Addr) -> u64 {
 /// differ; `source_seq` is the source node's output sequence number.
 pub(crate) type ShardKey = (SimTime, SimTime, u32, u64);
 
-/// A cross-shard send waiting in an outbox for the next barrier. The
-/// message crosses by value, once; the key already names its source.
-pub(crate) struct Outbound<M> {
+/// A cross-shard send waiting in an outbox for the next barrier: its
+/// key, and the slot its message keeps in the *sender's* slab until the
+/// barrier moves it, once, into the destination's.
+pub(crate) struct Outbound {
     key: ShardKey,
-    dst: Addr,
-    msg: M,
+    slot: u32,
 }
 
 struct ShardSlot<P> {
@@ -73,7 +73,8 @@ pub(crate) struct ShardCore<P: Protocol> {
     shards: usize,
     /// Slots indexed by `addr.index() / shards`.
     slots: Vec<Option<ShardSlot<P>>>,
-    queue: EventQueue<ShardKey, P::Msg>,
+    queue: EventQueue<ShardKey>,
+    parcels: Parcels<P::Msg>,
     topology: Arc<dyn Topology>,
     master_seed: u64,
     time: SimTime,
@@ -86,13 +87,13 @@ pub(crate) struct ShardCore<P: Protocol> {
     /// `(at, node, node_oseq, upcall)` — the extra fields order
     /// same-instant upcalls deterministically at the merge.
     upcalls: Vec<(SimTime, Addr, u64, P::Upcall)>,
-    /// Cross-shard sends deposited during a window, one box per
-    /// destination shard (own-shard sends go straight to the queue).
-    pub(crate) outboxes: Vec<Vec<Outbound<P::Msg>>>,
+    /// Cross-shard sends of the current window, one box per destination
+    /// shard (an own-shard send only gains its heap entry).
+    outboxes: Vec<Vec<Outbound>>,
     /// Fragment recorder for `past-obs` (present only while the
     /// harness records metrics).
     pub(crate) recorder: Option<past_obs::Recorder>,
-    scratch: Vec<Output<P::Msg, P::Upcall>>,
+    scratch: Vec<Output<P::Upcall>>,
 }
 
 impl<P: Protocol> ShardCore<P> {
@@ -107,6 +108,7 @@ impl<P: Protocol> ShardCore<P> {
             shards,
             slots: Vec::new(),
             queue: EventQueue::with_capacity(256),
+            parcels: Parcels::with_capacity(256),
             topology,
             master_seed,
             time: SimTime::ZERO,
@@ -251,8 +253,15 @@ impl<P: Protocol> ShardCore<P> {
 
     pub(crate) fn reserve(&mut self, events: usize, upcalls: usize) {
         self.queue.reserve(events);
+        self.parcels.reserve(events);
         self.upcalls
             .reserve(upcalls.saturating_sub(self.upcalls.len()));
+    }
+
+    /// See [`Parcels::occupancy`].
+    #[cfg(test)]
+    pub(crate) fn parcels_occupancy(&self) -> (usize, usize) {
+        self.parcels.occupancy()
     }
 
     pub(crate) fn set_time(&mut self, t: SimTime) {
@@ -272,12 +281,20 @@ impl<P: Protocol> ShardCore<P> {
         self.upcalls.clear();
     }
 
-    /// Accepts a batch of cross-shard arrivals (the barrier exchange),
-    /// draining it in place so the sender gets its buffer back.
-    pub(crate) fn receive(&mut self, batch: &mut Vec<Outbound<P::Msg>>) {
-        for Outbound { key, dst, msg } in batch.drain(..) {
+    /// The barrier exchange, one direction: takes what `from` sent this
+    /// shard during the window, each message moving from `from`'s slab
+    /// into this one's. `from` keeps its outbox, emptied, with its
+    /// capacity.
+    pub(crate) fn receive(&mut self, from: &mut Self) {
+        let batch = &mut from.outboxes[self.shard_id];
+        if batch.is_empty() {
+            return;
+        }
+        for Outbound { key, slot } in batch.drain(..) {
+            let (src, dst) = from.parcels.route(slot);
             debug_assert!(self.owns(dst));
-            self.queue.push_deliver(key, Addr(key.2), dst, msg);
+            let slot = self.parcels.insert(src, dst, from.parcels.take(slot));
+            self.queue.push_deliver(key, slot);
         }
         self.stats.queue_peak = self.stats.queue_peak.max(self.queue.len() as u64);
     }
@@ -381,31 +398,7 @@ impl<P: Protocol> ShardCore<P> {
         self.time = key.0;
         self.stats.events += 1;
         match event {
-            Event::Deliver { src, dst, msg } => {
-                if self.fault_plan.severed(self.time, src, dst) {
-                    self.stats.dropped += 1;
-                    self.stats.partition_dropped += 1;
-                    past_obs::counter("net.partition_dropped", 1);
-                } else {
-                    let p = self.loss_probability.max(self.fault_plan.loss_on(src, dst));
-                    // Loss draws come from the destination's stream so
-                    // their order is pinned by the delivery order.
-                    let lose = p > 0.0 && self.slot_mut(dst).rng.gen::<f64>() < p;
-                    if lose {
-                        self.stats.dropped += 1;
-                        self.stats.lost += 1;
-                        past_obs::counter("net.lost", 1);
-                    } else if !self.is_up(dst) {
-                        self.stats.dropped += 1;
-                        past_obs::counter("net.dropped_dead", 1);
-                    } else {
-                        self.stats.delivered += 1;
-                        past_obs::counter("net.delivered", 1);
-                        let at = self.time;
-                        self.dispatch(dst, at, |p, ctx| p.on_message(ctx, src, msg));
-                    }
-                }
-            }
+            Event::Deliver { slot } => self.deliver(slot),
             Event::Timer { node, token } => {
                 if self.is_up(node) {
                     self.stats.timers_fired += 1;
@@ -415,6 +408,54 @@ impl<P: Protocol> ShardCore<P> {
                 }
             }
         }
+    }
+
+    /// Delivers the parcel in `slot`, or drops it: source and
+    /// destination are read where they lie, every drop frees the slot,
+    /// and a delivery moves the message out once, into the handler.
+    fn deliver(&mut self, slot: u32) {
+        let (src, dst) = self.parcels.route(slot);
+        if self.fault_plan.severed(self.time, src, dst) {
+            self.stats.dropped += 1;
+            self.stats.partition_dropped += 1;
+            past_obs::counter("net.partition_dropped", 1);
+            return self.parcels.discard(slot);
+        }
+        let p = self.loss_probability.max(self.fault_plan.loss_on(src, dst));
+        // Loss draws come from the destination's stream so their order
+        // is pinned by the delivery order.
+        if p > 0.0 && self.slot_mut(dst).rng.gen::<f64>() < p {
+            self.stats.dropped += 1;
+            self.stats.lost += 1;
+            past_obs::counter("net.lost", 1);
+            return self.parcels.discard(slot);
+        }
+        let li = self.local_index(dst);
+        let Some(ShardSlot {
+            proto: Some(proto),
+            up: true,
+            rng,
+            ..
+        }) = self.slots.get_mut(li).and_then(Option::as_mut)
+        else {
+            self.stats.dropped += 1;
+            past_obs::counter("net.dropped_dead", 1);
+            return self.parcels.discard(slot);
+        };
+        self.stats.delivered += 1;
+        past_obs::counter("net.delivered", 1);
+        let at = self.time;
+        let msg = self.parcels.take(slot);
+        let mut ctx = Ctx {
+            now: at,
+            self_addr: dst,
+            topology: &*self.topology,
+            rng,
+            parcels: &mut self.parcels,
+            out: &mut self.scratch,
+        };
+        proto.on_message(&mut ctx, src, msg);
+        self.flush(dst, at);
     }
 
     /// Like [`ShardCore::dispatch`], but with this shard's fragment
@@ -439,16 +480,15 @@ impl<P: Protocol> ShardCore<P> {
     }
 
     /// Runs a handler against a node, borrowed in place in its slot, and
-    /// flushes its outputs; own-shard arrivals go to the queue,
-    /// cross-shard arrivals to the outboxes.
+    /// flushes its outputs.
     pub(crate) fn dispatch<F>(&mut self, addr: Addr, at: SimTime, f: F)
     where
         F: FnOnce(&mut P, &mut Ctx<'_, P::Msg, P::Upcall>),
     {
-        let li = self.local_index(addr);
         // Materialize the slot so its RNG exists even for a first-ever
-        // touch; the slot, the topology and the output scratch are
-        // disjoint fields from here on.
+        // touch; the slot, the topology, the parcel slab and the output
+        // scratch are disjoint fields from here on.
+        let li = self.local_index(addr);
         self.slot_mut(addr);
         let slot = self.slots[li].as_mut().expect("slot just materialized");
         let Some(proto) = slot.proto.as_mut() else {
@@ -459,18 +499,29 @@ impl<P: Protocol> ShardCore<P> {
             self_addr: addr,
             topology: &*self.topology,
             rng: &mut slot.rng,
+            parcels: &mut self.parcels,
             out: &mut self.scratch,
         };
         f(proto, &mut ctx);
+        self.flush(addr, at);
+    }
+
+    /// Queues what the handler that just ran at `addr` asked for, in
+    /// the order it asked. A send's message stays where `Ctx::send` wrote
+    /// it: an own-shard send gains its heap entry, a cross-shard send an
+    /// outbox entry for the barrier to act on.
+    fn flush(&mut self, addr: Addr, at: SimTime) {
+        let li = self.local_index(addr);
+        let node = self.slots[li].as_mut().expect("a handler just ran here");
         let jitter_max = self.fault_plan.jitter_max().micros();
         for output in self.scratch.drain(..) {
             match output {
-                Output::Send { dst, msg } => {
+                Output::Send { dst, slot } => {
                     let mut latency = self.topology.latency(addr, dst);
                     if jitter_max > 0 {
                         // Jitter comes from the sender's stream, in
                         // output order.
-                        let j = slot.rng.gen_range(0..jitter_max + 1);
+                        let j = node.rng.gen_range(0..jitter_max + 1);
                         latency = latency + SimDuration::from_micros(j);
                         self.stats.jittered += 1;
                     }
@@ -478,23 +529,23 @@ impl<P: Protocol> ShardCore<P> {
                         past_obs::counter("net.sent", 1);
                         past_obs::observe("net.transit_us", latency.micros());
                     }
-                    slot.oseq += 1;
-                    let key = (at + latency, at, addr.0, slot.oseq);
+                    node.oseq += 1;
+                    let key = (at + latency, at, addr.0, node.oseq);
                     let dst_shard = dst.index() % self.shards;
                     if dst_shard == self.shard_id {
-                        self.queue.push_deliver(key, addr, dst, msg);
+                        self.queue.push_deliver(key, slot);
                     } else {
-                        self.outboxes[dst_shard].push(Outbound { key, dst, msg });
+                        self.outboxes[dst_shard].push(Outbound { key, slot });
                     }
                 }
                 Output::Timer { delay, token } => {
-                    slot.oseq += 1;
+                    node.oseq += 1;
                     self.queue
-                        .push_timer((at + delay, at, addr.0, slot.oseq), addr, token);
+                        .push_timer((at + delay, at, addr.0, node.oseq), addr, token);
                 }
                 Output::Upcall(u) => {
-                    slot.oseq += 1;
-                    self.upcalls.push((at, addr, slot.oseq, u));
+                    node.oseq += 1;
+                    self.upcalls.push((at, addr, node.oseq, u));
                 }
             }
         }

@@ -512,28 +512,16 @@ where
         self.pool = Some(pool);
     }
 
-    /// The barrier exchange: route every outbox to its destination
-    /// shard's heap. Heap order is shard-invariant, so routing order
-    /// does not matter.
+    /// The barrier exchange: every shard takes what every other sent it
+    /// during the window. Heap order is shard-invariant, so routing
+    /// order does not matter.
     fn exchange(&mut self) {
-        for s in 0..self.shards {
-            for d in 0..self.shards {
-                if s == d {
-                    continue;
-                }
-                let src = self.cores[s].as_mut().expect("core present");
-                if src.outboxes[d].is_empty() {
-                    continue;
-                }
-                // The outbox goes back emptied with its capacity: the
-                // next window's cross-shard sends refill it without
-                // growing a fresh one.
-                let mut batch = std::mem::take(&mut src.outboxes[d]);
-                self.cores[d]
-                    .as_mut()
-                    .expect("core present")
-                    .receive(&mut batch);
-                self.cores[s].as_mut().expect("core present").outboxes[d] = batch;
+        for d in 0..self.shards {
+            let (before, rest) = self.cores.split_at_mut(d);
+            let (to, after) = rest.split_first_mut().expect("d < shards");
+            let to = to.as_mut().expect("core present");
+            for from in before.iter_mut().chain(after).flatten() {
+                to.receive(from);
             }
         }
     }
@@ -773,6 +761,12 @@ mod tests {
             sim.set_fault_plan(plan);
             sim.run_for(SimDuration::from_secs(30));
             sim.run_until_idle();
+            // Idle: every message was delivered, lost, cut off or sent
+            // to a crashed node, and each way out freed its slot.
+            for core in sim.cores.iter().flatten() {
+                let (slots, vacant) = core.parcels_occupancy();
+                assert_eq!(slots, vacant, "a dropped message kept its slot");
+            }
             let fp = fingerprint(&mut sim);
             let s = fp.2;
             (
@@ -796,6 +790,8 @@ mod tests {
             assert_eq!(a, run(shards), "divergence at {shards} shards");
         }
         assert!(a.2 .2 > 0, "loss must have fired to make the test meaningful");
+        assert!(a.2 .3 > 0, "the partition must have cut messages off");
+        assert!(a.2 .1 > a.2 .2 + a.2 .3, "messages to crashed nodes too");
         assert!(a.2 .7 > 0, "churn must have fired");
     }
 

@@ -17,7 +17,7 @@ use rand::{Rng, SeedableRng};
 use crate::addr::Addr;
 use crate::fault::{FaultPlan, NodeFault};
 use crate::proto::{Ctx, NetStats, Output, Protocol};
-use crate::queue::{Event, EventQueue};
+use crate::queue::{Event, EventQueue, Parcels};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
 
@@ -60,7 +60,8 @@ struct NodeSlot<P> {
 /// ```
 pub struct Simulator<P: Protocol> {
     nodes: Vec<NodeSlot<P>>,
-    queue: EventQueue<SeqKey, P::Msg>,
+    queue: EventQueue<SeqKey>,
+    parcels: Parcels<P::Msg>,
     topology: Box<dyn Topology>,
     time: SimTime,
     seq: u64,
@@ -71,7 +72,7 @@ pub struct Simulator<P: Protocol> {
     fault_cursor: usize,
     stats: NetStats,
     upcalls: Vec<(SimTime, Addr, P::Upcall)>,
-    scratch: Vec<Output<P::Msg, P::Upcall>>,
+    scratch: Vec<Output<P::Upcall>>,
 }
 
 impl<P: Protocol> Simulator<P> {
@@ -80,6 +81,7 @@ impl<P: Protocol> Simulator<P> {
         Simulator {
             nodes: Vec::new(),
             queue: EventQueue::with_capacity(1024),
+            parcels: Parcels::with_capacity(1024),
             topology,
             time: SimTime::ZERO,
             seq: 0,
@@ -100,6 +102,7 @@ impl<P: Protocol> Simulator<P> {
     /// on the way there.
     pub fn reserve_capacity(&mut self, events: usize, upcalls: usize) {
         self.queue.reserve(events);
+        self.parcels.reserve(events);
         self.upcalls
             .reserve(upcalls.saturating_sub(self.upcalls.len()));
     }
@@ -366,28 +369,7 @@ impl<P: Protocol> Simulator<P> {
         self.time = at;
         self.stats.events += 1;
         match event {
-            Event::Deliver { src, dst, msg } => {
-                if self.fault_plan.severed(self.time, src, dst) {
-                    self.stats.dropped += 1;
-                    self.stats.partition_dropped += 1;
-                    past_obs::counter("net.partition_dropped", 1);
-                } else {
-                    let p = self.loss_probability.max(self.fault_plan.loss_on(src, dst));
-                    let lose = p > 0.0 && self.rng.gen::<f64>() < p;
-                    if lose {
-                        self.stats.dropped += 1;
-                        self.stats.lost += 1;
-                        past_obs::counter("net.lost", 1);
-                    } else if !self.is_up(dst) {
-                        self.stats.dropped += 1;
-                        past_obs::counter("net.dropped_dead", 1);
-                    } else {
-                        self.stats.delivered += 1;
-                        past_obs::counter("net.delivered", 1);
-                        self.dispatch(dst, |p, ctx| p.on_message(ctx, src, msg));
-                    }
-                }
-            }
+            Event::Deliver { slot } => self.deliver(slot),
             Event::Timer { node, token } => {
                 if self.is_up(node) {
                     self.stats.timers_fired += 1;
@@ -397,6 +379,49 @@ impl<P: Protocol> Simulator<P> {
             }
         }
         true
+    }
+
+    /// Delivers the parcel in `slot`, or drops it: source and
+    /// destination are read where they lie, every drop frees the slot,
+    /// and a delivery moves the message out once, into the handler.
+    fn deliver(&mut self, slot: u32) {
+        let (src, dst) = self.parcels.route(slot);
+        if self.fault_plan.severed(self.time, src, dst) {
+            self.stats.dropped += 1;
+            self.stats.partition_dropped += 1;
+            past_obs::counter("net.partition_dropped", 1);
+            return self.parcels.discard(slot);
+        }
+        let p = self.loss_probability.max(self.fault_plan.loss_on(src, dst));
+        if p > 0.0 && self.rng.gen::<f64>() < p {
+            self.stats.dropped += 1;
+            self.stats.lost += 1;
+            past_obs::counter("net.lost", 1);
+            return self.parcels.discard(slot);
+        }
+        let Some(proto) = self
+            .nodes
+            .get_mut(dst.index())
+            .filter(|s| s.up)
+            .and_then(|s| s.proto.as_mut())
+        else {
+            self.stats.dropped += 1;
+            past_obs::counter("net.dropped_dead", 1);
+            return self.parcels.discard(slot);
+        };
+        self.stats.delivered += 1;
+        past_obs::counter("net.delivered", 1);
+        let msg = self.parcels.take(slot);
+        let mut ctx = Ctx {
+            now: self.time,
+            self_addr: dst,
+            topology: &*self.topology,
+            rng: &mut self.rng,
+            parcels: &mut self.parcels,
+            out: &mut self.scratch,
+        };
+        proto.on_message(&mut ctx, src, msg);
+        self.flush(dst);
     }
 
     /// Runs for `span` of simulated time from now.
@@ -412,8 +437,9 @@ impl<P: Protocol> Simulator<P> {
 
     /// Runs a handler against the node at `addr`, borrowed in place in
     /// the node vector, then turns its outputs into queued events. The
-    /// node, the topology, the RNG and the output scratch are disjoint
-    /// fields, so nothing is moved out for the duration of the call.
+    /// node, the topology, the RNG, the parcel slab and the output
+    /// scratch are disjoint fields, so nothing is moved out for the
+    /// duration of the call.
     fn dispatch<F>(&mut self, addr: Addr, f: F)
     where
         F: FnOnce(&mut P, &mut Ctx<'_, P::Msg, P::Upcall>),
@@ -430,12 +456,21 @@ impl<P: Protocol> Simulator<P> {
             self_addr: addr,
             topology: &*self.topology,
             rng: &mut self.rng,
+            parcels: &mut self.parcels,
             out: &mut self.scratch,
         };
         f(proto, &mut ctx);
+        self.flush(addr);
+    }
+
+    /// Queues what the handler that just ran at `addr` asked for, in
+    /// the order it asked: latency, the jitter draw, the sequence number
+    /// and the heap entry of a send are all assigned here, so event
+    /// keys and RNG draws do not depend on when the message was written.
+    fn flush(&mut self, addr: Addr) {
         for output in self.scratch.drain(..) {
             match output {
-                Output::Send { dst, msg } => {
+                Output::Send { dst, slot } => {
                     let mut latency = self.topology.latency(addr, dst);
                     let jitter_max = self.fault_plan.jitter_max().micros();
                     if jitter_max > 0 {
@@ -449,7 +484,7 @@ impl<P: Protocol> Simulator<P> {
                     }
                     self.seq += 1;
                     self.queue
-                        .push_deliver((self.time + latency, self.seq), addr, dst, msg);
+                        .push_deliver((self.time + latency, self.seq), slot);
                 }
                 Output::Timer { delay, token } => {
                     self.seq += 1;
@@ -619,6 +654,48 @@ mod tests {
         sim.run_until_idle();
         assert_eq!(sim.stats().dropped, 1);
         assert_eq!(sim.stats().delivered, 0);
+    }
+
+    /// A slot is reserved at `send` and must be freed on every way out
+    /// of the queue: delivery, a partition, loss, a crashed destination,
+    /// a removed one and an address that never held a node. The slab is
+    /// then never longer than the deepest backlog.
+    #[test]
+    fn every_way_out_of_the_queue_frees_the_slot() {
+        use crate::fault::FaultPlan;
+        let topo = UniformTopology::new(7, SimDuration::from_millis(5));
+        let mut sim: Simulator<PingPong> = Simulator::new(Box::new(topo), 9);
+        for i in 0..6 {
+            sim.add_node(Addr(i), PingPong::new());
+        }
+        sim.set_fault_plan(
+            FaultPlan::new()
+                .partition(SimTime::ZERO, SimTime(1_000_000), vec![Addr(0)])
+                .link_loss(Addr(1), Addr(2), 1.0),
+        );
+        sim.fail_node(Addr(3));
+        sim.remove_node(Addr(4));
+        for _ in 0..8 {
+            // Cut off by the partition.
+            sim.invoke(Addr(0), |_p, ctx| ctx.send(Addr(1), Msg::Ping));
+            // Lost; to a crashed node; to a removed one; to an address
+            // that never held one; delivered, and so is its pong.
+            sim.invoke(Addr(1), |_p, ctx| {
+                for dst in [2, 3, 4, 6, 5] {
+                    ctx.send(Addr(dst), Msg::Ping);
+                }
+            });
+            sim.run_for(SimDuration::from_millis(2));
+        }
+        sim.run_until_idle();
+        let stats = sim.stats();
+        assert_eq!(stats.partition_dropped, 8);
+        assert_eq!(stats.lost, 8);
+        assert_eq!(stats.dropped, 8 + 8 + 3 * 8);
+        assert_eq!(stats.delivered, 2 * 8, "ping and pong");
+        let (slots, vacant) = sim.parcels.occupancy();
+        assert_eq!(slots, vacant, "a dropped message kept its slot");
+        assert!(slots as u64 <= stats.queue_peak);
     }
 
     #[test]

@@ -141,6 +141,16 @@ impl LeafSet {
         self.smaller.iter().chain(self.larger.iter())
     }
 
+    /// The `i`-th member in [`LeafSet::members`] order, for a caller that
+    /// must change the set between one member and the next.
+    pub fn member(&self, i: usize) -> Option<NodeEntry> {
+        match i.checked_sub(self.smaller.len()) {
+            None => self.smaller.get(i),
+            Some(j) => self.larger.get(j),
+        }
+        .copied()
+    }
+
     /// Number of members.
     pub fn len(&self) -> usize {
         self.smaller.len() + self.larger.len()

@@ -255,6 +255,7 @@ impl<'a, 'b, M: Clone, U> AppCtx<'a, 'b, M, U> {
     /// forwarding path (including per-hop failure detection when
     /// [`PastryConfig::per_hop_acks`] is on) handles every hop uniformly;
     /// the loopback does not count as a routing hop.
+    #[inline]
     pub fn route(&mut self, key: NodeId, msg: M) {
         let own = self.state.own();
         self.net.send(
@@ -272,6 +273,7 @@ impl<'a, 'b, M: Clone, U> AppCtx<'a, 'b, M, U> {
     }
 
     /// Sends a direct, unrouted application message to a known node.
+    #[inline]
     pub fn send_app(&mut self, to: Addr, msg: M) {
         let own = self.state.own();
         self.net.send(
@@ -490,11 +492,10 @@ impl<A: Application> PastryNode<A> {
     /// `on_neighbor_removed`). Loops because the eviction callbacks can
     /// themselves queue further demotions.
     fn drain_demotions(&mut self, ctx: &mut Ctx<'_, Envelope<A::Msg>, A::Upcall>) {
-        loop {
+        // Runs after every message and timer; only a failed audit ever
+        // queues anything.
+        while !self.demotions.borrow().is_empty() {
             let batch: Vec<NodeId> = std::mem::take(&mut *self.demotions.borrow_mut());
-            if batch.is_empty() {
-                return;
-            }
             for id in batch {
                 if id == self.state.own().id || !self.shunned.insert(id) {
                     continue;
@@ -505,6 +506,7 @@ impl<A: Application> PastryNode<A> {
         }
     }
 
+    #[inline]
     fn send(
         &self,
         ctx: &mut Ctx<'_, Envelope<A::Msg>, A::Upcall>,
@@ -551,8 +553,9 @@ impl<A: Application> PastryNode<A> {
                 self.last_heard.entry(entry.id).or_insert_with(|| ctx.now());
             }
         }
-        let proximity = ctx.proximity(entry.addr);
-        let change = self.state.on_node_seen(entry, proximity);
+        let change = self
+            .state
+            .on_sender_seen(entry, || ctx.proximity(entry.addr));
         if change == LeafChange::Added {
             let mut app_ctx = Self::app_ctx(&self.state, &self.cfg, &self.scores, &self.demotions, ctx);
             self.app.on_neighbor_added(&mut app_ctx, entry);
@@ -593,9 +596,7 @@ impl<A: Application> PastryNode<A> {
         let change = self.state.on_node_failed(failed);
         if change == LeafChange::Removed {
             if notify_leaf {
-                let members: Vec<NodeEntry> =
-                    self.state.leaf_set().members().copied().collect();
-                for m in members {
+                for m in self.state.leaf_set().members() {
                     self.send(ctx, m.addr, Body::FailureNotice { failed });
                 }
             }
@@ -928,8 +929,7 @@ impl<A: Application> Protocol for PastryNode<A> {
         // "A recovering node contacts the nodes in its last known leaf
         // set, obtains their current leaf sets, updates its own leaf set
         // and then notifies the members of its new leaf set."
-        let members: Vec<NodeEntry> = self.state.leaf_set().members().copied().collect();
-        for m in members {
+        for m in self.state.leaf_set().members() {
             self.send(ctx, m.addr, Body::LeafSetRequest);
             self.send(ctx, m.addr, Body::Announce);
         }
@@ -1012,14 +1012,20 @@ impl<A: Application> Protocol for PastryNode<A> {
         }
         debug_assert_eq!(token, KEEPALIVE_TOKEN);
         let now = ctx.now();
-        let members: Vec<NodeEntry> = self.state.leaf_set().members().copied().collect();
-        for m in members {
+        // By position, not over a copy of the set: declaring a member
+        // failed removes it, which moves the next one into its place.
+        let mut i = 0;
+        while let Some(m) = self.state.leaf_set().member(i) {
             let heard = self.last_heard.get(&m.id).copied().unwrap_or(SimTime::ZERO);
             if now - heard >= self.cfg.failure_timeout {
                 self.handle_failure(ctx, m.id, true);
-            } else if now - heard >= self.cfg.keep_alive_period {
+                debug_assert!(!self.state.leaf_set().contains(m.id));
+                continue;
+            }
+            if now - heard >= self.cfg.keep_alive_period {
                 self.send(ctx, m.addr, Body::Ping);
             }
+            i += 1;
         }
         // Reliability-driven routing-table hygiene: evict candidates
         // whose decayed peer score fell below the demotion threshold

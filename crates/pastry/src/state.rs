@@ -1,7 +1,7 @@
 //! Combined per-node Pastry state and the routing decision procedure.
 
 use past_id::NodeId;
-use past_net::SimTime;
+use past_net::{Addr, SimTime};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -61,6 +61,30 @@ pub enum LeafChange {
     Removed,
 }
 
+/// Slots of a node's sender filter, direct-mapped by the low bits of
+/// the sender's id: 32 stamps of 24 bytes, 768 bytes per node that has
+/// heard from anyone.
+const SEEN_SLOTS: usize = 32;
+
+/// "This entry went through [`PastryState::on_node_seen`] at `epoch`."
+/// The entry's two fields are held flat: with the epoch in what would be
+/// a `NodeEntry`'s padding, a stamp is 24 bytes, not 32.
+#[derive(Clone, Copy, Debug)]
+struct Stamp {
+    id: NodeId,
+    addr: Addr,
+    epoch: u32,
+}
+
+impl Stamp {
+    /// Epochs start at 1, so no live epoch matches a vacant slot.
+    const VACANT: Stamp = Stamp {
+        id: NodeId::MIN,
+        addr: Addr(0),
+        epoch: 0,
+    };
+}
+
 /// The full Pastry state of one node: leaf set, routing table and
 /// neighborhood set (cf. Figure 1 of the paper).
 #[derive(Clone, Debug)]
@@ -70,9 +94,19 @@ pub struct PastryState {
     leaf: LeafSet,
     table: RoutingTable,
     neighborhood: NeighborhoodSet,
+    /// Advances whenever a node that was observed and changed nothing
+    /// could change something if observed again (see
+    /// [`PastryState::on_sender_seen`]).
+    epoch: u32,
+    /// The sender filter, allocated on the first observation.
+    seen: Option<Box<[Stamp; SEEN_SLOTS]>>,
 }
 
 impl PastryState {
+    /// What the sender filter adds to a node once it has heard from
+    /// anyone (see [`PastryState::on_sender_seen`]).
+    pub const SENDER_FILTER_BYTES: usize = std::mem::size_of::<[Stamp; SEEN_SLOTS]>();
+
     /// Creates the state for a node.
     pub fn new(own: NodeEntry, cfg: &PastryConfig) -> Self {
         cfg.validate();
@@ -82,6 +116,8 @@ impl PastryState {
             leaf: LeafSet::new(own.id, cfg.leaf_half()),
             table: RoutingTable::new(own.id, cfg.b),
             neighborhood: NeighborhoodSet::new(own.id, cfg.neighborhood_size),
+            epoch: 1,
+            seen: None,
         }
     }
 
@@ -114,7 +150,9 @@ impl PastryState {
         }
         let leaf_changed = self.leaf.insert(entry);
         self.table.consider(entry, proximity);
-        self.neighborhood.consider(entry, proximity);
+        if self.neighborhood.consider(entry, proximity) {
+            self.advance_epoch();
+        }
         if leaf_changed {
             LeafChange::Added
         } else {
@@ -122,12 +160,86 @@ impl PastryState {
         }
     }
 
+    /// [`PastryState::on_node_seen`] for a caller whose proximity is a
+    /// pure function of `entry.addr` (every [`past_net::Topology`]
+    /// distance is): an entry observed since the last change that could
+    /// matter to it is skipped with one compare, before `proximity` is
+    /// even computed.
+    ///
+    /// Why a skip is a no-op. Once `on_node_seen(entry)` has run, running
+    /// it again changes nothing for as long as nothing is *removed* from
+    /// the leaf set or the routing table and the neighbourhood set does
+    /// not change at all:
+    ///
+    /// - The leaf set keeps the `half` nearest ids per side and ring
+    ///   distances are unique, so other insertions only push the bar an
+    ///   entry has to clear down: a member stays or is displaced for
+    ///   good, a rejected entry stays rejected.
+    /// - A routing-table cell is replaced only by a *strictly* closer
+    ///   node, so the same holds per cell.
+    /// - The neighbourhood set does not have that property: among
+    ///   members of *equal* proximity (the rule on a clustered topology,
+    ///   which has a handful of distinct distances) the binary search
+    ///   lands anywhere in the run of equals and the truncation evicts a
+    ///   different member, which is then re-admitted the next time it is
+    ///   seen. Hence any change to it counts, not only removals.
+    ///
+    /// So the epoch advances on every removal
+    /// ([`PastryState::on_node_failed`],
+    /// [`PastryState::demote_unreliable_candidates`]) and whenever
+    /// [`NeighborhoodSet::consider`] reports a change, and a stamp from
+    /// an earlier epoch is ignored. A rebuilt state starts with no
+    /// stamps.
+    ///
+    /// The slot is chosen by id, not by address, so an id has at most
+    /// one stamp: the entry it was last *processed* as. The routing table
+    /// and the neighbourhood set re-address a known id seen somewhere
+    /// new, and a stamp for the old address, kept in a slot of its own,
+    /// would outlive that and then hide the way back.
+    #[inline]
+    pub fn on_sender_seen(
+        &mut self,
+        entry: NodeEntry,
+        proximity: impl FnOnce() -> f64,
+    ) -> LeafChange {
+        let slot = entry.id.as_u128() as usize % SEEN_SLOTS;
+        if let Some(stamps) = &self.seen {
+            let stamp = &stamps[slot];
+            if stamp.epoch == self.epoch && stamp.id == entry.id && stamp.addr == entry.addr {
+                return LeafChange::None;
+            }
+        }
+        let change = self.on_node_seen(entry, proximity());
+        let stamps = self
+            .seen
+            .get_or_insert_with(|| Box::new([Stamp::VACANT; SEEN_SLOTS]));
+        stamps[slot] = Stamp {
+            id: entry.id,
+            addr: entry.addr,
+            epoch: self.epoch,
+        };
+        change
+    }
+
+    /// Invalidates every stamp of the sender filter.
+    fn advance_epoch(&mut self) {
+        // A silent wrap could revive a stamp 2^32 changes old; no replay
+        // comes within orders of magnitude of that many at one node.
+        self.epoch = self
+            .epoch
+            .checked_add(1)
+            .expect("2^32 Pastry state changes at one node");
+    }
+
     /// Records that a node is presumed failed. Returns the leaf-set
     /// effect (PAST re-creates replicas when a leaf neighbor is lost).
     pub fn on_node_failed(&mut self, id: NodeId) -> LeafChange {
         let was_leaf = self.leaf.remove(id).is_some();
-        self.table.remove(id);
-        self.neighborhood.remove(id);
+        let was_routed = self.table.remove(id);
+        let was_neighbor = self.neighborhood.remove(id);
+        if was_leaf || was_routed || was_neighbor {
+            self.advance_epoch();
+        }
         if was_leaf {
             LeafChange::Removed
         } else {
@@ -160,6 +272,9 @@ impl PastryState {
         victims.dedup();
         for id in &victims {
             self.table.remove(*id);
+        }
+        if !victims.is_empty() {
+            self.advance_epoch();
         }
         victims
     }

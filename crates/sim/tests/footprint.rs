@@ -6,7 +6,7 @@
 use std::mem::size_of;
 
 use past_core::{PastMsg, ReqId};
-use past_pastry::{Envelope, NodeEntry, RouteCell};
+use past_pastry::{Envelope, NodeEntry, PastryState, RouteCell};
 use past_sim::{ExperimentConfig, Runner};
 use past_store::{BackupPointer, Pointer};
 use past_workload::WebTraceConfig;
@@ -21,6 +21,11 @@ fn records_that_hold_a_node_id_are_not_padded_to_sixteen() {
     // A routing-table row is 16 of these: 640 B, not 1,024.
     assert!(size_of::<Option<RouteCell>>() <= 40);
     assert!(size_of::<Envelope<PastMsg>>() <= 176);
+    // The sender filter: 24-byte stamps, under 1 kB per node.
+    const {
+        assert!(PastryState::SENDER_FILTER_BYTES.is_multiple_of(24));
+        assert!(PastryState::SENDER_FILTER_BYTES <= 1024);
+    }
 }
 
 /// One diverted replica is one table record at A and one at C, each

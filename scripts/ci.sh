@@ -13,9 +13,10 @@
 #   5. cargo doc -D warnings
 #   6. pastbench's own tests (benchmark/, a package of its own), and
 #      the layout guards in the profile pastbench measures
-#   7. repro: every experiment at smoke scale, twice, asserts on
-#   8. the three examples, each asserting its own outcome
-#   9. the count-alloc feature build
+#   7. copies of a message between send and handler (count_copies.sh)
+#   8. repro: every experiment at smoke scale, twice, asserts on
+#   9. the three examples, each asserting its own outcome
+#  10. the count-alloc feature build
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -55,6 +56,12 @@ cargo test --release --offline --manifest-path benchmark/Cargo.toml
 # profile too, not only in stage 3's debug build.
 cargo test -q --release --offline -p past-store
 cargo test -q --release --offline -p past-sim --test footprint
+
+echo "== copies per message (memcpy/memmove calls of a message's size, per message sent)"
+# A message is written into the slab once and read out of it once; a
+# by-value hop added anywhere between `Ctx::send` and the handler shows
+# up here as one more call per message (the count repeats exactly).
+scripts/count_copies.sh
 
 echo "== repro (every experiment at smoke scale, twice)"
 # One binary regenerates Tables 1-4, Figures 2-8, the ablations and the
