@@ -5,14 +5,19 @@
 //! 2250 nodes inside a single process, communicating through a network
 //! emulation environment. This crate provides that substrate:
 //!
-//! - [`Simulator`]: the single-threaded event-queue simulator driving
-//!   per-node [`Protocol`] state machines with messages and timers,
-//!   fully deterministic for a given seed.
-//! - [`ShardedSim`]: the sharded multi-core engine — nodes are
-//!   partitioned across shards that advance in parallel under
-//!   conservative lookahead (window = the topology's
-//!   [`Topology::min_latency`]), with the *same seed producing the same
-//!   execution at any shard count*.
+//! - [`Simulator`] and [`ShardedSim`]: two engines over one event core,
+//!   driving per-node [`Protocol`] state machines with messages and
+//!   timers, fully deterministic for a given seed. The core holds the
+//!   nodes, the event queue, the faults and the statistics; an *order*
+//!   owns what the engines differ on, the event key and which RNG
+//!   stream draws. [`Simulator`] is one core under the legacy order
+//!   (one global sequence number, one engine-wide RNG). [`ShardedSim`]
+//!   partitions nodes across cores under the shard order (per-node
+//!   sequence numbers and RNG streams), which advance in parallel
+//!   under conservative lookahead (window = the topology's
+//!   [`Topology::min_latency`]) with the *same seed producing the same
+//!   execution at any shard count*; its windows and barrier are its
+//!   own.
 //! - [`Topology`] implementations supplying the scalar *proximity metric*
 //!   that Pastry's locality heuristics depend on, and per-message latency:
 //!   [`EuclideanTopology`], [`ClusteredTopology`] (the eight-site NLANR
@@ -24,6 +29,7 @@
 //! - [`SimTime`]/[`SimDuration`] and [`Addr`] vocabulary types.
 
 mod addr;
+mod engine;
 mod fault;
 mod proto;
 mod queue;

@@ -154,17 +154,6 @@ pub struct NetStats {
 }
 
 impl NetStats {
-    /// Events processed per wall-clock second — the simulator's
-    /// throughput figure for perf reporting. Zero when `wall_seconds`
-    /// is not positive.
-    pub fn events_per_sec(&self, wall_seconds: f64) -> f64 {
-        if wall_seconds > 0.0 {
-            self.events as f64 / wall_seconds
-        } else {
-            0.0
-        }
-    }
-
     /// Folds another engine shard's counters into this one. Every field
     /// sums, `queue_peak` included: the merged value is the *sum of the
     /// per-shard peaks*, an upper bound on the global peak (shards need

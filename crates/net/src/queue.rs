@@ -1,4 +1,4 @@
-//! The event queue and the parcel slab shared by both engines.
+//! The event queue and the parcel slab of the event core.
 //!
 //! A binary heap sifts its entries by value, so an entry that carries the
 //! message inline makes every level of every push and pop a copy of the
@@ -9,13 +9,13 @@
 //!
 //! - **Parcels** ([`Parcels`]): [`crate::Ctx::send`] writes (source,
 //!   destination, message) into a free slot of the slab and hands the
-//!   engine the `u32` slot. The engine reads source and destination in
+//!   core the `u32` slot. The core reads source and destination in
 //!   place for its drop checks, then either frees the slot or moves the
 //!   message out once, into the destination's handler. Freed slots go
 //!   on a free list and are reused before the slab grows, so the slab
 //!   is never longer than the most parcels in flight at once. The slab
-//!   is a field of the engine beside the queue, not of the queue, so
-//!   that a handler's [`crate::Ctx`] can borrow it while the engine
+//!   is a field of the core beside the queue, not of the queue, so
+//!   that a handler's [`crate::Ctx`] can borrow it while the core
 //!   still holds the nodes.
 //! - **Deliveries**: the heap entry is the ordering key plus the slot.
 //! - **Timers** carry no slot: a timer *is* `(node, token)`, twelve
@@ -24,14 +24,14 @@
 //!   milliseconds; kept apart they do not deepen the heap the messages
 //!   sift through.
 //!
-//! [`EventQueue::pop`] takes whichever head has the smaller key, so the
-//! two heaps behave as one queue under the engine's total order. Keys
-//! must be unique (both engines' are), which makes the pop order a pure
+//! [`EventQueue::pop_if`] takes whichever head has the smaller key, so the
+//! two heaps behave as one queue under the core's total order. Keys
+//! must be unique (both orders' are), which makes the pop order a pure
 //! function of the keys pushed.
 //!
-//! The key type is the engine's: `(at, seq)` for [`crate::Simulator`],
-//! `(at, sent, src, sseq)` for the sharded engine. The first field of
-//! either is the arrival time, which is all the engines read back.
+//! A key is `(arrival, tie)`, the tie the event core's order's: the
+//! global `seq` under the legacy order, `(sent, src, sseq)` under the
+//! shard order. The arrival time is all the core reads back.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -90,6 +90,33 @@ impl<M> Parcels<M> {
                 slot
             }
         }
+    }
+
+    /// Moves the parcel in `from`'s `slot` into this slab and returns
+    /// its new slot, freeing the old one. The message goes slab to slab
+    /// in one step, swapped with a vacant slot's `None`, not through
+    /// the stack.
+    #[inline]
+    pub(crate) fn move_from(&mut self, from: &mut Parcels<M>, slot: u32) -> u32 {
+        let (src, dst) = from.route(slot);
+        let to = match self.free.pop() {
+            Some(to) => to,
+            None => {
+                self.slots.push(Parcel {
+                    src,
+                    dst,
+                    msg: None,
+                });
+                u32::try_from(self.slots.len() - 1)
+                    .expect("more than u32::MAX messages in flight")
+            }
+        };
+        let parcel = &mut self.slots[to as usize];
+        parcel.src = src;
+        parcel.dst = dst;
+        std::mem::swap(&mut parcel.msg, &mut from.slots[slot as usize].msg);
+        from.free.push(slot);
+        to
     }
 
     /// `(source, destination)` of the parcel in `slot`.
@@ -157,7 +184,7 @@ type DeliverEntry<K> = Keyed<K, u32>;
 /// `(node, token)`.
 type TimerEntry<K> = Keyed<K, (Addr, u64)>;
 
-/// What [`EventQueue::pop`] hands back.
+/// What [`EventQueue::pop_if`] hands back.
 pub(crate) enum Event {
     /// The parcel in `slot` of the engine's [`Parcels`] is due.
     Deliver { slot: u32 },
@@ -213,12 +240,25 @@ impl<K: Ord + Copy> EventQueue<K> {
     }
 
     /// Removes and returns the event with the smallest key.
+    #[cfg(test)]
     pub(crate) fn pop(&mut self) -> Option<(K, Event)> {
-        let timer_first = match (self.deliveries.peek(), self.timers.peek()) {
-            (Some(d), Some(t)) => t.key < d.key,
-            (None, Some(_)) => true,
-            (_, None) => false,
+        self.pop_if(|_| true)
+    }
+
+    /// Removes and returns the event with the smallest key if `due`
+    /// holds for that key; one look at the two heads serves both the
+    /// check and the pop.
+    #[inline]
+    pub(crate) fn pop_if(&mut self, due: impl FnOnce(&K) -> bool) -> Option<(K, Event)> {
+        let (head, timer_first) = match (self.deliveries.peek(), self.timers.peek()) {
+            (Some(d), Some(t)) if t.key < d.key => (t.key, true),
+            (Some(d), _) => (d.key, false),
+            (None, Some(t)) => (t.key, true),
+            (None, None) => return None,
         };
+        if !due(&head) {
+            return None;
+        }
         if timer_first {
             let Keyed {
                 key,
@@ -234,16 +274,20 @@ impl<K: Ord + Copy> EventQueue<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Order;
     use crate::proto::Output;
-    use crate::shard::ShardKey;
-    use crate::sim::SeqKey;
+    use crate::shard::ShardOrder;
+    use crate::sim::Legacy;
     use crate::time::SimTime;
     use proptest::prelude::*;
     use std::cmp::Reverse;
     use std::mem::size_of;
 
+    type SeqKey = (SimTime, <Legacy as Order>::Tie);
+    type ShardKey = (SimTime, <ShardOrder as Order>::Tie);
+
     /// What the sift path and the output scratch move, under each
-    /// engine's own key type: a later field must not silently refatten
+    /// order's own key type: a later field must not silently refatten
     /// them.
     #[test]
     fn heap_entries_and_outputs_stay_small() {
@@ -377,13 +421,13 @@ mod tests {
         let mut parcels: Parcels<&str> = Parcels::with_capacity(0);
         let at = SimTime(10);
         let mut send = |queue: &mut EventQueue<ShardKey>, key: ShardKey, msg| {
-            let slot = parcels.insert(Addr(key.2), Addr(0), msg);
+            let slot = parcels.insert(Addr(key.1 .1), Addr(0), msg);
             queue.push_deliver(key, slot);
         };
-        send(&mut queue, (at, SimTime(5), 2, 1), "later-sent");
-        queue.push_timer((at, SimTime(3), 7, 9), Addr(7), 42);
-        send(&mut queue, (at, SimTime(3), 1, 4), "lower-src");
-        send(&mut queue, (SimTime(9), SimTime(8), 9, 9), "earliest");
+        send(&mut queue, (at, (SimTime(5), 2, 1)), "later-sent");
+        queue.push_timer((at, (SimTime(3), 7, 9)), Addr(7), 42);
+        send(&mut queue, (at, (SimTime(3), 1, 4)), "lower-src");
+        send(&mut queue, (SimTime(9), (SimTime(8), 9, 9)), "earliest");
         let order: Vec<String> = std::iter::from_fn(|| queue.pop())
             .map(|(_, e)| match e {
                 Event::Deliver { slot } => parcels.take(slot).to_string(),

@@ -1,13 +1,16 @@
 //! The sharded multi-core simulation engine.
 //!
 //! [`ShardedSim`] partitions the emulated world round-robin across
-//! `shards` [`ShardCore`]s (node `a` lives on shard `a % shards`), each
-//! with its own event heap, per-node RNG streams and fault
-//! sub-schedule. Shards advance in parallel under **conservative
-//! lookahead**: with `L = topology.min_latency()`, every message sent
-//! at time `t` arrives no earlier than `t + L`, so all shards can
-//! process the window `[T, T + L)` independently — any message one
-//! shard sends another inside the window lands in a *later* window. At
+//! `shards` event cores (node `a` lives on shard `a % shards`), each
+//! under the shard order of [`crate::shard`]: its own event heap,
+//! per-node RNG streams and fault sub-schedule. Shards advance in
+//! parallel under **conservative lookahead**: with `L =
+//! topology.min_latency()`, every message sent at time `t` arrives no
+//! earlier than `t + L`, so all shards can process the window `[T, T +
+//! L)` independently — any message one shard sends another inside the
+//! window lands in a *later* window. The windows, the barrier and the
+//! upcall merge are this module's; everything a shard does inside a
+//! window is the event core's, shared with [`crate::Simulator`]. At
 //! each window barrier the coordinator exchanges cross-shard sends and
 //! picks the next window start as the earliest pending timestamp
 //! anywhere.
@@ -37,16 +40,16 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 use crate::addr::Addr;
-use crate::fault::{FaultPlan, NodeFault};
+use crate::fault::FaultPlan;
 use crate::proto::{Ctx, NetStats, Protocol};
-use crate::shard::ShardCore;
+use crate::shard::{ShardCore, ShardOrder};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
 
 struct Job<P: Protocol> {
     idx: usize,
     core: ShardCore<P>,
-    end: SimTime,
+    last: SimTime,
 }
 
 /// A window-granular worker pool: the coordinator moves whole shard
@@ -85,9 +88,9 @@ where
                             guard.recv()
                         };
                         match job {
-                            Ok(Job { idx, mut core, end }) => {
-                                core.run_window(end);
-                                if done.send((idx, core)).is_err() {
+                            Ok(mut job) => {
+                                run_window(&mut job.core, job.last);
+                                if done.send((job.idx, job.core)).is_err() {
                                     break;
                                 }
                             }
@@ -126,6 +129,13 @@ impl<P: Protocol> Drop for WorkerPool<P> {
     }
 }
 
+/// Processes one window of a shard, through `last` inclusive, with the
+/// shard's fragment recorder in place (protocol instrumentation reaches
+/// the right recorder on any thread).
+fn run_window<P: Protocol>(core: &mut ShardCore<P>, last: SimTime) {
+    core.recording(|c| c.run_through(last));
+}
+
 /// The sharded discrete-event simulator: a drop-in counterpart to
 /// [`crate::Simulator`] that partitions nodes across shards and runs
 /// them under conservative lookahead.
@@ -144,13 +154,12 @@ where
 {
     /// `None` only transiently, while a core is out on a worker thread.
     cores: Vec<Option<ShardCore<P>>>,
-    topology: Arc<dyn Topology>,
     shards: usize,
     lookahead: SimDuration,
     time: SimTime,
     worker_threads: usize,
     pool: Option<WorkerPool<P>>,
-    upcall_buf: Vec<(SimTime, Addr, u64, P::Upcall)>,
+    upcall_buf: Vec<(SimTime, Addr, P::Upcall)>,
 }
 
 impl<P> ShardedSim<P>
@@ -173,11 +182,17 @@ where
         );
         let topology: Arc<dyn Topology> = Arc::from(topology);
         let cores = (0..shards)
-            .map(|i| Some(ShardCore::new(i, shards, Arc::clone(&topology), seed)))
+            .map(|shard| {
+                let order = ShardOrder {
+                    shard,
+                    shards,
+                    master_seed: seed,
+                };
+                Some(ShardCore::new(order, Arc::clone(&topology)))
+            })
             .collect();
         ShardedSim {
             cores,
-            topology,
             shards,
             lookahead,
             time: SimTime::ZERO,
@@ -185,17 +200,6 @@ where
             pool: None,
             upcall_buf: Vec::new(),
         }
-    }
-
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// The conservative-lookahead window width (the topology's minimum
-    /// link latency).
-    pub fn lookahead(&self) -> SimDuration {
-        self.lookahead
     }
 
     /// Overrides the worker-thread count (0 forces inline execution on
@@ -208,6 +212,10 @@ where
             // Joins the old pool; a right-sized one respawns lazily.
             self.pool = None;
         }
+    }
+
+    fn cores_mut(&mut self) -> impl Iterator<Item = &mut ShardCore<P>> {
+        self.cores.iter_mut().flatten()
     }
 
     fn core(&self, addr: Addr) -> &ShardCore<P> {
@@ -227,7 +235,7 @@ where
     pub fn reserve_capacity(&mut self, events: usize, upcalls: usize) {
         let per = events / self.shards + 1;
         let per_up = upcalls / self.shards + 1;
-        for c in self.cores.iter_mut().flatten() {
+        for c in self.cores_mut() {
             c.reserve(per, per_up);
         }
     }
@@ -239,30 +247,17 @@ where
     ///
     /// Panics unless `0.0 <= p <= 1.0`.
     pub fn set_loss_probability(&mut self, p: f64) {
-        assert!((0.0..=1.0).contains(&p), "loss probability out of range");
-        for c in self.cores.iter_mut().flatten() {
+        for c in self.cores_mut() {
             c.set_loss_probability(p);
         }
     }
 
-    /// Installs a fault plan: the crash/recover schedule is partitioned
-    /// by node ownership; partitions, link loss and jitter are shared.
+    /// Installs a fault plan: each shard keeps the crash/recover entries
+    /// of its own nodes; partitions, link loss and jitter are shared.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        let schedule = plan.schedule();
         let plan = Arc::new(plan);
-        for (i, core) in self.cores.iter_mut().enumerate() {
-            let core = core.as_mut().expect("core present between windows");
-            let sub: Vec<(SimTime, NodeFault)> = schedule
-                .iter()
-                .filter(|(_, f)| {
-                    let addr = match f {
-                        NodeFault::Crash(a) | NodeFault::Recover(a) => *a,
-                    };
-                    addr.index() % self.shards == i
-                })
-                .cloned()
-                .collect();
-            core.set_fault_inputs(sub, Arc::clone(&plan));
+        for c in self.cores_mut() {
+            c.set_fault_plan(Arc::clone(&plan));
         }
     }
 
@@ -276,14 +271,9 @@ where
     pub fn stats(&self) -> NetStats {
         let mut s = NetStats::default();
         for c in self.cores.iter().flatten() {
-            s.merge_from(c.stats());
+            s.merge_from(&c.stats());
         }
         s
-    }
-
-    /// The topology driving latency and proximity.
-    pub fn topology(&self) -> &dyn Topology {
-        &*self.topology
     }
 
     /// Adds a node and runs its `on_start` handler.
@@ -292,8 +282,7 @@ where
     ///
     /// Panics if the address exceeds the topology capacity or is occupied.
     pub fn add_node(&mut self, addr: Addr, proto: P) {
-        let at = self.time;
-        self.core_mut(addr).add_node(addr, proto, at);
+        self.core_mut(addr).add_node(addr, proto);
     }
 
     /// Whether a node exists and is up.
@@ -330,20 +319,13 @@ where
     }
 
     /// Brings a failed node back up and runs its `on_recover` handler.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no node state exists at `addr`.
     pub fn recover_node(&mut self, addr: Addr) {
         self.ensure_obs_fragments();
-        let at = self.time;
-        let core = self.core_mut(addr);
-        if core.recorder.is_some() {
-            let prev = past_obs::install(core.recorder.take().expect("checked"));
-            core.recover_node(addr, at);
-            core.recorder = past_obs::uninstall();
-            if let Some(p) = prev {
-                past_obs::install(p);
-            }
-        } else {
-            core.recover_node(addr, at);
-        }
+        self.core_mut(addr).recording(|c| c.recover_node(addr));
     }
 
     /// Removes a node entirely, returning its protocol state.
@@ -351,15 +333,18 @@ where
         self.core_mut(addr).remove_node(addr)
     }
 
-    /// Runs `f` against a node right now (the entry point for workload
-    /// injection).
+    /// Runs `f` against a live node right now (the entry point for
+    /// workload injection).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node is absent or down.
     pub fn invoke<F>(&mut self, addr: Addr, f: F)
     where
         F: FnOnce(&mut P, &mut Ctx<'_, P::Msg, P::Upcall>),
     {
         self.ensure_obs_fragments();
-        let at = self.time;
-        self.core_mut(addr).dispatch_obs(addr, at, f);
+        self.core_mut(addr).recording(|c| c.invoke(addr, f));
     }
 
     /// Takes all pending upcalls in deterministic order: by time, then
@@ -373,19 +358,21 @@ where
     /// Like [`ShardedSim::drain_upcalls`], appending into `buf`.
     pub fn drain_upcalls_into(&mut self, buf: &mut Vec<(SimTime, Addr, P::Upcall)>) {
         let mut merged = std::mem::take(&mut self.upcall_buf);
-        for c in self.cores.iter_mut().flatten() {
-            c.take_upcalls(&mut merged);
+        for c in self.cores_mut() {
+            merged.append(&mut c.upcalls);
         }
-        merged.sort_unstable_by_key(|&(t, a, seq, _)| (t, a.0, seq));
-        buf.extend(merged.drain(..).map(|(t, a, _, u)| (t, a, u)));
+        // A node's upcalls all sit in its own shard's buffer, in
+        // emission order, so a stable sort by (time, address) puts them
+        // in per-node emission order.
+        merged.sort_by_key(|&(t, a, _)| (t, a));
+        buf.append(&mut merged);
         self.upcall_buf = merged;
     }
 
     /// Discards all pending upcalls.
     pub fn discard_upcalls(&mut self) {
-        self.upcall_buf.clear();
-        for c in self.cores.iter_mut().flatten() {
-            c.discard_upcalls();
+        for c in self.cores_mut() {
+            c.upcalls.clear();
         }
     }
 
@@ -404,16 +391,13 @@ where
     /// advances the clock to `deadline`.
     pub fn run_until(&mut self, deadline: SimTime) {
         self.run_windows(Some(deadline));
-        if deadline > self.time {
-            self.time = deadline;
-        }
+        self.time = self.time.max(deadline);
         self.sync_clocks();
     }
 
     /// Runs for a span of simulated time from now.
     pub fn run_for(&mut self, span: SimDuration) {
-        let deadline = self.time + span;
-        self.run_until(deadline);
+        self.run_until(self.time + span);
     }
 
     /// Folds every shard's observability fragment into the recorder
@@ -451,33 +435,22 @@ where
                 .filter_map(|c| c.next_ts())
                 .min();
             let Some(t) = next else { break };
-            if let Some(d) = deadline {
-                if t > d {
-                    break;
-                }
+            if deadline.is_some_and(|d| t > d) {
+                break;
             }
-            let end = match deadline {
-                // `d + 1 µs` so events at exactly the deadline process
-                // (windows are half-open).
-                Some(d) => (t + self.lookahead).min(SimTime(d.0.saturating_add(1))),
-                None => t + self.lookahead,
-            };
-            self.execute_window(end);
+            // The window is `[t, t + L)`, cut at the deadline.
+            let last = SimTime(t.0 + self.lookahead.0 - 1);
+            self.execute_window(deadline.map_or(last, |d| last.min(d)));
             self.exchange();
-        }
-        for c in self.cores.iter().flatten() {
-            if c.time() > self.time {
-                self.time = c.time();
-            }
         }
     }
 
-    /// Runs `[.., end)` on every shard — on the worker pool when one is
+    /// Runs every shard through `last` — on the worker pool when one is
     /// configured, inline otherwise. Identical results either way.
-    fn execute_window(&mut self, end: SimTime) {
+    fn execute_window(&mut self, last: SimTime) {
         if self.worker_threads == 0 {
-            for c in self.cores.iter_mut().flatten() {
-                c.run_window(end);
+            for c in self.cores_mut() {
+                run_window(c, last);
             }
             return;
         }
@@ -491,17 +464,17 @@ where
             pool.job_tx
                 .as_ref()
                 .expect("job channel open")
-                .send(Job { idx: i, core, end })
+                .send(Job { idx: i, core, last })
                 .expect("worker pool alive");
             pending += 1;
         }
         // Shard 0 always runs on the coordinator thread…
-        self.cores[0].as_mut().expect("core present").run_window(end);
+        run_window(self.cores[0].as_mut().expect("core present"), last);
         // …which then helps drain the queue when workers are
         // oversubscribed.
-        while let Some(Job { idx, mut core, end }) = pool.try_steal() {
-            core.run_window(end);
-            self.cores[idx] = Some(core);
+        while let Some(mut job) = pool.try_steal() {
+            run_window(&mut job.core, job.last);
+            self.cores[job.idx] = Some(job.core);
             pending -= 1;
         }
         while pending > 0 {
@@ -533,28 +506,18 @@ where
         if !past_obs::is_enabled() {
             return;
         }
-        for c in self.cores.iter_mut().flatten() {
-            if c.recorder.is_none() {
-                c.recorder = Some(past_obs::Recorder::fragment());
-            }
+        for c in self.cores_mut() {
+            c.recorder.get_or_insert_with(past_obs::Recorder::fragment);
         }
     }
 
-    /// Aligns every shard's local clock with the coordinator's after a
-    /// run, so the next injection dispatches at a consistent `now`.
+    /// Brings the clock to the latest shard's and every shard's clock to
+    /// it, so the next injection dispatches at a consistent `now`.
     fn sync_clocks(&mut self) {
-        for c in self.cores.iter_mut().flatten() {
-            if self.time > c.time() {
-                c.set_time(self.time);
-            } else if c.time() > self.time {
-                self.time = c.time();
-            }
-        }
-        let t = self.time;
-        for c in self.cores.iter_mut().flatten() {
-            if t > c.time() {
-                c.set_time(t);
-            }
+        let t = self.cores.iter().flatten().map(|c| c.now()).fold(self.time, SimTime::max);
+        self.time = t;
+        for c in self.cores_mut() {
+            c.advance_to(t);
         }
     }
 }

@@ -1,33 +1,56 @@
-//! The single-threaded discrete-event simulator core.
+//! The single-threaded engine: one event core under the legacy order.
 //!
 //! The paper's prototype ran up to 2250 PAST nodes inside a single Java VM
 //! communicating through a network emulation layer. This module is the
 //! Rust equivalent: every node is a deterministic state machine driven by
 //! delivered messages and timers; an event queue orders all activity by
-//! simulated time with a strict total order (time, then sequence number),
-//! so any experiment is exactly reproducible from its seed.
+//! simulated time with a strict total order, so any experiment is
+//! exactly reproducible from its seed.
 //!
-//! The protocol surface ([`Protocol`], [`Ctx`], [`NetStats`]) lives in
-//! [`crate::proto`], shared with the multi-core [`crate::ShardedSim`]
-//! engine; this file is the reference engine both are measured against.
+//! The legacy order is one shard: a node's slot is its address, an
+//! event's key is `(arrival, global enqueue seq)` with one counter per
+//! engine, and loss, jitter and [`Ctx::rng`] all draw from one
+//! engine-wide `StdRng`. The shard order under [`crate::ShardedSim`]
+//! keys and draws differently, so the two engines run the same seed
+//! differently; `benchmark/pins.json` is recorded on this one.
+
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 use crate::addr::Addr;
-use crate::fault::{FaultPlan, NodeFault};
-use crate::proto::{Ctx, NetStats, Output, Protocol};
-use crate::queue::{Event, EventQueue, Parcels};
+use crate::engine::{Core, Order};
+use crate::fault::FaultPlan;
+use crate::proto::{Ctx, NetStats, Protocol};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
 
-/// The strict total order of this engine: arrival time, then the global
-/// enqueue sequence number.
-pub(crate) type SeqKey = (SimTime, u64);
+/// The legacy order (see the module docs).
+pub(crate) struct Legacy {
+    seq: u64,
+    rng: StdRng,
+}
 
-struct NodeSlot<P> {
-    proto: Option<P>,
-    up: bool,
+impl Order for Legacy {
+    type Tie = u64;
+    type Stream = ();
+    type Topology = Box<dyn Topology>;
+
+    fn partition(&self) -> (usize, usize) {
+        (1, 0)
+    }
+
+    fn stream(&self, _: Addr) {}
+
+    fn rng<'a>(&'a mut self, _: &'a mut ()) -> &'a mut StdRng {
+        &mut self.rng
+    }
+
+    fn tie(&mut self, _: &mut (), _: Addr, _: SimTime) -> u64 {
+        self.seq += 1;
+        self.seq
+    }
 }
 
 /// The discrete-event network simulator.
@@ -59,40 +82,18 @@ struct NodeSlot<P> {
 /// assert_eq!(sim.drain_upcalls().len(), 1);
 /// ```
 pub struct Simulator<P: Protocol> {
-    nodes: Vec<NodeSlot<P>>,
-    queue: EventQueue<SeqKey>,
-    parcels: Parcels<P::Msg>,
-    topology: Box<dyn Topology>,
-    time: SimTime,
-    seq: u64,
-    rng: StdRng,
-    loss_probability: f64,
-    fault_plan: FaultPlan,
-    fault_schedule: Vec<(SimTime, NodeFault)>,
-    fault_cursor: usize,
-    stats: NetStats,
-    upcalls: Vec<(SimTime, Addr, P::Upcall)>,
-    scratch: Vec<Output<P::Upcall>>,
+    core: Core<P, Legacy>,
 }
 
 impl<P: Protocol> Simulator<P> {
     /// Creates an empty simulator over `topology`, seeded for determinism.
     pub fn new(topology: Box<dyn Topology>, seed: u64) -> Self {
-        Simulator {
-            nodes: Vec::new(),
-            queue: EventQueue::with_capacity(1024),
-            parcels: Parcels::with_capacity(1024),
-            topology,
-            time: SimTime::ZERO,
+        let order = Legacy {
             seq: 0,
             rng: StdRng::seed_from_u64(seed),
-            loss_probability: 0.0,
-            fault_plan: FaultPlan::default(),
-            fault_schedule: Vec::new(),
-            fault_cursor: 0,
-            stats: NetStats::default(),
-            upcalls: Vec::with_capacity(64),
-            scratch: Vec::with_capacity(64),
+        };
+        Simulator {
+            core: Core::new(order, topology),
         }
     }
 
@@ -101,10 +102,7 @@ impl<P: Protocol> Simulator<P> {
     /// in flight; reserving up front avoids the doubling reallocations
     /// on the way there.
     pub fn reserve_capacity(&mut self, events: usize, upcalls: usize) {
-        self.queue.reserve(events);
-        self.parcels.reserve(events);
-        self.upcalls
-            .reserve(upcalls.saturating_sub(self.upcalls.len()));
+        self.core.reserve(events, upcalls);
     }
 
     /// Sets an i.i.d. message-loss probability (0 disables loss).
@@ -113,8 +111,7 @@ impl<P: Protocol> Simulator<P> {
     ///
     /// Panics unless `0.0 <= p <= 1.0`.
     pub fn set_loss_probability(&mut self, p: f64) {
-        assert!((0.0..=1.0).contains(&p), "loss probability out of range");
-        self.loss_probability = p;
+        self.core.set_loss_probability(p);
     }
 
     /// Installs a fault plan. Crash/recover entries are interleaved
@@ -123,24 +120,17 @@ impl<P: Protocol> Simulator<P> {
     /// current time apply immediately on the next step (time never
     /// rewinds). Replaces any previously installed plan.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.fault_schedule = plan.schedule();
-        self.fault_plan = plan;
-        self.fault_cursor = 0;
+        self.core.set_fault_plan(Arc::new(plan));
     }
 
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
-        self.time
+        self.core.now()
     }
 
     /// Network statistics so far.
     pub fn stats(&self) -> NetStats {
-        self.stats
-    }
-
-    /// The topology in use.
-    pub fn topology(&self) -> &dyn Topology {
-        &*self.topology
+        self.core.stats()
     }
 
     /// Adds a node and runs its `on_start` handler.
@@ -149,52 +139,28 @@ impl<P: Protocol> Simulator<P> {
     ///
     /// Panics if the address exceeds the topology capacity or is occupied.
     pub fn add_node(&mut self, addr: Addr, proto: P) {
-        assert!(
-            addr.index() < self.topology.capacity(),
-            "address {addr} outside topology capacity {}",
-            self.topology.capacity()
-        );
-        if self.nodes.len() <= addr.index() {
-            self.nodes.resize_with(addr.index() + 1, || NodeSlot {
-                proto: None,
-                up: false,
-            });
-        }
-        let slot = &mut self.nodes[addr.index()];
-        assert!(slot.proto.is_none(), "address {addr} already occupied");
-        slot.proto = Some(proto);
-        slot.up = true;
-        self.dispatch(addr, |p, ctx| p.on_start(ctx));
+        self.core.add_node(addr, proto);
     }
 
     /// Returns whether `addr` hosts a live node.
     pub fn is_up(&self, addr: Addr) -> bool {
-        self.nodes
-            .get(addr.index())
-            .map(|s| s.proto.is_some() && s.up)
-            .unwrap_or(false)
+        self.core.is_up(addr)
     }
 
     /// Immutable access to a node's protocol state.
     pub fn node(&self, addr: Addr) -> Option<&P> {
-        self.nodes.get(addr.index()).and_then(|s| s.proto.as_ref())
+        self.core.node(addr)
     }
 
     /// Mutable access to a node's protocol state (bypasses the network —
     /// intended for harness inspection and test setup).
     pub fn node_mut(&mut self, addr: Addr) -> Option<&mut P> {
-        self.nodes
-            .get_mut(addr.index())
-            .and_then(|s| s.proto.as_mut())
+        self.core.node_mut(addr)
     }
 
     /// Iterates over all live node addresses.
     pub fn live_addrs(&self) -> impl Iterator<Item = Addr> + '_ {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.proto.is_some() && s.up)
-            .map(|(i, _)| Addr(i as u32))
+        self.core.live_addrs()
     }
 
     /// Marks a node as failed: pending and future messages/timers for it
@@ -202,15 +168,7 @@ impl<P: Protocol> Simulator<P> {
     /// protocol's context-free [`Protocol::on_crash`] hook runs once per
     /// up→down transition (e.g. to snapshot state for a warm restart).
     pub fn fail_node(&mut self, addr: Addr) {
-        let now = self.time;
-        if let Some(slot) = self.nodes.get_mut(addr.index()) {
-            if slot.up {
-                if let Some(proto) = slot.proto.as_mut() {
-                    proto.on_crash(now);
-                }
-            }
-            slot.up = false;
-        }
+        self.core.fail_node(addr);
     }
 
     /// Brings a failed node back online and runs its `on_recover` handler.
@@ -219,21 +177,12 @@ impl<P: Protocol> Simulator<P> {
     ///
     /// Panics if no node state exists at `addr`.
     pub fn recover_node(&mut self, addr: Addr) {
-        let slot = self
-            .nodes
-            .get_mut(addr.index())
-            .expect("no node at address");
-        assert!(slot.proto.is_some(), "no node state at {addr}");
-        slot.up = true;
-        self.dispatch(addr, |p, ctx| p.on_recover(ctx));
+        self.core.recover_node(addr);
     }
 
     /// Permanently removes a node, dropping its state. Returns the state.
     pub fn remove_node(&mut self, addr: Addr) -> Option<P> {
-        self.nodes.get_mut(addr.index()).and_then(|s| {
-            s.up = false;
-            s.proto.take()
-        })
+        self.core.remove_node(addr)
     }
 
     /// Runs `f` against a live node immediately (at the current simulated
@@ -247,13 +196,12 @@ impl<P: Protocol> Simulator<P> {
     where
         F: FnOnce(&mut P, &mut Ctx<'_, P::Msg, P::Upcall>),
     {
-        assert!(self.is_up(addr), "invoke on absent/down node {addr}");
-        self.dispatch(addr, f);
+        self.core.invoke(addr, f);
     }
 
     /// Drains the collected upcalls.
     pub fn drain_upcalls(&mut self) -> Vec<(SimTime, Addr, P::Upcall)> {
-        std::mem::take(&mut self.upcalls)
+        std::mem::take(&mut self.core.upcalls)
     }
 
     /// Drains the collected upcalls into `buf`, retaining the internal
@@ -261,242 +209,35 @@ impl<P: Protocol> Simulator<P> {
     /// should prefer this over [`Self::drain_upcalls`]: neither side
     /// reallocates once the buffers reach steady-state size.
     pub fn drain_upcalls_into(&mut self, buf: &mut Vec<(SimTime, Addr, P::Upcall)>) {
-        buf.append(&mut self.upcalls);
+        buf.append(&mut self.core.upcalls);
     }
 
     /// Throws away the collected upcalls without surrendering the
     /// buffer (for harness phases that only advance the clock).
     pub fn discard_upcalls(&mut self) {
-        self.upcalls.clear();
-    }
-
-    /// Processes a single event or scheduled fault. Returns `false`
-    /// when both the event queue and the fault schedule are exhausted.
-    pub fn step(&mut self) -> bool {
-        // Apply scheduled faults due at or before the next event; a
-        // fault at the same instant as a delivery applies first, so a
-        // message to a node crashing "now" is dropped.
-        while let Some(fault_at) = self.next_fault_at() {
-            match self.queue.peek_key() {
-                Some((at, _)) if at < fault_at => break,
-                Some(_) => self.apply_next_fault(),
-                None => {
-                    self.apply_next_fault();
-                    return true;
-                }
-            }
-        }
-        self.step_event()
+        self.core.upcalls.clear();
     }
 
     /// Runs until the event queue and fault schedule are exhausted.
     pub fn run_until_idle(&mut self) {
-        while self.step() {}
+        self.core.run_through(SimTime(u64::MAX));
     }
 
     /// Runs until the queue is empty or `deadline` is reached; events
     /// and faults at exactly `deadline` are processed.
     pub fn run_until(&mut self, deadline: SimTime) {
-        loop {
-            let next_event = self.queue.peek_key().map(|(at, _)| at);
-            let next_fault = self.next_fault_at();
-            let fault_first = match (next_fault, next_event) {
-                (Some(f), Some(e)) => f <= e,
-                (Some(_), None) => true,
-                (None, _) => false,
-            };
-            if fault_first {
-                if next_fault.expect("fault_first") > deadline {
-                    break;
-                }
-                self.apply_next_fault();
-            } else {
-                match next_event {
-                    Some(e) if e <= deadline => {
-                        self.step_event();
-                    }
-                    _ => break,
-                }
-            }
-        }
-        if self.time < deadline {
-            self.time = deadline;
-        }
-    }
-
-    fn next_fault_at(&self) -> Option<SimTime> {
-        self.fault_schedule
-            .get(self.fault_cursor)
-            .map(|(t, _)| *t)
-    }
-
-    /// Applies the next scheduled fault, advancing simulated time to
-    /// its timestamp. Faults against absent nodes, crashes of already
-    /// down nodes and recoveries of up (or removed) nodes are no-ops.
-    fn apply_next_fault(&mut self) {
-        let (t, fault) = self.fault_schedule[self.fault_cursor];
-        self.fault_cursor += 1;
-        if t > self.time {
-            self.time = t;
-        }
-        match fault {
-            NodeFault::Crash(addr) => {
-                if self.is_up(addr) {
-                    self.fail_node(addr);
-                    self.stats.crashes += 1;
-                }
-            }
-            NodeFault::Recover(addr) => {
-                let down = self
-                    .nodes
-                    .get(addr.index())
-                    .map(|s| s.proto.is_some() && !s.up)
-                    .unwrap_or(false);
-                if down {
-                    self.recover_node(addr);
-                    self.stats.recoveries += 1;
-                }
-            }
-        }
-    }
-
-    /// Pops and processes one queued event (no fault handling).
-    fn step_event(&mut self) -> bool {
-        let Some(((at, _), event)) = self.queue.pop() else {
-            return false;
-        };
-        debug_assert!(at >= self.time, "time must be monotonic");
-        self.time = at;
-        self.stats.events += 1;
-        match event {
-            Event::Deliver { slot } => self.deliver(slot),
-            Event::Timer { node, token } => {
-                if self.is_up(node) {
-                    self.stats.timers_fired += 1;
-                    past_obs::counter("net.timers_fired", 1);
-                    self.dispatch(node, |p, ctx| p.on_timer(ctx, token));
-                }
-            }
-        }
-        true
-    }
-
-    /// Delivers the parcel in `slot`, or drops it: source and
-    /// destination are read where they lie, every drop frees the slot,
-    /// and a delivery moves the message out once, into the handler.
-    fn deliver(&mut self, slot: u32) {
-        let (src, dst) = self.parcels.route(slot);
-        if self.fault_plan.severed(self.time, src, dst) {
-            self.stats.dropped += 1;
-            self.stats.partition_dropped += 1;
-            past_obs::counter("net.partition_dropped", 1);
-            return self.parcels.discard(slot);
-        }
-        let p = self.loss_probability.max(self.fault_plan.loss_on(src, dst));
-        if p > 0.0 && self.rng.gen::<f64>() < p {
-            self.stats.dropped += 1;
-            self.stats.lost += 1;
-            past_obs::counter("net.lost", 1);
-            return self.parcels.discard(slot);
-        }
-        let Some(proto) = self
-            .nodes
-            .get_mut(dst.index())
-            .filter(|s| s.up)
-            .and_then(|s| s.proto.as_mut())
-        else {
-            self.stats.dropped += 1;
-            past_obs::counter("net.dropped_dead", 1);
-            return self.parcels.discard(slot);
-        };
-        self.stats.delivered += 1;
-        past_obs::counter("net.delivered", 1);
-        let msg = self.parcels.take(slot);
-        let mut ctx = Ctx {
-            now: self.time,
-            self_addr: dst,
-            topology: &*self.topology,
-            rng: &mut self.rng,
-            parcels: &mut self.parcels,
-            out: &mut self.scratch,
-        };
-        proto.on_message(&mut ctx, src, msg);
-        self.flush(dst);
+        self.core.run_through(deadline);
+        self.core.advance_to(deadline);
     }
 
     /// Runs for `span` of simulated time from now.
     pub fn run_for(&mut self, span: SimDuration) {
-        let deadline = self.time + span;
-        self.run_until(deadline);
+        self.run_until(self.now() + span);
     }
 
     /// Number of queued events (for harness diagnostics and back-pressure).
     pub fn queue_len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Runs a handler against the node at `addr`, borrowed in place in
-    /// the node vector, then turns its outputs into queued events. The
-    /// node, the topology, the RNG, the parcel slab and the output
-    /// scratch are disjoint fields, so nothing is moved out for the
-    /// duration of the call.
-    fn dispatch<F>(&mut self, addr: Addr, f: F)
-    where
-        F: FnOnce(&mut P, &mut Ctx<'_, P::Msg, P::Upcall>),
-    {
-        let Some(proto) = self
-            .nodes
-            .get_mut(addr.index())
-            .and_then(|s| s.proto.as_mut())
-        else {
-            return;
-        };
-        let mut ctx = Ctx {
-            now: self.time,
-            self_addr: addr,
-            topology: &*self.topology,
-            rng: &mut self.rng,
-            parcels: &mut self.parcels,
-            out: &mut self.scratch,
-        };
-        f(proto, &mut ctx);
-        self.flush(addr);
-    }
-
-    /// Queues what the handler that just ran at `addr` asked for, in
-    /// the order it asked: latency, the jitter draw, the sequence number
-    /// and the heap entry of a send are all assigned here, so event
-    /// keys and RNG draws do not depend on when the message was written.
-    fn flush(&mut self, addr: Addr) {
-        for output in self.scratch.drain(..) {
-            match output {
-                Output::Send { dst, slot } => {
-                    let mut latency = self.topology.latency(addr, dst);
-                    let jitter_max = self.fault_plan.jitter_max().micros();
-                    if jitter_max > 0 {
-                        let j = self.rng.gen_range(0..jitter_max + 1);
-                        latency = latency + SimDuration::from_micros(j);
-                        self.stats.jittered += 1;
-                    }
-                    if past_obs::is_enabled() {
-                        past_obs::counter("net.sent", 1);
-                        past_obs::observe("net.transit_us", latency.micros());
-                    }
-                    self.seq += 1;
-                    self.queue
-                        .push_deliver((self.time + latency, self.seq), slot);
-                }
-                Output::Timer { delay, token } => {
-                    self.seq += 1;
-                    self.queue
-                        .push_timer((self.time + delay, self.seq), addr, token);
-                }
-                Output::Upcall(u) => {
-                    self.upcalls.push((self.time, addr, u));
-                }
-            }
-        }
-        self.stats.queue_peak = self.stats.queue_peak.max(self.queue.len() as u64);
+        self.core.queue_len()
     }
 }
 
@@ -693,7 +434,7 @@ mod tests {
         assert_eq!(stats.lost, 8);
         assert_eq!(stats.dropped, 8 + 8 + 3 * 8);
         assert_eq!(stats.delivered, 2 * 8, "ping and pong");
-        let (slots, vacant) = sim.parcels.occupancy();
+        let (slots, vacant) = sim.core.parcels_occupancy();
         assert_eq!(slots, vacant, "a dropped message kept its slot");
         assert!(slots as u64 <= stats.queue_peak);
     }

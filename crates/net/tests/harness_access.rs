@@ -144,14 +144,22 @@ fn legacy_invoke_on_removed_node_panics() {
     sim.invoke(Addr(0), |_p, ctx| ctx.send(Addr(0), 1));
 }
 
-/// The sharded engine's `invoke` has never asserted liveness: against a
-/// removed node it is a no-op.
 #[test]
-fn sharded_invoke_on_removed_node_is_a_no_op() {
+#[should_panic(expected = "invoke on absent/down node")]
+fn sharded_invoke_on_down_node_panics() {
     let mut sim = ShardedSim::<Probe>::new(topology(), 1, 2);
     sim.set_worker_threads(0);
-    sim.add_node(Addr(0), Probe::default());
-    sim.remove_node(Addr(0));
-    sim.invoke(Addr(0), |_p, ctx| ctx.send(Addr(0), 1));
-    assert_eq!(sim.queue_len(), 0);
+    sim.add_node(Addr(1), Probe::default());
+    sim.fail_node(Addr(1));
+    sim.invoke(Addr(1), |_p, ctx| ctx.send(Addr(1), 1));
+}
+
+#[test]
+#[should_panic(expected = "invoke on absent/down node")]
+fn sharded_invoke_on_removed_node_panics() {
+    let mut sim = ShardedSim::<Probe>::new(topology(), 1, 2);
+    sim.set_worker_threads(0);
+    sim.add_node(Addr(1), Probe::default());
+    sim.remove_node(Addr(1));
+    sim.invoke(Addr(1), |_p, ctx| ctx.send(Addr(1), 1));
 }

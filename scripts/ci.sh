@@ -60,7 +60,9 @@ cargo test -q --release --offline -p past-sim --test footprint
 echo "== copies per message (memcpy/memmove calls of a message's size, per message sent)"
 # A message is written into the slab once and read out of it once; a
 # by-value hop added anywhere between `Ctx::send` and the handler shows
-# up here as one more call per message (the count repeats exactly).
+# up here as one more call per message (the count repeats exactly). All
+# four pastbench workloads are gated, so both event orders are: three
+# run the legacy order, `shard_pipeline` the shard order and its barrier.
 scripts/count_copies.sh
 
 echo "== repro (every experiment at smoke scale, twice)"
