@@ -18,8 +18,9 @@
 //!
 //! Every CSV is a function of the seeds alone: host-time numbers are
 //! printed, never written. With the `count-alloc` feature the binary
-//! installs `past-obs`'s counting allocator and `streaming_replay`
-//! prints per-phase allocation totals to stderr.
+//! installs `past-obs`'s counting allocator, every experiment prints
+//! its peak live heap (bytes, repeatable to the byte with the shards
+//! inline) and `streaming_replay` per-phase allocation totals to stderr.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -57,6 +58,19 @@ macro_rules! alloc_site {
             $e
         }
     }};
+}
+
+/// The heap's live-byte high-water mark since the previous call, which
+/// restarts it (0 without the `count-alloc` feature).
+fn take_peak_live() -> u64 {
+    #[cfg(feature = "count-alloc")]
+    {
+        mem::count::take_peak_live()
+    }
+    #[cfg(not(feature = "count-alloc"))]
+    {
+        0
+    }
 }
 
 /// Which trace a replay runs over.
@@ -1293,7 +1307,10 @@ fn main() {
     let asked: usize = jobs.iter().map(|j| j.askers.len()).sum();
 
     // Replay-major, one trace (generated once) and one result alive at
-    // a time.
+    // a time. Each experiment's heap peak is the highest over the
+    // replays it asked for and its render.
+    let mut peaks = vec![0; selected.len()];
+    take_peak_live();
     let (mut done, mut traces) = (0, 0);
     for source in [Source::Web, Source::Fs] {
         let wanted: Vec<&Job> = jobs.iter().filter(|j| j.source == source).collect();
@@ -1322,11 +1339,21 @@ fn main() {
                 kept[*e_idx][*slot] = (e.keep)(e, label, &result, mean_size);
             }
             eprintln!();
+            let peak = take_peak_live();
+            for (e_idx, ..) in &job.askers {
+                peaks[*e_idx] = peaks[*e_idx].max(peak);
+            }
         }
     }
 
-    for (e, shares) in selected.iter().zip(kept) {
-        for table in (e.render)(e, scale, shares) {
+    for ((e, shares), peak) in selected.iter().zip(kept).zip(peaks) {
+        take_peak_live();
+        let tables = (e.render)(e, scale, shares);
+        if cfg!(feature = "count-alloc") {
+            let peak = peak.max(take_peak_live());
+            eprintln!("repro: {} peak live heap {peak} B", e.name);
+        }
+        for table in tables {
             if table.print {
                 print_table(e.title, &table.header, &table.rows);
             }

@@ -16,6 +16,23 @@ use crate::memo::VerifyMemo;
 use crate::sha1::{Digest, Sha1};
 use crate::sign::{KeyPair, OwnerKey, PublicKey, Signature};
 
+/// Whether `sig` is `key`'s signature over `bytes`. A blob issued
+/// unsigned has no signature and never verifies (fail closed).
+fn signed_by(key: &PublicKey, bytes: &[u8], sig: Option<&Signature>) -> bool {
+    sig.is_some_and(|sig| key.verify(bytes, sig))
+}
+
+/// [`signed_by`] through `memo`. A blob without a signature fails
+/// before the memo is consulted, so it counts as neither hit nor miss.
+fn signed_by_memo(
+    key: &PublicKey,
+    bytes: &[u8],
+    sig: Option<&Signature>,
+    memo: &mut VerifyMemo,
+) -> bool {
+    sig.is_some_and(|sig| memo.check(VerifyMemo::key(bytes, sig), || key.verify(bytes, sig)))
+}
+
 /// Errors arising from certificate verification.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum CertError {
@@ -73,8 +90,10 @@ pub struct FileCertificate {
     /// The owner's public key (interned: certificates from one owner
     /// share a single allocation — see [`OwnerKey`]).
     pub owner: OwnerKey,
-    /// Owner's signature over all of the above.
-    pub signature: Signature,
+    /// Owner's signature over all of the above; `None` when issued
+    /// unsigned. One pointer either way, so a certificate of a run with
+    /// verification off carries no signature bytes.
+    pub signature: Option<Box<Signature>>,
 }
 
 impl FileCertificate {
@@ -95,15 +114,15 @@ impl FileCertificate {
     ) -> Self {
         let mut cert =
             Self::issue_unsigned(owner, name, content_hash, file_size, replicas, salt, created_at);
-        cert.signature = owner.sign(&cert.signing_bytes(), rng);
+        cert.signature = Some(Box::new(owner.sign(&cert.signing_bytes(), rng)));
         cert
     }
 
-    /// Issues a certificate with an all-zero signature, skipping the
-    /// signature hash. For simulation runs that disable certificate
-    /// verification: the fileId and every signed field are identical to
+    /// Issues a certificate without a signature, skipping the signature
+    /// hash. For simulation runs that disable certificate verification:
+    /// the fileId and every signed field are identical to
     /// [`FileCertificate::issue`]'s output, nothing there reads the
-    /// signature bytes, and [`FileCertificate::verify`] rejects the
+    /// signature, and [`FileCertificate::verify`] rejects the
     /// certificate should verification ever be turned on (fail closed).
     #[allow(clippy::too_many_arguments)]
     pub fn issue_unsigned(
@@ -124,7 +143,7 @@ impl FileCertificate {
             salt,
             created_at,
             owner: owner.public_shared(),
-            signature: Signature::Keyed(Digest([0u8; 20])),
+            signature: None,
         }
     }
 
@@ -149,7 +168,7 @@ impl FileCertificate {
         if self.replicas == 0 {
             return Err(CertError::ZeroReplication);
         }
-        if !self.owner.verify(&self.signing_bytes(), &self.signature) {
+        if !signed_by(&self.owner, &self.signing_bytes(), self.signature.as_deref()) {
             return Err(CertError::BadSignature);
         }
         if let Some(h) = received_content_hash {
@@ -173,9 +192,8 @@ impl FileCertificate {
         if self.replicas == 0 {
             return Err(CertError::ZeroReplication);
         }
-        let bytes = self.signing_bytes();
-        let key = VerifyMemo::key(&bytes, &self.signature);
-        if !memo.check(key, || self.owner.verify(&bytes, &self.signature)) {
+        let sig = self.signature.as_deref();
+        if !signed_by_memo(&self.owner, &self.signing_bytes(), sig, memo) {
             return Err(CertError::BadSignature);
         }
         if let Some(h) = received_content_hash {
@@ -207,8 +225,8 @@ pub struct ReclaimCertificate {
     pub issued_at: u64,
     /// The owner's public key (interned).
     pub owner: OwnerKey,
-    /// Owner's signature.
-    pub signature: Signature,
+    /// Owner's signature; `None` when issued unsigned.
+    pub signature: Option<Box<Signature>>,
 }
 
 impl ReclaimCertificate {
@@ -220,18 +238,18 @@ impl ReclaimCertificate {
         rng: &mut R,
     ) -> Self {
         let mut cert = Self::issue_unsigned(owner, file_id, issued_at);
-        cert.signature = owner.sign(&cert.signing_bytes(), rng);
+        cert.signature = Some(Box::new(owner.sign(&cert.signing_bytes(), rng)));
         cert
     }
 
-    /// All-zero-signature variant for runs with verification disabled;
-    /// see [`FileCertificate::issue_unsigned`].
+    /// Unsigned variant for runs with verification disabled; see
+    /// [`FileCertificate::issue_unsigned`].
     pub fn issue_unsigned(owner: &KeyPair, file_id: FileId, issued_at: u64) -> Self {
         ReclaimCertificate {
             file_id,
             issued_at,
             owner: owner.public_shared(),
-            signature: Signature::Keyed(Digest([0u8; 20])),
+            signature: None,
         }
     }
 
@@ -250,7 +268,7 @@ impl ReclaimCertificate {
         if self.owner != stored.owner {
             return Err(CertError::BadSignature);
         }
-        if !self.owner.verify(&self.signing_bytes(), &self.signature) {
+        if !signed_by(&self.owner, &self.signing_bytes(), self.signature.as_deref()) {
             return Err(CertError::BadSignature);
         }
         Ok(())
@@ -269,9 +287,8 @@ impl ReclaimCertificate {
         if self.owner != stored.owner {
             return Err(CertError::BadSignature);
         }
-        let bytes = self.signing_bytes();
-        let key = VerifyMemo::key(&bytes, &self.signature);
-        if memo.check(key, || self.owner.verify(&bytes, &self.signature)) {
+        let sig = self.signature.as_deref();
+        if signed_by_memo(&self.owner, &self.signing_bytes(), sig, memo) {
             Ok(())
         } else {
             Err(CertError::BadSignature)
@@ -291,8 +308,8 @@ pub struct StoreReceipt {
     pub diverted: bool,
     /// Issue time.
     pub issued_at: u64,
-    /// Storer's signature.
-    pub signature: Signature,
+    /// Storer's signature; `None` when issued unsigned.
+    pub signature: Option<Box<Signature>>,
 }
 
 impl StoreReceipt {
@@ -305,19 +322,19 @@ impl StoreReceipt {
         rng: &mut R,
     ) -> Self {
         let mut receipt = Self::issue_unsigned(storer, file_id, diverted, issued_at);
-        receipt.signature = storer.sign(&receipt.signing_bytes(), rng);
+        receipt.signature = Some(Box::new(storer.sign(&receipt.signing_bytes(), rng)));
         receipt
     }
 
-    /// All-zero-signature variant for runs with verification disabled;
-    /// see [`FileCertificate::issue_unsigned`].
+    /// Unsigned variant for runs with verification disabled; see
+    /// [`FileCertificate::issue_unsigned`].
     pub fn issue_unsigned(storer: &KeyPair, file_id: FileId, diverted: bool, issued_at: u64) -> Self {
         StoreReceipt {
             file_id,
             storer: storer.public_shared(),
             diverted,
             issued_at,
-            signature: Signature::Keyed(Digest([0u8; 20])),
+            signature: None,
         }
     }
 
@@ -333,7 +350,7 @@ impl StoreReceipt {
 
     /// Verifies the receipt's signature.
     pub fn verify(&self) -> Result<(), CertError> {
-        if self.storer.verify(&self.signing_bytes(), &self.signature) {
+        if signed_by(&self.storer, &self.signing_bytes(), self.signature.as_deref()) {
             Ok(())
         } else {
             Err(CertError::BadSignature)
@@ -342,9 +359,8 @@ impl StoreReceipt {
 
     /// [`verify`](Self::verify) with memoized signature checking.
     pub fn verify_memo(&self, memo: &mut VerifyMemo) -> Result<(), CertError> {
-        let bytes = self.signing_bytes();
-        let key = VerifyMemo::key(&bytes, &self.signature);
-        if memo.check(key, || self.storer.verify(&bytes, &self.signature)) {
+        let sig = self.signature.as_deref();
+        if signed_by_memo(&self.storer, &self.signing_bytes(), sig, memo) {
             Ok(())
         } else {
             Err(CertError::BadSignature)

@@ -83,10 +83,9 @@ pub enum PublicKey {
 }
 
 /// The (e, s) pair of a Schnorr signature, boxed inside [`Signature`]
-/// so the common certificate case (a 20-byte keyed tag) does not pay
-/// for the 64-byte Schnorr payload. At simulation scale certificates
-/// dominate live memory, and the enum's inline size is what every one
-/// of them carries.
+/// so the common case (a 20-byte keyed tag) does not pay for the
+/// 64-byte Schnorr payload: the enum stays 24 bytes, the size of the
+/// box a signed certificate points to.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct SchnorrSig {
     /// Challenge hash reduced into the exponent group.

@@ -1,16 +1,20 @@
 //! Regression suite for the owner-key interning and signature boxing
 //! that shrank `FileCertificate` for the 10M-file replay: the packed
 //! layout must hold, interning must not consume or shift any RNG
-//! stream, and memoized verification must behave exactly as it did
-//! with inline owners.
+//! stream, memoized verification must behave exactly as it did with
+//! inline owners, and a certificate issued unsigned never verifies.
 
-use past_crypto::{FileCertificate, KeyPair, OwnerKey, Scheme, Sha1, Signature, VerifyMemo};
+use past_crypto::{
+    CertError, FileCertificate, KeyPair, OwnerKey, ReclaimCertificate, Scheme, Sha1, Signature,
+    StoreReceipt, VerifyMemo,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// The layout contract behind the memory-wall numbers: an interned
-/// owner is one pointer, a Schnorr signature is boxed (24 B inline for
-/// the enum), and the whole certificate stays within its budget.
+/// owner is one pointer, a Schnorr signature is boxed (24 B for the
+/// enum), the certificate holds the signature behind one pointer that
+/// is null when unsigned, and the whole certificate is 88 B.
 #[test]
 fn packed_certificate_layout_holds() {
     assert_eq!(std::mem::size_of::<OwnerKey>(), 8, "OwnerKey is one Arc");
@@ -19,11 +23,61 @@ fn packed_certificate_layout_holds() {
         24,
         "Signature boxes its Schnorr payload"
     );
+    assert_eq!(
+        std::mem::size_of::<Option<Box<Signature>>>(),
+        8,
+        "a certificate's signature is one pointer"
+    );
     assert!(
-        std::mem::size_of::<FileCertificate>() <= 112,
+        std::mem::size_of::<FileCertificate>() <= 88,
         "FileCertificate grew past its packed budget: {} B",
         std::mem::size_of::<FileCertificate>()
     );
+}
+
+/// Fail closed: a certificate, receipt or reclaim certificate issued
+/// unsigned is rejected directly and through the memo, whose counters
+/// it never moves, while the signed twins of the same fields verify
+/// both ways.
+#[test]
+fn unsigned_never_verifies_and_signed_still_round_trips() {
+    let mut rng = StdRng::seed_from_u64(17);
+    for scheme in [Scheme::Keyed, Scheme::Schnorr] {
+        let kp = KeyPair::generate(scheme, &mut rng);
+        let content = Sha1::digest(b"body");
+        let mut memo = VerifyMemo::new(64);
+
+        let file = FileCertificate::issue_unsigned(&kp, "f", content, 10, 3, 0, 0);
+        let receipt = StoreReceipt::issue_unsigned(&kp, file.file_id, false, 0);
+        let reclaim = ReclaimCertificate::issue_unsigned(&kp, file.file_id, 0);
+        assert!(file.signature.is_none() && receipt.signature.is_none());
+        assert!(reclaim.signature.is_none());
+        for _ in 0..2 {
+            let bad = Err(CertError::BadSignature);
+            assert_eq!(file.verify(Some(content)), bad);
+            assert_eq!(file.verify_memo(Some(content), &mut memo), bad);
+            assert_eq!(receipt.verify(), bad);
+            assert_eq!(receipt.verify_memo(&mut memo), bad);
+            assert_eq!(reclaim.verify(&file), bad);
+            assert_eq!(reclaim.verify_memo(&file, &mut memo), bad);
+        }
+        assert_eq!((memo.hits(), memo.misses()), (0, 0));
+        assert!(memo.is_empty());
+
+        let signed = FileCertificate::issue(&kp, "f", content, 10, 3, 0, 0, &mut rng);
+        assert_eq!(signed.file_id, file.file_id);
+        let receipt = StoreReceipt::issue(&kp, signed.file_id, false, 0, &mut rng);
+        let reclaim = ReclaimCertificate::issue(&kp, signed.file_id, 0, &mut rng);
+        for _ in 0..2 {
+            assert_eq!(signed.verify(Some(content)), Ok(()));
+            assert_eq!(signed.verify_memo(Some(content), &mut memo), Ok(()));
+            assert_eq!(receipt.verify(), Ok(()));
+            assert_eq!(receipt.verify_memo(&mut memo), Ok(()));
+            assert_eq!(reclaim.verify(&signed), Ok(()));
+            assert_eq!(reclaim.verify_memo(&signed, &mut memo), Ok(()));
+        }
+        assert_eq!((memo.hits(), memo.misses()), (3, 3));
+    }
 }
 
 /// Every certificate a keypair issues shares the *same* owner

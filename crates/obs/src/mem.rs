@@ -90,6 +90,20 @@ pub mod count {
         [const { AtomicU64::new(0) }; SITES];
     static ALLOC_BYTES: [AtomicU64; SITES] =
         [const { AtomicU64::new(0) }; SITES];
+    /// Bytes allocated and not yet freed, over all sites.
+    static LIVE: AtomicU64 = AtomicU64::new(0);
+    /// High-water mark of `LIVE` since start or the last
+    /// [`take_peak_live`].
+    static PEAK: AtomicU64 = AtomicU64::new(0);
+
+    fn grow(bytes: usize) {
+        let live = LIVE.fetch_add(bytes as u64, Ordering::Relaxed) + bytes as u64;
+        PEAK.fetch_max(live, Ordering::Relaxed);
+    }
+
+    fn shrink(bytes: usize) {
+        LIVE.fetch_sub(bytes as u64, Ordering::Relaxed);
+    }
 
     thread_local! {
         // const-initialized so reading it never allocates (a lazy TLS
@@ -106,10 +120,25 @@ pub mod count {
         out
     }
 
+    /// Heap bytes the program holds right now: requested sizes of the
+    /// live allocations, frees subtracted.
+    pub fn live_bytes() -> u64 {
+        LIVE.load(Ordering::Relaxed)
+    }
+
+    /// The high-water mark of [`live_bytes`] since process start or the
+    /// previous call, which restarts the mark from the current live
+    /// bytes. Unlike RSS it excludes allocator overhead and freed pages
+    /// kept by the allocator, so a single-threaded run repeats it to the
+    /// byte.
+    pub fn take_peak_live() -> u64 {
+        PEAK.swap(LIVE.load(Ordering::Relaxed), Ordering::Relaxed)
+    }
+
     /// `(site name, allocation calls, allocated bytes)` per site.
     /// Cumulative since process start; frees are not subtracted (the
-    /// counters measure allocator pressure, not residency — residency
-    /// is [`super::rss_kb`]'s job).
+    /// counters measure allocator pressure; residency is
+    /// [`live_bytes`]).
     pub fn site_totals() -> Vec<(&'static str, u64, u64)> {
         (0..SITES)
             .map(|i| {
@@ -123,7 +152,8 @@ pub mod count {
     }
 
     /// A [`System`]-backed global allocator that bills every
-    /// allocation to the thread's current [`Site`].
+    /// allocation to the thread's current [`Site`] and keeps the live
+    /// byte count and its high-water mark.
     ///
     /// ```ignore
     /// #[global_allocator]
@@ -136,10 +166,15 @@ pub mod count {
             let site = CURRENT.try_with(|c| c.get()).unwrap_or(0) as usize;
             ALLOC_CALLS[site].fetch_add(1, Ordering::Relaxed);
             ALLOC_BYTES[site].fetch_add(layout.size() as u64, Ordering::Relaxed);
-            System.alloc(layout)
+            let ptr = System.alloc(layout);
+            if !ptr.is_null() {
+                grow(layout.size());
+            }
+            ptr
         }
 
         unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            shrink(layout.size());
             System.dealloc(ptr, layout)
         }
 
@@ -148,7 +183,14 @@ pub mod count {
             ALLOC_CALLS[site].fetch_add(1, Ordering::Relaxed);
             ALLOC_BYTES[site]
                 .fetch_add(new_size.saturating_sub(layout.size()) as u64, Ordering::Relaxed);
-            System.realloc(ptr, layout, new_size)
+            let out = System.realloc(ptr, layout, new_size);
+            if !out.is_null() {
+                match new_size.checked_sub(layout.size()) {
+                    Some(more) => grow(more),
+                    None => shrink(layout.size() - new_size),
+                }
+            }
+            out
         }
     }
 }

@@ -266,8 +266,7 @@ impl LeafSet {
     /// (this test runs on every forwarded insert), and it stops at the
     /// `k`-th closer member: with `k = 1` it asks "am I the closest?"
     /// and usually answers after a member or two.
-    pub fn is_among_k_closest(&self, key: NodeId, k: usize, own_addr: Addr) -> bool {
-        let _ = own_addr;
+    pub fn is_among_k_closest(&self, key: NodeId, k: usize) -> bool {
         let own = rank(self.own, key);
         self.members()
             .filter(|e| rank(e.id, key) < own)
@@ -399,12 +398,12 @@ mod tests {
     #[test]
     fn is_among_k_closest() {
         let ls = set_with(100, 3, &[80, 90, 110, 120, 130]);
-        assert!(ls.is_among_k_closest(NodeId::from_u128(99), 1, Addr(100)));
-        assert!(!ls.is_among_k_closest(NodeId::from_u128(121), 1, Addr(100)));
+        assert!(ls.is_among_k_closest(NodeId::from_u128(99), 1));
+        assert!(!ls.is_among_k_closest(NodeId::from_u128(121), 1));
         // Key 101: distances are 100→1, 110→9, 90→11, so own is in the top 3.
-        assert!(ls.is_among_k_closest(NodeId::from_u128(101), 3, Addr(100)));
+        assert!(ls.is_among_k_closest(NodeId::from_u128(101), 3));
         // Key 121: distances are 120→1, 130→9, 110→11; own (21) is not.
-        assert!(!ls.is_among_k_closest(NodeId::from_u128(121), 3, Addr(100)));
+        assert!(!ls.is_among_k_closest(NodeId::from_u128(121), 3));
     }
 
     proptest! {
@@ -494,7 +493,7 @@ mod tests {
             all.truncate(k);
             prop_assert_eq!(&ls.replica_candidates(keyn, k, Addr(7)), &all);
             prop_assert_eq!(
-                ls.is_among_k_closest(keyn, k, Addr(7)),
+                ls.is_among_k_closest(keyn, k),
                 all.iter().any(|e| e.id == ls.own)
             );
             // The buffer form clears what it is handed.

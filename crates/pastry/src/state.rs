@@ -307,7 +307,7 @@ impl PastryState {
 
     /// Whether this node believes it is among the `k` closest to `key`.
     pub fn is_among_k_closest(&self, key: NodeId, k: usize) -> bool {
-        self.leaf.is_among_k_closest(key, k, self.own.addr)
+        self.leaf.is_among_k_closest(key, k)
     }
 
     /// The Pastry routing decision for `key` (paper §2.1).

@@ -5,7 +5,7 @@
 use std::collections::{BTreeMap, HashMap};
 
 use past_core::PastEvent;
-use past_id::{FileId, IdHashMap};
+use past_id::FileId;
 use past_net::{Addr, ClusteredTopology, EuclideanTopology, SimDuration, Topology};
 use past_pastry::NodeEntry;
 use past_workload::Workload;
@@ -33,11 +33,11 @@ enum Pacing {
 pub struct Runner {
     cfg: ExperimentConfig,
     overlay: Overlay,
-    /// fileId assigned to each successfully inserted trace file.
-    /// Populated only when `cfg.replay_lookups` is set — insert-only
-    /// replays (the XL/XL2 rows) never read it, and at 10M files the
-    /// map alone would cost hundreds of MB.
-    file_ids: IdHashMap<u32, FileId>,
+    /// fileId assigned to each successfully inserted trace file, indexed
+    /// by trace file: 21 bytes per file, no hashing. Allocated only when
+    /// `cfg.replay_lookups` is set — insert-only replays (the XL/XL2
+    /// rows) never read it, and at 10M files it would cost 210 MB.
+    file_ids: Vec<Option<FileId>>,
     /// Keep 1-in-N per-event records (`inserts`, `lookups`,
     /// `replica_samples`); 1 = keep everything (the default).
     record_every: u64,
@@ -80,10 +80,15 @@ impl Runner {
             &capacities,
             &mut seeder,
         );
+        let file_ids = if cfg.replay_lookups {
+            vec![None; trace.unique_files()]
+        } else {
+            Vec::new()
+        };
         Runner {
             cfg,
             overlay,
-            file_ids: IdHashMap::default(),
+            file_ids,
             record_every: 1,
             result: ExperimentResult {
                 total_capacity: capacities.iter().sum(),
@@ -213,7 +218,7 @@ impl Runner {
                     pending.insert((addr.0, seq), op.file);
                 }
                 true
-            } else if let Some(&fid) = self.file_ids.get(&op.file) {
+            } else if let Some(&Some(fid)) = self.file_ids.get(op.file as usize) {
                 self.overlay.lookup(addr, fid);
                 true
             } else {
@@ -300,7 +305,7 @@ impl Runner {
             } = event
             {
                 if let (Some(file), true) = (pending.remove(&(addr.0, seq)), success) {
-                    self.file_ids.insert(file, file_id);
+                    self.file_ids[file as usize] = Some(file_id);
                 }
             }
             self.result.absorb(event, self.record_every);

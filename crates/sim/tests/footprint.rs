@@ -3,13 +3,16 @@
 //! on any host. DESIGN.md ("What a node and a cached file cost") turns
 //! them into bytes.
 
-use std::mem::size_of;
+use std::mem::{size_of, size_of_val};
 
 use past_core::{PastMsg, ReqId};
+use past_crypto::{FileCertificate, KeyPair, Scheme, Sha1};
 use past_pastry::{Envelope, NodeEntry, PastryState, RouteCell};
 use past_sim::{ExperimentConfig, Runner};
-use past_store::{BackupPointer, Pointer};
+use past_store::{BackupPointer, Cache, Pointer};
 use past_workload::WebTraceConfig;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// A node id is stored at 8-byte alignment, so a record that holds one
 /// beside a 4-byte address or a sequence number carries no 16-byte
@@ -36,6 +39,20 @@ fn records_that_hold_a_node_id_are_not_padded_to_sixteen() {
 fn a_diversion_is_two_records() {
     assert!(size_of::<Pointer<NodeEntry>>() <= 72);
     assert!(size_of::<BackupPointer<NodeEntry>>() <= 64);
+}
+
+/// A cached copy's GD-S order entry names its file through the
+/// certificate (24 B, not 40 with a second copy of the id), and an
+/// unsigned certificate carries one null pointer where a 24-byte
+/// signature used to sit: 88 B, an `Arc` block of 104 B instead of 120.
+#[test]
+fn a_cached_copy_and_an_unsigned_certificate_carry_nothing_unread() {
+    const { assert!(Cache::ORDER_ENTRY_BYTES <= 24) };
+    assert!(size_of::<FileCertificate>() <= 88, "{} B", size_of::<FileCertificate>());
+    let owner = KeyPair::generate(Scheme::Keyed, &mut StdRng::seed_from_u64(1));
+    let cert = FileCertificate::issue_unsigned(&owner, "f", Sha1::digest(b"f"), 1, 3, 0, 0);
+    assert!(cert.signature.is_none());
+    assert_eq!(size_of_val(&cert.signature), size_of::<usize>());
 }
 
 #[test]

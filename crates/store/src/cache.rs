@@ -24,7 +24,7 @@
 #![allow(clippy::mutable_key_type)]
 
 use std::cell::Cell;
-use std::cmp::Reverse;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
 use past_crypto::{FileCertificate, SharedFileCert};
@@ -54,10 +54,51 @@ impl AsRef<FileCertificate> for Resident {
     }
 }
 
-/// An order-heap entry: `(weight bits, touch sequence, file)`, smallest
-/// first. The sequence is unique per touch, so the comparison never
-/// reaches the file id.
-type OrderEntry = Reverse<(u64, u64, FileId)>;
+/// An order-heap entry: one touch of a file, smallest `(weight bits,
+/// touch sequence)` first. The sequence is unique per touch, so the
+/// order is total without the file; the entry names its file by a
+/// handle on the certificate rather than a second copy of the id.
+#[derive(Debug)]
+struct OrderEntry {
+    bits: u64,
+    seq: u64,
+    cert: SharedFileCert,
+}
+
+impl OrderEntry {
+    /// Min-heap key: `BinaryHeap` pops the largest.
+    fn key(&self) -> Reverse<(u64, u64)> {
+        Reverse((self.bits, self.seq))
+    }
+
+    /// Whether this is its file's live entry: the file is resident and
+    /// was last touched by this entry.
+    fn is_live(&self, residents: &FileTable<Resident>) -> bool {
+        residents
+            .get(&self.cert.file_id)
+            .is_some_and(|r| r.0.stamp.get() == self.seq)
+    }
+}
+
+impl PartialEq for OrderEntry {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl Eq for OrderEntry {}
+
+impl PartialOrd for OrderEntry {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for OrderEntry {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.key().cmp(&other.key())
+    }
+}
 
 /// Which replacement policy a cache runs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -180,7 +221,11 @@ impl PolicyState {
         // `to_bits` orders finite non-negative floats as `total_cmp` does.
         debug_assert!(h.is_finite() && h.is_sign_positive(), "weight {h}");
         *seq += 1;
-        order.push(Reverse((h.to_bits(), *seq, r.cert.file_id)));
+        order.push(OrderEntry {
+            bits: h.to_bits(),
+            seq: *seq,
+            cert: r.cert.clone(),
+        });
         r.stamp.set(*seq);
     }
 
@@ -230,6 +275,11 @@ pub struct Cache {
 }
 
 impl Cache {
+    /// Bytes of one order-heap entry under GD-S and LRU. The heap holds
+    /// one per resident plus the stale ones awaiting a sweep, at most
+    /// `2·len + 64` in all.
+    pub const ORDER_ENTRY_BYTES: usize = std::mem::size_of::<OrderEntry>();
+
     /// Creates an empty cache with the given policy.
     pub fn new(kind: CachePolicyKind) -> Self {
         let policy = match kind {
@@ -439,11 +489,11 @@ impl Cache {
             PolicyState::Ranked {
                 inflation, order, ..
             } => loop {
-                let Reverse((bits, seq, id)) = order.pop()?;
-                if self.residents.get(&id).is_some_and(|r| r.0.stamp.get() == seq) {
+                let e = order.pop()?;
+                if e.is_live(&self.residents) {
                     // GreedyDual aging: L rises to the victim's weight.
-                    *inflation = f64::from_bits(bits);
-                    break id;
+                    *inflation = f64::from_bits(e.bits);
+                    break e.cert.file_id;
                 }
             },
             PolicyState::PopRandom { rng, slots, .. } => {
@@ -474,10 +524,7 @@ impl Cache {
     fn compact(&mut self) {
         if let PolicyState::Ranked { order, .. } = &mut self.policy {
             if order.len() > 2 * self.residents.len() + 64 {
-                let residents = &self.residents;
-                order.retain(|Reverse((_, seq, id))| {
-                    residents.get(id).is_some_and(|r| r.0.stamp.get() == *seq)
-                });
+                order.retain(|e| e.is_live(&self.residents));
             }
         }
     }

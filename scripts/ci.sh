@@ -16,7 +16,8 @@
 #   7. copies of a message between send and handler (count_copies.sh)
 #   8. repro: every experiment at smoke scale, twice, asserts on
 #   9. the three examples, each asserting its own outcome
-#  10. the count-alloc feature build
+#  10. the count-alloc feature: its test, and fig8's peak live heap,
+#      equal to the byte over two runs
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -111,10 +112,23 @@ for example in quickstart content_distribution archival_backup; do
   cargo run --release --offline -q --example "$example" >/dev/null
 done
 
-echo "== counting-allocator feature build"
-# The allocation-site harness is feature-gated off the default build;
-# make sure the gate keeps compiling (`repro` owns the
-# #[global_allocator], so the feature only exists there and in past-obs).
-cargo build --release -q -p past-bench --features count-alloc --offline
+echo "== counting allocator (feature build, residency twice)"
+# The counting allocator is feature-gated off the default build (`repro`
+# owns the #[global_allocator], so the feature only exists there and in
+# past-obs). With it, `repro` prints each experiment's peak live heap:
+# requested bytes, frees subtracted, no allocator slack, so with the
+# shards inline it repeats to the byte where RSS drifts by hundreds of kB.
+cargo test -q --release -p past-obs --features count-alloc --offline
+for run in a b; do
+  PAST_SHARD_THREADS=0 PAST_NODES=60 PAST_FILES=5000 PAST_OUT_DIR="$out/alloc_$run" \
+    cargo run --release -q -p past-bench --features count-alloc --bin repro --offline -- fig8 \
+    2>"$out/alloc_$run.err" >/dev/null \
+    || { cat "$out/alloc_$run.err" >&2; echo "error: repro fig8 (count-alloc) failed" >&2; exit 1; }
+  grep "peak live heap" "$out/alloc_$run.err" >"$out/alloc_$run.peak" \
+    || { echo "error: repro printed no peak live heap" >&2; exit 1; }
+done
+cmp "$out/alloc_a.peak" "$out/alloc_b.peak" \
+  || { echo "error: fig8's peak live heap differs between two runs" >&2; exit 1; }
+cat "$out/alloc_a.peak"
 
 echo "CI OK"
