@@ -923,8 +923,6 @@ fn render_byzantine_audit(e: &Experiment, _: Scale, _: Vec<Vec<Table>>) -> Vec<T
             };
             if audits {
                 cfg.past.audit_period = SimDuration::from_secs(10);
-                cfg.past.audit_timeout = SimDuration::from_secs(2);
-                cfg.past.verify_lookup_content = true;
                 cfg.pastry.reliability = Reliability::TrackAndDemote;
             }
             let mut r = ChurnRunner::build(cfg);
@@ -1017,7 +1015,7 @@ fn flash_crowd_cell(
         replay_lookups: true,
         topology: TopologyKind::Clustered { clusters: 8 },
         seed: 0xf1a5,
-        obs_window: SimDuration((wl.requests as u64 * gap / 40).max(1_000_000)),
+        obs_window: SimDuration((wl.requests() as u64 * gap / 40).max(1_000_000)),
         ..base_config(scale)
     };
     let policy_name = match policy {

@@ -3,13 +3,14 @@
 use past_net::SimDuration;
 use past_store::{CachePolicyKind, StorePolicy};
 
+/// Replication factor `k`: copies are kept on the `k` nodes with nodeIds
+/// numerically closest to the fileId (the paper's 5, chosen from the
+/// availability analysis of Bolosky et al.).
+pub const K: usize = 5;
+
 /// Configuration of a PAST node.
 #[derive(Clone, Debug)]
 pub struct PastConfig {
-    /// Replication factor `k`: copies are kept on the `k` nodes with
-    /// nodeIds numerically closest to the fileId (paper default: 5,
-    /// chosen from the availability analysis of Bolosky et al.).
-    pub k: u32,
     /// Storage-management thresholds (`t_pri`, `t_div`, cache fraction).
     pub policy: StorePolicy,
     /// Cache replacement policy.
@@ -53,16 +54,13 @@ pub struct PastConfig {
     /// through the normal neighbor-loss repair path. Zero disables
     /// audits — the default; audit scheduling is RNG-free, so enabling
     /// it never perturbs any seeded RNG stream.
+    ///
+    /// A nonzero period also arms the defence's client half, lookup
+    /// content verification: the client recomputes the content hash of
+    /// a lookup answer against the signed certificate, discards a
+    /// corrupted answer, shuns the server and retries the lookup (up to
+    /// `k` times) before accepting defeat.
     pub audit_period: SimDuration,
-    /// How long the auditor waits for a possession proof before
-    /// treating the challenge as failed.
-    pub audit_timeout: SimDuration,
-    /// Client-side lookup content verification: the client recomputes
-    /// the content hash of a lookup answer against the signed
-    /// certificate, discards corrupted answers, shuns the offending
-    /// server and retries the lookup (up to `k` times) before
-    /// accepting defeat. Off by default.
-    pub verify_lookup_content: bool,
     /// Width of the windowed time-series buckets for the obs layer:
     /// lookup completions, cache hits, hop counts, and per-node served
     /// load are additionally recorded per fixed sim-time window of this
@@ -76,7 +74,6 @@ pub struct PastConfig {
 impl Default for PastConfig {
     fn default() -> Self {
         PastConfig {
-            k: 5,
             policy: StorePolicy::default(),
             cache_policy: CachePolicyKind::GreedyDualSize,
             max_file_diversions: 3,
@@ -86,21 +83,8 @@ impl Default for PastConfig {
             maint_ack_timeout: SimDuration::from_secs(2),
             anti_entropy_period: SimDuration::ZERO,
             audit_period: SimDuration::ZERO,
-            audit_timeout: SimDuration::from_secs(2),
-            verify_lookup_content: false,
             obs_window: SimDuration::ZERO,
         }
-    }
-}
-
-impl PastConfig {
-    /// Validates parameter consistency.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is zero.
-    pub fn validate(&self) {
-        assert!(self.k >= 1, "replication factor must be at least 1");
     }
 }
 
@@ -111,24 +95,11 @@ mod tests {
     #[test]
     fn default_matches_paper() {
         let c = PastConfig::default();
-        c.validate();
-        assert_eq!(c.k, 5);
         assert_eq!(c.max_file_diversions, 3);
         assert!((c.policy.t_pri - 0.1).abs() < 1e-12);
         assert!((c.policy.t_div - 0.05).abs() < 1e-12);
         // The Byzantine defense layer is opt-in: default runs make no
         // audit sends and no lookup retries.
         assert_eq!(c.audit_period, SimDuration::ZERO);
-        assert!(!c.verify_lookup_content);
-    }
-
-    #[test]
-    #[should_panic]
-    fn zero_k_rejected() {
-        PastConfig {
-            k: 0,
-            ..Default::default()
-        }
-        .validate();
     }
 }

@@ -7,6 +7,7 @@ use past_crypto::{SharedFileCert, SharedReceipt, StoreReceipt};
 use past_id::FileId;
 use past_pastry::NodeEntry;
 
+use crate::config::K;
 use crate::events::PastEvent;
 use crate::messages::{MsgKind, ReqId};
 use crate::obs;
@@ -33,7 +34,7 @@ impl PastNode {
                     req,
                     file_id,
                     receipts: Vec::new(),
-                    expected: self.cfg.k,
+                    expected: K as u32,
                     ok: false,
                 },
             );
@@ -49,7 +50,7 @@ impl PastNode {
                     req,
                     file_id,
                     receipts: Vec::new(),
-                    expected: self.cfg.k,
+                    expected: K as u32,
                     ok: false,
                 },
             );
@@ -69,7 +70,7 @@ impl PastNode {
                 self.send_discard(ctx, node, stale.file_id);
             }
         }
-        let candidates = ctx.replica_candidates(file_id.as_key(), self.cfg.k as usize);
+        let candidates = ctx.replica_candidates(file_id.as_key(), K);
         let own = ctx.own();
         past_obs::span_event(
             obs::req_span(&req),
@@ -210,7 +211,7 @@ impl PastNode {
         file_id: FileId,
     ) -> Option<NodeEntry> {
         let key = file_id.as_key();
-        let candidates = ctx.replica_candidates(key, self.cfg.k as usize);
+        let candidates = ctx.replica_candidates(key, K);
         let own = ctx.own();
         // Rank by known free space, descending; unknown is optimistic.
         // Under reliability tracking the score is free × reliability (u128:
@@ -322,10 +323,9 @@ impl PastNode {
             self.store.install_pointer(file_id, holder, pending.cert.clone());
             let key = file_id.as_key();
             let own = ctx.own();
-            let kplus1 = ctx.replica_candidates(key, self.cfg.k as usize + 1);
+            let kplus1 = ctx.replica_candidates(key, K + 1);
             if let Some(c_node) = kplus1.last().copied() {
-                if c_node.id != own.id && c_node.id != holder.id && kplus1.len() > self.cfg.k as usize
-                {
+                if c_node.id != own.id && c_node.id != holder.id && kplus1.len() > K {
                     self.store.set_pointer_backup(file_id, c_node);
                     self.send_maint(
                         ctx,
@@ -624,7 +624,7 @@ impl PastNode {
             // Refund the quota debited at issue time.
             let _ = self
                 .quota
-                .credit(size.saturating_mul(self.cfg.k as u64));
+                .credit(size.saturating_mul(K as u64));
             if past_obs::is_enabled() {
                 past_obs::counter("past.insert.fail", 1);
                 past_obs::span_end(

@@ -18,7 +18,8 @@
 //! - **Byzantine defense** (beyond the paper, LOCKSS-style): sampled
 //!   challenge-response storage audits ([`AuditBook`]) that demote and
 //!   shun holders failing possession proofs, plus client-side lookup
-//!   content verification with shun-and-retry. All knobs default off.
+//!   content verification with shun-and-retry, both armed by one
+//!   audit period that defaults to off.
 //!
 //! Nodes emit [`PastEvent`]s, from which the experiment harness
 //! (`past-sim`) reconstructs every metric in the paper's evaluation.
@@ -35,7 +36,7 @@ mod obs;
 mod reclaim;
 
 pub use audit::{AuditBook, AuditStats, AuditVerdict, PendingAudit};
-pub use config::PastConfig;
+pub use config::{PastConfig, K};
 pub use events::PastEvent;
 pub use messages::{HitKind, MsgKind, PastMsg, ReqId};
 pub use node::{MaintStats, PastNode};

@@ -6,6 +6,7 @@ use past_id::FileId;
 use past_pastry::NodeEntry;
 use past_store::Resolution;
 
+use crate::config::K;
 use crate::events::PastEvent;
 use crate::messages::{HitKind, MsgKind, ReqId};
 use crate::node::{PCtx, PastNode, PendingOp};
@@ -228,11 +229,13 @@ impl PastNode {
         match self.pending.remove(&req.seq) {
             Some(PendingOp::Lookup { file_id, retries }) => {
                 debug_assert_eq!(file_id, cert.file_id);
-                if corrupted && self.cfg.verify_lookup_content {
+                // Content verification is the client half of the audit
+                // defence: armed with it, or not at all.
+                if corrupted && self.cfg.audit_period.micros() > 0 {
                     past_obs::counter("past.lookup.corrupted", 1);
                     ctx.record_peer_failure(server.id);
                     ctx.demote_peer(server.id);
-                    if retries < self.cfg.k {
+                    if (retries as usize) < K {
                         past_obs::counter("past.lookup.retry", 1);
                         self.pending.insert(
                             req.seq,

@@ -6,6 +6,7 @@ use past_crypto::SharedFileCert;
 use past_id::{FileId, NodeId};
 use past_pastry::{NodeEntry, PastryState};
 
+use crate::config::K;
 use crate::events::PastEvent;
 use crate::messages::MsgKind;
 use crate::node::{PCtx, PastNode, PendingMaint, MAINT_RETRY_BASE};
@@ -185,13 +186,12 @@ impl PastNode {
     /// the data migrates lazily.
     pub(crate) fn handle_neighbor_added(&mut self, ctx: &mut PCtx<'_, '_>, node: NodeEntry) {
         let own = ctx.own();
-        let k = self.cfg.k as usize;
         // One buffer for the whole sweep: it asks once per stored primary.
-        let mut candidates = Vec::with_capacity(k);
+        let mut candidates = Vec::with_capacity(K);
         let mut displaced: Vec<(FileId, SharedFileCert)> = self
             .store
             .primaries()
-            .filter(|(id, _)| displaced_by(ctx.pastry(), node.id, id.as_key(), k, &mut candidates))
+            .filter(|(id, _)| displaced_by(ctx.pastry(), node.id, id.as_key(), K, &mut candidates))
             .map(|(id, cert)| (*id, cert.clone()))
             .collect();
         // The store's maps iterate in per-instance random order; batches
@@ -222,12 +222,11 @@ impl PastNode {
     /// node.
     pub(crate) fn handle_neighbor_removed(&mut self, ctx: &mut PCtx<'_, '_>, failed: NodeEntry) {
         let own = ctx.own();
-        let k = self.cfg.k as usize;
         // (a) Primary replicas: if the failed node was in the replica set
         // and this node is the set's closest member, ship a copy to the
         // node that newly completes the set.
         let mut to_restore: Vec<(NodeEntry, SharedFileCert)> = Vec::new();
-        let mut candidates = Vec::with_capacity(k);
+        let mut candidates = Vec::with_capacity(K);
         for (id, stored) in self.store.primaries() {
             let key = id.as_key();
             // Only the set's closest member restores, which rules out
@@ -235,7 +234,7 @@ impl PastNode {
             if !ctx.is_among_k_closest(key, 1) {
                 continue;
             }
-            ctx.replica_candidates_into(key, k, &mut candidates);
+            ctx.replica_candidates_into(key, K, &mut candidates);
             // Was the failed node responsible? Compare its distance to
             // the current farthest candidate.
             let Some(&(farthest_distance, farthest)) = candidates.last() else {
@@ -345,8 +344,7 @@ impl PastNode {
             // candidate) is told to drop; its own `on_migration_done`
             // re-checks standing before doing so.
             if ctx.config().warm_restart {
-                let k = self.cfg.k as usize;
-                let candidates = ctx.replica_candidates(file_id.as_key(), k);
+                let candidates = ctx.replica_candidates(file_id.as_key(), K);
                 if !candidates.iter().any(|c| c.id == from.id) {
                     self.send_to(ctx, from, MsgKind::MigrationDone { file_id });
                 }
@@ -373,8 +371,7 @@ impl PastNode {
     /// The old holder learns a migration completed: drop the replica if
     /// this node is no longer among the file's k closest.
     pub(crate) fn on_migration_done(&mut self, ctx: &mut PCtx<'_, '_>, file_id: FileId) {
-        let k = self.cfg.k as usize;
-        if ctx.is_among_k_closest(file_id.as_key(), k) {
+        if ctx.is_among_k_closest(file_id.as_key(), K) {
             return; // Still responsible: keep the copy.
         }
         if let Some(replica) = self.store.remove_replica(file_id) {
@@ -405,7 +402,7 @@ impl PastNode {
                 break;
             }
             // Only migrate files this node should hold itself.
-            if ctx.is_among_k_closest(file_id.as_key(), self.cfg.k as usize) {
+            if ctx.is_among_k_closest(file_id.as_key(), K) {
                 self.send_maint(
                     ctx,
                     holder,
@@ -430,7 +427,6 @@ impl PastNode {
     /// [`Self::handle_neighbor_removed`] were lost or exhausted their
     /// retries.
     pub(crate) fn anti_entropy_sweep(&mut self, ctx: &mut PCtx<'_, '_>) {
-        let k = self.cfg.k as usize;
         let own = ctx.own();
         let mut ids: Vec<FileId> = self.store.primaries().map(|(id, _)| *id).collect();
         if ids.is_empty() {
@@ -457,7 +453,7 @@ impl PastNode {
                 Some(r) => r.cert.clone(),
                 None => continue,
             };
-            for node in ctx.replica_candidates(file_id.as_key(), k) {
+            for node in ctx.replica_candidates(file_id.as_key(), K) {
                 if node.id == own.id {
                     continue;
                 }
@@ -502,11 +498,10 @@ impl PastNode {
         if holder.id == own.id {
             return;
         }
-        let k = self.cfg.k as usize;
         if !self.store.holds_replica(file_id) {
             // Only pull content this node is actually responsible for,
             // and only under a valid certificate.
-            if ctx.is_among_k_closest(file_id.as_key(), k) && self.cert_ok(&cert) {
+            if ctx.is_among_k_closest(file_id.as_key(), K) && self.cert_ok(&cert) {
                 self.send_maint(
                     ctx,
                     holder,
@@ -518,7 +513,7 @@ impl PastNode {
             }
             return;
         }
-        let candidates = ctx.replica_candidates(file_id.as_key(), k);
+        let candidates = ctx.replica_candidates(file_id.as_key(), K);
         if !candidates.iter().any(|c| c.id == holder.id) {
             self.send_to(ctx, holder, MsgKind::MigrationDone { file_id });
         }

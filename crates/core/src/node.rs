@@ -13,7 +13,7 @@ use past_pastry::{AppCtx, Application, NodeEntry};
 use past_store::{NodeStore, Resolution};
 
 use crate::audit::{corrupted_proof, honest_proof, AuditBook, AuditStats, AuditVerdict};
-use crate::config::PastConfig;
+use crate::config::{PastConfig, K};
 use crate::events::PastEvent;
 use crate::messages::{HitKind, MsgKind, PastMsg, ReqId};
 use crate::obs;
@@ -44,6 +44,11 @@ pub(crate) const MAINT_RETRY_BASE: u64 = 1 << 36;
 const VERIFY_MEMO_CAPACITY: usize = 1024;
 /// Maximum files audited per storage-audit sweep.
 const AUDIT_BATCH: usize = 4;
+/// How long an auditor waits for a possession proof before treating the
+/// challenge as failed.
+const AUDIT_TIMEOUT: past_net::SimDuration = past_net::SimDuration::from_secs(2);
+/// Bytes of one warm-restart inventory entry: a fileId and its size.
+const INVENTORY_ENTRY: usize = 20 + 8;
 
 /// A client operation awaiting completion.
 #[derive(Clone, Debug)]
@@ -63,8 +68,8 @@ pub(crate) enum PendingOp {
     Lookup {
         /// The requested file.
         file_id: FileId,
-        /// Re-routes issued after a corrupted answer (content
-        /// verification mode only; capped at `k`).
+        /// Re-routes issued after a corrupted answer (only while audits
+        /// are armed; capped at `k`).
         retries: u32,
     },
     /// A reclaim.
@@ -179,7 +184,6 @@ impl PastNode {
     /// Creates a PAST node with the given configuration, signing keys,
     /// advertised capacity (bytes) and client quota (bytes).
     pub fn new(cfg: PastConfig, keys: KeyPair, capacity: u64, quota: u64) -> Self {
-        cfg.validate();
         let store = NodeStore::new(capacity, cfg.policy, cfg.cache_policy);
         PastNode {
             cfg,
@@ -351,7 +355,7 @@ impl PastNode {
         }
         // "The required storage (file size times k) is debited against
         // the client's storage quota."
-        if self.quota.debit(size.saturating_mul(self.cfg.k as u64)).is_err() {
+        if self.quota.debit(size.saturating_mul(K as u64)).is_err() {
             past_obs::span_end(
                 obs::client_span(ctx.own().addr, seq),
                 ctx.now().micros(),
@@ -526,7 +530,7 @@ impl PastNode {
                 name,
                 content_hash,
                 size,
-                self.cfg.k,
+                K as u32,
                 attempt as u64,
                 ctx.now().micros(),
                 ctx.rng(),
@@ -539,7 +543,7 @@ impl PastNode {
                 name,
                 content_hash,
                 size,
-                self.cfg.k,
+                K as u32,
                 attempt as u64,
                 ctx.now().micros(),
             )
@@ -638,7 +642,7 @@ impl PastNode {
         let own = ctx.own();
         let own_id = own.id.to_bytes();
         let batch = AUDIT_BATCH.min(ids.len());
-        let mut candidates = Vec::with_capacity(self.cfg.k as usize);
+        let mut candidates = Vec::with_capacity(K);
         for i in 0..batch {
             let file_id = ids[(start + i) % ids.len()];
             self.audit_cursor = Some(file_id);
@@ -646,7 +650,7 @@ impl PastNode {
                 Some(r) => r.cert.content_hash,
                 None => continue,
             };
-            ctx.replica_candidates_into(file_id.as_key(), self.cfg.k as usize, &mut candidates);
+            ctx.replica_candidates_into(file_id.as_key(), K, &mut candidates);
             candidates.retain(|(_, e)| e.id != own.id);
             if candidates.is_empty() {
                 continue;
@@ -679,7 +683,7 @@ impl PastNode {
                     auditor: own,
                 },
             );
-            ctx.set_app_timer(self.cfg.audit_timeout, AUDIT_TIMEOUT_BASE + seq);
+            ctx.set_app_timer(AUDIT_TIMEOUT, AUDIT_TIMEOUT_BASE + seq);
         }
     }
 
@@ -751,10 +755,10 @@ impl PastNode {
     }
 
     /// Encodes the storage inventory carried in the warm-restart
-    /// snapshot's application payload: the primary file table (id and
-    /// size), the diversion-pointer ids, and the quota ledger's used
-    /// bytes. Little-endian, count-prefixed; sorted so same-seed runs
-    /// snapshot identical bytes regardless of hash-map order.
+    /// snapshot's application payload: the primary file table, as a
+    /// little-endian `u32` count followed by (id, size) pairs, sorted so
+    /// same-seed runs snapshot identical bytes regardless of hash-map
+    /// order.
     pub(crate) fn encode_inventory(&self) -> Vec<u8> {
         let mut primaries: Vec<(FileId, u64)> = self
             .store
@@ -762,54 +766,34 @@ impl PastNode {
             .map(|(id, cert)| (*id, cert.file_size))
             .collect();
         primaries.sort_by_key(|(id, _)| *id);
-        let mut pointers: Vec<FileId> = self.store.pointers().map(|(id, _)| *id).collect();
-        pointers.sort();
-        let mut out = Vec::with_capacity(16 + primaries.len() * 28 + pointers.len() * 20);
+        let mut out = Vec::with_capacity(4 + primaries.len() * INVENTORY_ENTRY);
         out.extend_from_slice(&(primaries.len() as u32).to_le_bytes());
         for (id, size) in &primaries {
             out.extend_from_slice(id.as_bytes());
             out.extend_from_slice(&size.to_le_bytes());
         }
-        out.extend_from_slice(&(pointers.len() as u32).to_le_bytes());
-        for id in &pointers {
-            out.extend_from_slice(id.as_bytes());
-        }
-        out.extend_from_slice(&self.quota.used().to_le_bytes());
         out
     }
 
-    /// Decodes [`Self::encode_inventory`]'s primary file table. Returns
-    /// `None` on any framing violation — a corrupt payload is treated
-    /// as "no inventory", never trusted partially.
+    /// Decodes [`Self::encode_inventory`]. Returns `None` on any framing
+    /// violation — a corrupt payload is treated as "no inventory", never
+    /// trusted partially.
     pub(crate) fn decode_inventory(payload: &[u8]) -> Option<Vec<(FileId, u64)>> {
-        fn take<'a>(buf: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
-            if buf.len() < n {
-                return None;
-            }
-            let (head, rest) = buf.split_at(n);
-            *buf = rest;
-            Some(head)
-        }
-        fn u32le(buf: &mut &[u8]) -> Option<u32> {
-            take(buf, 4).map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes")))
-        }
-        fn u64le(buf: &mut &[u8]) -> Option<u64> {
-            take(buf, 8).map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")))
-        }
-        let mut buf = payload;
-        let n = u32le(&mut buf)? as usize;
-        let mut primaries = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            let id = FileId::from_bytes(take(&mut buf, 20)?.try_into().expect("20 bytes"));
-            let size = u64le(&mut buf)?;
-            primaries.push((id, size));
-        }
-        let pointers = u32le(&mut buf)? as usize;
-        take(&mut buf, pointers.checked_mul(20)?)?;
-        u64le(&mut buf)?; // Quota used (informational).
-        if !buf.is_empty() {
+        let (count, entries) = payload.split_first_chunk::<4>()?;
+        let count = u32::from_le_bytes(*count) as usize;
+        if count.checked_mul(INVENTORY_ENTRY)? != entries.len() {
             return None;
         }
+        let primaries = entries
+            .chunks_exact(INVENTORY_ENTRY)
+            .map(|entry| {
+                let (id, size) = entry.split_at(20);
+                (
+                    FileId::from_bytes(id.try_into().expect("20 bytes")),
+                    u64::from_le_bytes(size.try_into().expect("8 bytes")),
+                )
+            })
+            .collect();
         Some(primaries)
     }
 }
@@ -873,7 +857,7 @@ impl Application for PastNode {
                 // "When an insert request message first reaches a node
                 // with a nodeId among the k numerically closest to the
                 // fileId", that node takes over as coordinator.
-                if ctx.is_among_k_closest(key, self.cfg.k as usize) {
+                if ctx.is_among_k_closest(key, K) {
                     let (req, cert) = (*req, cert.clone());
                     self.note_free(ctx, req.client.id, msg.free);
                     self.coordinate_insert(ctx, req, cert);
@@ -926,7 +910,7 @@ impl Application for PastNode {
                 true
             }
             MsgKind::Reclaim { req, cert } => {
-                if ctx.is_among_k_closest(key, self.cfg.k as usize) {
+                if ctx.is_among_k_closest(key, K) {
                     let (req, cert) = (*req, cert.clone());
                     self.coordinate_reclaim(ctx, req, cert);
                     return false;
@@ -1115,34 +1099,30 @@ mod tests {
         FileId::from_bytes([n; 20])
     }
 
-    fn encode(primaries: &[(FileId, u64)], pointers: &[FileId], quota_used: u64) -> Vec<u8> {
+    fn encode(primaries: &[(FileId, u64)]) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(&(primaries.len() as u32).to_le_bytes());
         for (id, size) in primaries {
             out.extend_from_slice(id.as_bytes());
             out.extend_from_slice(&size.to_le_bytes());
         }
-        out.extend_from_slice(&(pointers.len() as u32).to_le_bytes());
-        for id in pointers {
-            out.extend_from_slice(id.as_bytes());
-        }
-        out.extend_from_slice(&quota_used.to_le_bytes());
         out
     }
 
     #[test]
     fn inventory_roundtrip() {
         let primaries = vec![(fid(1), 100u64), (fid(2), 2_000_000)];
-        let payload = encode(&primaries, &[fid(9)], 777);
+        let payload = encode(&primaries);
+        assert_eq!(payload.len(), 4 + 2 * INVENTORY_ENTRY);
         assert_eq!(PastNode::decode_inventory(&payload), Some(primaries));
 
-        let empty = encode(&[], &[], 0);
+        let empty = encode(&[]);
         assert_eq!(PastNode::decode_inventory(&empty), Some(vec![]));
     }
 
     #[test]
     fn inventory_rejects_malformed_payloads() {
-        let payload = encode(&[(fid(3), 42)], &[], 5);
+        let payload = encode(&[(fid(3), 42), (fid(4), 7)]);
         // Truncations at every prefix length fail closed.
         for cut in 0..payload.len() {
             assert_eq!(
@@ -1155,9 +1135,9 @@ mod tests {
         let mut long = payload.clone();
         long.push(0);
         assert_eq!(PastNode::decode_inventory(&long), None);
-        // An overflowing pointer count must not panic.
-        let mut bogus = encode(&[], &[], 0);
-        bogus[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
+        // A count far past the payload's end must not panic or allocate.
+        let mut bogus = encode(&[]);
+        bogus[..4].copy_from_slice(&u32::MAX.to_le_bytes());
         assert_eq!(PastNode::decode_inventory(&bogus), None);
     }
 }

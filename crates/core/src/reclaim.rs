@@ -5,6 +5,7 @@ use past_crypto::SharedReclaimCert;
 use past_id::FileId;
 use past_store::Resolution;
 
+use crate::config::K;
 use crate::events::PastEvent;
 use crate::messages::{MsgKind, ReqId};
 use crate::node::{PCtx, PastNode, PendingOp};
@@ -47,8 +48,7 @@ impl PastNode {
             .file_size
             .saturating_mul(stored_cert.replicas as u64);
         // Dispatch to every candidate holder (including self).
-        let candidates =
-            ctx.replica_candidates(file_id.as_key(), self.cfg.k as usize);
+        let candidates = ctx.replica_candidates(file_id.as_key(), K);
         past_obs::span_event(
             obs::req_span(&req),
             ctx.now().micros(),

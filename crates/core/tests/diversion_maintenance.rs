@@ -156,7 +156,6 @@ fn static_cfg() -> (PastConfig, PastryConfig) {
         },
         PastryConfig {
             leaf_set_size: 16,
-            neighborhood_size: 16,
             keep_alive_period: SimDuration::ZERO,
             ..Default::default()
         },
@@ -171,7 +170,6 @@ fn churn_cfg() -> (PastConfig, PastryConfig) {
         },
         PastryConfig {
             leaf_set_size: 16,
-            neighborhood_size: 16,
             keep_alive_period: SimDuration::from_secs(5),
             failure_timeout: SimDuration::from_secs(15),
             per_hop_acks: true,

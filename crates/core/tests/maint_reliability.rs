@@ -22,7 +22,6 @@ fn build(n: usize, seed: u64) -> (Simulator<PastOverlayNode>, Vec<NodeEntry>) {
     };
     let pastry_cfg = PastryConfig {
         leaf_set_size: 16,
-        neighborhood_size: 16,
         // Keep-alives stay off (the queue must drain), but per-hop acks
         // retransmit routed messages the lossy network eats.
         keep_alive_period: SimDuration::ZERO,

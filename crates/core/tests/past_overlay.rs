@@ -22,7 +22,6 @@ struct Overlay {
 fn pastry_cfg() -> PastryConfig {
     PastryConfig {
         leaf_set_size: 16,
-        neighborhood_size: 16,
         keep_alive_period: SimDuration::ZERO,
         ..Default::default()
     }
@@ -438,7 +437,6 @@ fn maintenance_restores_replicas_after_failure() {
     };
     let pastry = PastryConfig {
         leaf_set_size: 16,
-        neighborhood_size: 16,
         keep_alive_period: SimDuration::from_secs(5),
         failure_timeout: SimDuration::from_secs(15),
         ..Default::default()

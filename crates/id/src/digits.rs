@@ -1,8 +1,8 @@
 //! Base-2^b digit utilities shared by node and file identifiers.
 //!
 //! Pastry interprets identifiers as strings of digits with base 2^b
-//! (b is a configuration parameter with typical value 4). Each routing
-//! step resolves at least one more digit of the destination key.
+//! (b = 4 in the paper and in `past-pastry`). Each routing step
+//! resolves at least one more digit of the destination key.
 
 /// Namespace for digit-base helpers.
 pub struct Digits;
@@ -24,38 +24,11 @@ impl Digits {
             Self::VALID_BASES
         );
     }
-
-    /// Number of distinct digit values for width `b` (i.e. 2^b).
-    pub fn radix(b: u32) -> u32 {
-        Self::check_base(b);
-        1 << b
-    }
-
-    /// Number of routing-table columns per row: 2^b − 1 (one per digit
-    /// value other than the node's own digit at that row).
-    pub fn columns(b: u32) -> u32 {
-        Self::radix(b) - 1
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn radix_values() {
-        assert_eq!(Digits::radix(1), 2);
-        assert_eq!(Digits::radix(2), 4);
-        assert_eq!(Digits::radix(4), 16);
-        assert_eq!(Digits::radix(8), 256);
-    }
-
-    #[test]
-    fn columns_is_radix_minus_one() {
-        for b in Digits::VALID_BASES {
-            assert_eq!(Digits::columns(b), Digits::radix(b) - 1);
-        }
-    }
 
     #[test]
     #[should_panic]

@@ -24,20 +24,20 @@ impl Reliability {
     }
 }
 
+/// Digit width `b` in bits: ids are strings of base-2^b digits, and
+/// the routing table has 2^b columns (the paper's value, 4).
+pub const B: u32 = 4;
+
 /// Tunable Pastry parameters (paper §2.1).
 #[derive(Clone, Debug)]
 pub struct PastryConfig {
-    /// Digit width in bits; ids are strings of base-2^b digits. Typical
-    /// value 4.
-    pub b: u32,
     /// Leaf set size `l`: the l/2 numerically closest larger and l/2
     /// closest smaller nodeIds. Typical value 32. Eventual delivery is
-    /// guaranteed unless ⌊l/2⌋ adjacent nodes fail simultaneously.
+    /// guaranteed unless ⌊l/2⌋ adjacent nodes fail simultaneously. The
+    /// neighborhood set (the nodes closest under the *proximity*
+    /// metric, which seed routing state during join) has `l` members
+    /// too, as in the paper.
     pub leaf_set_size: usize,
-    /// Neighborhood set size (the paper uses `l` here too): the nodes
-    /// closest to this node under the *proximity* metric, used to seed
-    /// routing state during join.
-    pub neighborhood_size: usize,
     /// Period between keep-alive probes to leaf-set members. A zero
     /// period disables keep-alives entirely (useful for static-network
     /// experiments, where it lets the event queue drain).
@@ -50,9 +50,6 @@ pub struct PastryConfig {
     /// as long a prefix and numerically closer to the key). Defends
     /// against malicious nodes that swallow messages on a fixed route.
     pub randomized_routing: bool,
-    /// Probability of taking the best hop when randomizing ("heavily
-    /// biased towards the best choice to ensure low average route delay").
-    pub best_hop_bias: f64,
     /// Per-hop acknowledgments for routed messages: the forwarding node
     /// detects a dead next hop by timeout, removes it from its state
     /// ("routing table entries that refer to failed nodes are repaired
@@ -77,13 +74,10 @@ pub struct PastryConfig {
 impl Default for PastryConfig {
     fn default() -> Self {
         PastryConfig {
-            b: 4,
             leaf_set_size: 32,
-            neighborhood_size: 32,
             keep_alive_period: SimDuration::from_secs(30),
             failure_timeout: SimDuration::from_secs(90),
             randomized_routing: false,
-            best_hop_bias: 0.9,
             per_hop_acks: false,
             warm_restart: false,
             reliability: Reliability::Off,
@@ -96,17 +90,11 @@ impl PastryConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `b` is unsupported, the leaf set is not a non-zero even
-    /// size, or the bias is outside `[0, 1]`.
+    /// Panics if the leaf set is not a non-zero even size.
     pub fn validate(&self) {
-        past_id::Digits::check_base(self.b);
         assert!(
             self.leaf_set_size >= 2 && self.leaf_set_size.is_multiple_of(2),
             "leaf set size must be even and >= 2"
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.best_hop_bias),
-            "best_hop_bias must be a probability"
         );
     }
 
@@ -124,7 +112,6 @@ mod tests {
     fn default_is_paper_configuration() {
         let c = PastryConfig::default();
         c.validate();
-        assert_eq!(c.b, 4);
         assert_eq!(c.leaf_set_size, 32);
         assert_eq!(c.leaf_half(), 16);
         // Robustness extensions ship disabled: default runs must stay
@@ -138,16 +125,6 @@ mod tests {
     fn odd_leaf_set_rejected() {
         PastryConfig {
             leaf_set_size: 15,
-            ..Default::default()
-        }
-        .validate();
-    }
-
-    #[test]
-    #[should_panic]
-    fn bad_digit_base_rejected() {
-        PastryConfig {
-            b: 5,
             ..Default::default()
         }
         .validate();

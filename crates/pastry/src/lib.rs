@@ -26,7 +26,7 @@ mod routing_table;
 mod snapshot;
 mod state;
 
-pub use config::{PastryConfig, Reliability};
+pub use config::{PastryConfig, Reliability, B};
 pub use leaf_set::{LeafSet, NodeEntry};
 pub use neighborhood::{Neighbor, NeighborhoodSet};
 pub use node::{AppCtx, Application, Body, Envelope, PastryNode};

@@ -8,7 +8,7 @@ use std::cell::{Ref, RefCell};
 use past_id::{IdHashMap, NodeId};
 use past_net::{Addr, Ctx, Protocol, SimDuration, SimTime};
 
-use crate::config::{PastryConfig, Reliability};
+use crate::config::{PastryConfig, Reliability, B};
 use crate::leaf_set::NodeEntry;
 use crate::peer_score::PeerScoreTable;
 use crate::routing_table::RouteCell;
@@ -37,6 +37,10 @@ const RESTART_PROBE_FANOUT: usize = 8;
 /// [`Reliability::TrackAndDemote`] evicts a routing-table candidate. The uninformed prior is 500, so
 /// only peers with sustained failure evidence fall this low.
 const DEMOTE_THRESHOLD_MILLI: u64 = 250;
+/// Under randomized routing, the probability of taking the best hop
+/// ("heavily biased towards the best choice to ensure low average route
+/// delay").
+const BEST_HOP_BIAS: f64 = 0.9;
 
 /// The body of a Pastry wire message.
 #[derive(Clone, Debug)]
@@ -625,7 +629,7 @@ impl<A: Application> PastryNode<A> {
         let (hop, class) = self.state.next_hop_explained(
             key,
             self.cfg.randomized_routing,
-            self.cfg.best_hop_bias,
+            BEST_HOP_BIAS,
             Some(ctx.rng()),
         );
         past_obs::counter(class.metric_name(), 1);
@@ -721,7 +725,7 @@ impl<A: Application> PastryNode<A> {
         // Contribute the routing-table row matching the current prefix
         // overlap ("the ith row of the routing table from the ith node
         // encountered along the route from A to Z").
-        let row_idx = self.state.own().id.shared_prefix_digits(joiner.id, self.cfg.b);
+        let row_idx = self.state.own().id.shared_prefix_digits(joiner.id, B);
         let row_idx = row_idx.min(self.state.routing_table().row_count() as u32 - 1);
         rows.push((row_idx, self.state.routing_table().row(row_idx as usize)));
         path.push(self.state.own());

@@ -7,9 +7,13 @@
 //! cell, Pastry keeps one that is *close to the present node according to
 //! the proximity metric* — the source of its locality properties.
 
-use past_id::{Digits, NodeId};
+use past_id::NodeId;
 
+use crate::config::B;
 use crate::leaf_set::NodeEntry;
+
+/// Cells per row: one per base-2^b digit value.
+const COLS: usize = 1 << B;
 
 /// One routing-table cell: a known node plus its measured proximity.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -35,20 +39,14 @@ pub struct RouteCell {
 #[derive(Clone, Debug)]
 pub struct RoutingTable {
     own: NodeId,
-    b: u32,
-    cols: usize,
     cells: Vec<Option<RouteCell>>,
 }
 
 impl RoutingTable {
-    /// Creates an empty table for a node with identifier `own` and digit
-    /// width `b`.
-    pub fn new(own: NodeId, b: u32) -> Self {
-        Digits::check_base(b);
+    /// Creates an empty table for a node with identifier `own`.
+    pub fn new(own: NodeId) -> Self {
         RoutingTable {
             own,
-            b,
-            cols: Digits::radix(b) as usize,
             cells: Vec::new(),
         }
     }
@@ -58,21 +56,16 @@ impl RoutingTable {
         self.own
     }
 
-    /// Digit width.
-    pub fn b(&self) -> u32 {
-        self.b
-    }
-
     /// Number of rows (levels) the id space gives the table, allocated
     /// or not.
     pub fn row_count(&self) -> usize {
-        NodeId::digit_count(self.b) as usize
+        NodeId::digit_count(B) as usize
     }
 
     /// Number of leading rows that hold memory: one past the highest row
     /// `consider` ever placed a node into.
     pub fn allocated_rows(&self) -> usize {
-        self.cells.len() / self.cols
+        self.cells.len() / COLS
     }
 
     /// Returns the cell that would route toward `key` from this node:
@@ -82,16 +75,16 @@ impl RoutingTable {
         if key == self.own {
             return None;
         }
-        let row = self.own.shared_prefix_digits(key, self.b) as usize;
-        let col = key.digit(row as u32, self.b) as usize;
-        Some(self.cells.get(row * self.cols + col).unwrap_or(&None))
+        let row = self.own.shared_prefix_digits(key, B) as usize;
+        let col = key.digit(row as u32, B) as usize;
+        Some(self.cells.get(row * COLS + col).unwrap_or(&None))
     }
 
     /// Looks up the entry at (row, col).
     pub fn get(&self, row: usize, col: usize) -> Option<&RouteCell> {
         assert!(row < self.row_count(), "row {row} out of range");
-        assert!(col < self.cols, "column {col} out of range");
-        self.cells.get(row * self.cols + col)?.as_ref()
+        assert!(col < COLS, "column {col} out of range");
+        self.cells.get(row * COLS + col)?.as_ref()
     }
 
     /// Considers `candidate` for inclusion. It is placed in the cell
@@ -102,9 +95,9 @@ impl RoutingTable {
         if candidate.id == self.own {
             return false;
         }
-        let row = self.own.shared_prefix_digits(candidate.id, self.b) as usize;
-        let col = candidate.id.digit(row as u32, self.b) as usize;
-        let needed = (row + 1) * self.cols;
+        let row = self.own.shared_prefix_digits(candidate.id, B) as usize;
+        let col = candidate.id.digit(row as u32, B) as usize;
+        let needed = (row + 1) * COLS;
         if self.cells.len() < needed {
             // Rows are added a handful of times in a node's life, so
             // take exactly the room they need, not the doubling `resize`
@@ -112,7 +105,7 @@ impl RoutingTable {
             self.cells.reserve_exact(needed - self.cells.len());
             self.cells.resize(needed, None);
         }
-        let cell = &mut self.cells[row * self.cols + col];
+        let cell = &mut self.cells[row * COLS + col];
         match cell {
             None => {
                 *cell = Some(RouteCell {
@@ -149,9 +142,9 @@ impl RoutingTable {
         if id == self.own {
             return false;
         }
-        let row = self.own.shared_prefix_digits(id, self.b) as usize;
-        let col = id.digit(row as u32, self.b) as usize;
-        match self.cells.get_mut(row * self.cols + col) {
+        let row = self.own.shared_prefix_digits(id, B) as usize;
+        let col = id.digit(row as u32, B) as usize;
+        match self.cells.get_mut(row * COLS + col) {
             Some(cell) if cell.is_some_and(|c| c.entry.id == id) => {
                 *cell = None;
                 true
@@ -165,9 +158,9 @@ impl RoutingTable {
     /// route.
     pub fn row(&self, n: usize) -> Vec<Option<RouteCell>> {
         assert!(n < self.row_count(), "row {n} out of range");
-        match self.cells.get(n * self.cols..(n + 1) * self.cols) {
+        match self.cells.get(n * COLS..(n + 1) * COLS) {
             Some(row) => row.to_vec(),
-            None => vec![None; self.cols],
+            None => vec![None; COLS],
         }
     }
 
@@ -203,7 +196,7 @@ mod tests {
 
     #[test]
     fn consider_places_by_prefix() {
-        let mut rt = RoutingTable::new(own(), 4);
+        let mut rt = RoutingTable::new(own());
         // Shares no prefix: digit 0 differs (own digit 0 = 1; candidate = 0xf...).
         let far = entry(0xf000_0000 << 96);
         assert!(rt.consider(far, 1.0));
@@ -216,7 +209,7 @@ mod tests {
 
     #[test]
     fn closer_candidate_replaces() {
-        let mut rt = RoutingTable::new(own(), 4);
+        let mut rt = RoutingTable::new(own());
         let a = entry(0xf000_0000 << 96);
         let b = entry(0xf111_0000 << 96);
         rt.consider(a, 5.0);
@@ -228,7 +221,7 @@ mod tests {
 
     #[test]
     fn refresh_same_node() {
-        let mut rt = RoutingTable::new(own(), 4);
+        let mut rt = RoutingTable::new(own());
         let a = entry(0xf000_0000 << 96);
         rt.consider(a, 5.0);
         // Same id, new proximity: refreshed in place.
@@ -239,14 +232,14 @@ mod tests {
 
     #[test]
     fn own_id_never_inserted() {
-        let mut rt = RoutingTable::new(own(), 4);
+        let mut rt = RoutingTable::new(own());
         assert!(!rt.consider(NodeEntry::new(own(), Addr(1)), 0.0));
         assert!(rt.is_empty());
     }
 
     #[test]
     fn cell_for_routes_by_shared_prefix() {
-        let mut rt = RoutingTable::new(own(), 4);
+        let mut rt = RoutingTable::new(own());
         let target = NodeId::from_u128(0x1028_0000 << 96);
         // Routing toward `target` consults row 3 (shared "102"), col 8.
         let hop = entry(0x1028_9999 << 96);
@@ -258,7 +251,7 @@ mod tests {
 
     #[test]
     fn remove_only_matching_id() {
-        let mut rt = RoutingTable::new(own(), 4);
+        let mut rt = RoutingTable::new(own());
         let a = entry(0xf000_0000 << 96);
         rt.consider(a, 1.0);
         // Removing a different node that maps to the same cell is a no-op.
@@ -269,7 +262,7 @@ mod tests {
 
     #[test]
     fn row_extraction() {
-        let mut rt = RoutingTable::new(own(), 4);
+        let mut rt = RoutingTable::new(own());
         let a = entry(0xf000_0000 << 96);
         rt.consider(a, 1.0);
         let row0 = rt.row(0);
@@ -283,7 +276,7 @@ mod tests {
         // (2^b − 1) * ceil(log_2^b N) entries max; with b=4 and 128-bit
         // ids there are 32 rows of 16 columns (one column per row is the
         // node's own digit and stays empty).
-        let rt = RoutingTable::new(own(), 4);
+        let rt = RoutingTable::new(own());
         assert_eq!(rt.row_count(), 32);
         assert_eq!(rt.row(0).len(), 16);
         assert_eq!(rt.row(31).len(), 16);
@@ -299,7 +292,7 @@ mod tests {
 
     #[test]
     fn rows_are_allocated_by_consider_alone() {
-        let mut rt = RoutingTable::new(own(), 4);
+        let mut rt = RoutingTable::new(own());
         let deep = entry(0x1023_3100 << 96); // shares 7 digits with own
         assert_eq!(rt.allocated_rows(), 0);
         // Reads and removals past the prefix see empty cells and leave
@@ -385,7 +378,7 @@ mod tests {
         fn prop_on_demand_rows_match_dense_table(
             ops in prop::collection::vec(any::<(u8, u8, u8, u8)>(), 0..200),
         ) {
-            let mut rt = RoutingTable::new(own(), 4);
+            let mut rt = RoutingTable::new(own());
             let mut dense = Dense(vec![None; 32 * 16]);
             let mut deepest = 0;
             for (op, prefix, tail, prox) in ops {
@@ -419,7 +412,7 @@ mod tests {
 
         #[test]
         fn prop_entry_shares_exactly_row_digits(ids: Vec<u128>) {
-            let mut rt = RoutingTable::new(own(), 4);
+            let mut rt = RoutingTable::new(own());
             for v in ids {
                 rt.consider(entry(v), 1.0);
             }
@@ -449,7 +442,7 @@ mod tests {
             let v2 = (v1 & mask) | (suffix & !mask);
             let e2 = entry(v2);
             prop_assume!(e1.id != e2.id);
-            let mut rt = RoutingTable::new(o, 4);
+            let mut rt = RoutingTable::new(o);
             rt.consider(e1, p1);
             rt.consider(e2, p2);
             let row = o.shared_prefix_digits(e1.id, 4) as usize;

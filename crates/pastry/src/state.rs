@@ -5,7 +5,7 @@ use past_net::{Addr, SimTime};
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use crate::config::PastryConfig;
+use crate::config::{PastryConfig, B};
 use crate::leaf_set::{LeafSet, NodeEntry};
 use crate::neighborhood::NeighborhoodSet;
 use crate::peer_score::PeerScoreTable;
@@ -90,7 +90,6 @@ impl Stamp {
 #[derive(Clone, Debug)]
 pub struct PastryState {
     own: NodeEntry,
-    b: u32,
     leaf: LeafSet,
     table: RoutingTable,
     neighborhood: NeighborhoodSet,
@@ -112,10 +111,9 @@ impl PastryState {
         cfg.validate();
         PastryState {
             own,
-            b: cfg.b,
             leaf: LeafSet::new(own.id, cfg.leaf_half()),
-            table: RoutingTable::new(own.id, cfg.b),
-            neighborhood: NeighborhoodSet::new(own.id, cfg.neighborhood_size),
+            table: RoutingTable::new(own.id),
+            neighborhood: NeighborhoodSet::new(own.id, cfg.leaf_set_size),
             epoch: 1,
             seen: None,
         }
@@ -355,7 +353,7 @@ impl PastryState {
             return (NextHop::Forward(best_member), HopClass::LeafSet);
         }
         // Step 2 & 3: prefix routing with fallback, optionally randomized.
-        let shared = self.own.id.shared_prefix_digits(key, self.b);
+        let shared = self.own.id.shared_prefix_digits(key, B);
         let primary = self
             .table
             .cell_for(key)
@@ -381,8 +379,7 @@ impl PastryState {
             if Some(node.id) == primary.map(|p| p.id) {
                 continue;
             }
-            if node.id.shared_prefix_digits(key, self.b) >= shared
-                && node.id.closer_to(key, self.own.id)
+            if node.id.shared_prefix_digits(key, B) >= shared && node.id.closer_to(key, self.own.id)
             {
                 candidates.push(node);
             }
@@ -420,7 +417,7 @@ impl PastryState {
     fn rare_case_candidate(&self, key: NodeId, shared: u32) -> Option<NodeEntry> {
         let mut best: Option<NodeEntry> = None;
         let mut consider = |node: NodeEntry| {
-            if node.id.shared_prefix_digits(key, self.b) >= shared
+            if node.id.shared_prefix_digits(key, B) >= shared
                 && node.id.closer_to(key, self.own.id)
                 && best.is_none_or(|b| node.id.closer_to(key, b.id))
             {
@@ -449,7 +446,6 @@ mod tests {
     fn cfg() -> PastryConfig {
         PastryConfig {
             leaf_set_size: 4,
-            neighborhood_size: 4,
             ..Default::default()
         }
     }

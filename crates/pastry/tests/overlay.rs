@@ -57,7 +57,6 @@ impl Application for Recorder {
 fn config() -> PastryConfig {
     PastryConfig {
         leaf_set_size: 16,
-        neighborhood_size: 16,
         // Static-network tests disable keep-alives so the queue drains.
         keep_alive_period: SimDuration::ZERO,
         ..Default::default()
@@ -207,7 +206,6 @@ fn hop_count_is_logarithmic() {
 fn routing_survives_node_failures() {
     let cfg = PastryConfig {
         leaf_set_size: 8,
-        neighborhood_size: 8,
         keep_alive_period: SimDuration::from_secs(5),
         failure_timeout: SimDuration::from_secs(15),
         // Delivery despite *silent* failures needs per-hop lazy repair:
@@ -261,7 +259,6 @@ fn routing_survives_node_failures() {
 fn failed_node_recovers_and_rejoins_leaf_sets() {
     let cfg = PastryConfig {
         leaf_set_size: 8,
-        neighborhood_size: 8,
         keep_alive_period: SimDuration::from_secs(5),
         failure_timeout: SimDuration::from_secs(15),
         ..Default::default()
@@ -298,9 +295,7 @@ fn failed_node_recovers_and_rejoins_leaf_sets() {
 fn randomized_routing_still_delivers_correctly() {
     let cfg = PastryConfig {
         randomized_routing: true,
-        best_hop_bias: 0.7,
         leaf_set_size: 16,
-        neighborhood_size: 16,
         keep_alive_period: SimDuration::ZERO,
         ..Default::default()
     };

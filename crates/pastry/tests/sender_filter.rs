@@ -44,7 +44,6 @@ fn cfg() -> PastryConfig {
     // Small sets, so that they fill up and every observation competes.
     PastryConfig {
         leaf_set_size: 8,
-        neighborhood_size: 8,
         ..Default::default()
     }
 }
@@ -62,8 +61,8 @@ impl Reference {
         Reference {
             own,
             leaf: LeafSet::new(own.id, cfg.leaf_half()),
-            table: RoutingTable::new(own.id, cfg.b),
-            neighborhood: NeighborhoodSet::new(own.id, cfg.neighborhood_size),
+            table: RoutingTable::new(own.id),
+            neighborhood: NeighborhoodSet::new(own.id, cfg.leaf_set_size),
         }
     }
 

@@ -34,10 +34,9 @@ pub struct ChurnConfig {
     pub pastry: PastryConfig,
     /// Per-node disk capacity.
     pub capacity: u64,
-    /// Number of files the client inserts before churn starts.
+    /// Number of files the client inserts before churn starts, 20 kB
+    /// each.
     pub files: usize,
-    /// Size of each inserted file.
-    pub file_size: u64,
     /// Simulation shards: 0 = single-threaded legacy engine, `n ≥ 1` =
     /// sharded engine with `n` shards (shard-count invariant results).
     pub shards: usize,
@@ -54,7 +53,6 @@ impl Default for ChurnConfig {
             },
             pastry: PastryConfig {
                 leaf_set_size: 16,
-                neighborhood_size: 16,
                 keep_alive_period: SimDuration::from_secs(5),
                 failure_timeout: SimDuration::from_secs(15),
                 per_hop_acks: true,
@@ -62,11 +60,13 @@ impl Default for ChurnConfig {
             },
             capacity: 40_000_000,
             files: 8,
-            file_size: 20_000,
             shards: 0,
         }
     }
 }
+
+/// Size of each file of a churn experiment's working set.
+const FILE_SIZE: u64 = 20_000;
 
 /// Drives one churn experiment: build → insert → churn → heal → audit.
 pub struct ChurnRunner {
@@ -219,8 +219,7 @@ impl ChurnRunner {
     /// records the successful fileIds. Returns how many succeeded.
     pub fn insert_files(&mut self) -> usize {
         for i in 0..self.cfg.files {
-            self.overlay
-                .insert(CLIENT, &format!("churn{i}"), self.cfg.file_size);
+            self.overlay.insert(CLIENT, &format!("churn{i}"), FILE_SIZE);
             self.overlay.engine.run_for(SimDuration::from_secs(2));
             self.files.extend(self.overlay.drain_inserted());
         }

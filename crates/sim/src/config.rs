@@ -23,10 +23,6 @@ pub enum TopologyKind {
 pub struct ExperimentConfig {
     /// Number of PAST nodes (the paper fixes 2250).
     pub nodes: usize,
-    /// Replication factor k (paper: 5).
-    pub k: u32,
-    /// Pastry digit width b (paper: 4).
-    pub b: u32,
     /// Leaf set size l (paper: 16 or 32).
     pub leaf_set_size: usize,
     /// Primary-replica acceptance threshold t_pri.
@@ -40,13 +36,9 @@ pub struct ExperimentConfig {
     /// Maximum re-salting retries (paper: 3; the no-diversion baseline
     /// uses 0).
     pub max_file_diversions: u32,
-    /// Node capacity distribution (Table 1 shape).
+    /// Node capacity distribution (Table 1 shape), scaled to the trace
+    /// by the runner.
     pub capacity: CapacityDistribution,
-    /// Ratio of (total trace bytes × k) to total node capacity. The
-    /// capacity distribution is scaled so the trace sweeps utilization
-    /// up to ~`overcommit` × 100%. The paper's d1 + NLANR combination
-    /// works out to ≈ 1.5; we default to that.
-    pub overcommit: f64,
     /// Whether to replay repeated references as lookups (caching
     /// experiments) or only first appearances as inserts (storage
     /// experiments).
@@ -73,8 +65,6 @@ impl Default for ExperimentConfig {
     fn default() -> Self {
         ExperimentConfig {
             nodes: 2250,
-            k: 5,
-            b: 4,
             leaf_set_size: 32,
             t_pri: 0.1,
             t_div: 0.05,
@@ -82,7 +72,6 @@ impl Default for ExperimentConfig {
             cache_fraction: 1.0,
             max_file_diversions: 3,
             capacity: CapacityDistribution::d1(),
-            overcommit: 1.5,
             replay_lookups: false,
             topology: TopologyKind::Euclidean,
             seed: 2001,
@@ -108,7 +97,6 @@ impl ExperimentConfig {
     /// audits and verification all stay off, as in the paper's replays).
     pub fn past_config(&self) -> PastConfig {
         PastConfig {
-            k: self.k,
             policy: StorePolicy {
                 t_pri: self.t_pri,
                 t_div: self.t_div,
@@ -126,9 +114,7 @@ impl ExperimentConfig {
     /// experiments).
     pub fn pastry_config(&self) -> PastryConfig {
         PastryConfig {
-            b: self.b,
             leaf_set_size: self.leaf_set_size,
-            neighborhood_size: self.leaf_set_size,
             keep_alive_period: SimDuration::ZERO,
             ..PastryConfig::default()
         }
@@ -143,8 +129,6 @@ mod tests {
     fn default_matches_paper_setup() {
         let c = ExperimentConfig::default();
         assert_eq!(c.nodes, 2250);
-        assert_eq!(c.k, 5);
-        assert_eq!(c.b, 4);
         assert_eq!(c.leaf_set_size, 32);
         assert!((c.t_pri - 0.1).abs() < 1e-12);
     }

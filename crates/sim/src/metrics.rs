@@ -286,21 +286,8 @@ impl ExperimentResult {
             })
             .collect()
     }
-}
 
-/// Per-record helpers used by both the runner and tests.
-impl ExperimentResult {
-    /// First utilization at which a file of at least `size` bytes failed
-    /// to insert.
-    pub fn first_failure_at_or_above(&self, size: u64) -> Option<f64> {
-        self.inserts
-            .iter()
-            .filter(|r| !r.success && r.size >= size)
-            .map(|r| r.utilization)
-            .min_by(f64::total_cmp)
-    }
-
-    /// Interpolated hit kind summary over found lookups.
+    /// The share of found lookups that a cached copy answered.
     pub fn lookup_hit_ratio(&self) -> f64 {
         let found = self.lookups.iter().filter(|r| r.found).count();
         if found == 0 {
@@ -401,8 +388,6 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(r.failure_scatter(), vec![(0.9, 77)]);
-        assert_eq!(r.first_failure_at_or_above(50), Some(0.9));
-        assert_eq!(r.first_failure_at_or_above(100), None);
     }
 
     #[test]

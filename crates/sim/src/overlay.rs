@@ -23,7 +23,7 @@
 use std::collections::HashMap;
 
 use past_core::{
-    AuditStats, MaintStats, PastConfig, PastEvent, PastMsg, PastNode, PastOverlayNode,
+    AuditStats, MaintStats, PastConfig, PastEvent, PastMsg, PastNode, PastOverlayNode, K,
 };
 use past_crypto::{KeyPair, Scheme};
 use past_id::FileId;
@@ -96,8 +96,6 @@ pub struct Overlay {
     /// The simulation backend: the clock, faults, node state.
     pub engine: Engine,
     entries: Vec<NodeEntry>,
-    /// Replication factor of the nodes' configuration.
-    k: u32,
     /// Reused upcall drain buffer (one allocation for the whole run
     /// instead of one per operation).
     upcalls: Vec<(SimTime, Addr, PastEvent)>,
@@ -150,7 +148,6 @@ impl Overlay {
         Overlay {
             engine,
             entries,
-            k: past.k,
             upcalls: Vec::with_capacity(64),
             recording: None,
         }
@@ -364,7 +361,7 @@ impl Overlay {
                     .count();
             }
         }
-        let required = (self.k as usize).min(report.live_nodes);
+        let required = K.min(report.live_nodes);
         for &(file_id, _) in files {
             let found = copies.get(&file_id).copied().unwrap_or(0);
             if found < required {
@@ -380,7 +377,7 @@ impl Overlay {
         // insert (a node that never did charges nothing).
         report.quota_expected = files
             .iter()
-            .map(|&(_, size)| size.saturating_mul(self.k as u64))
+            .map(|&(_, size)| size.saturating_mul(K as u64))
             .sum();
         report.quota_used = self.nodes().map(|n| n.app().quota().used()).sum();
         report

@@ -4,11 +4,11 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use past_core::PastEvent;
+use past_core::{PastEvent, K};
 use past_id::FileId;
 use past_net::{Addr, ClusteredTopology, EuclideanTopology, SimDuration, Topology};
 use past_pastry::NodeEntry;
-use past_workload::Workload;
+use past_workload::{Workload, CLIENTS, CLUSTERS};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -19,6 +19,11 @@ use crate::metrics::{
     WindowSeries,
 };
 use crate::overlay::Overlay;
+
+/// Ratio of the trace's replica bytes (total bytes × k) to total node
+/// capacity: capacities are scaled so the trace sweeps utilization up to
+/// ~150%. The paper's d1 + NLANR combination works out to ≈ 1.5.
+const OVERCOMMIT: f64 = 1.5;
 
 /// How a replay paces its operations.
 #[derive(Clone, Copy)]
@@ -54,14 +59,14 @@ pub struct Runner {
 
 impl Runner {
     /// Builds the overlay for `cfg`, scaling node capacities so that the
-    /// trace's total replica bytes overcommit the system by
-    /// `cfg.overcommit`. Accepts any [`Workload`] — a materialized
+    /// trace's total replica bytes overcommit the system by 1.5
+    /// (`OVERCOMMIT`). Accepts any [`Workload`] — a materialized
     /// [`past_workload::Trace`] or a lazy [`past_workload::StreamTrace`].
     pub fn build<W: Workload + ?Sized>(cfg: ExperimentConfig, trace: &W) -> Self {
         let mut seeder = StdRng::seed_from_u64(cfg.seed);
         // Scale capacities to the trace (preserving the Table 1 shape).
-        let trace_replica_bytes = trace.total_bytes() as f64 * cfg.k as f64;
-        let target_total = trace_replica_bytes / cfg.overcommit;
+        let trace_replica_bytes = trace.total_bytes() as f64 * K as f64;
+        let target_total = trace_replica_bytes / OVERCOMMIT;
         let scale = cfg.capacity.scale_for_total(cfg.nodes, target_total);
         let capacity_dist = cfg.capacity.scaled(scale);
         let capacities = capacity_dist.sample_nodes(cfg.nodes, &mut seeder);
@@ -150,13 +155,13 @@ impl Runner {
     /// Maps a trace client to its access-point node, respecting cluster
     /// co-location for clustered topologies (requests from one NLANR
     /// site issue from PAST nodes in that site's cluster).
-    fn node_of_client<W: Workload + ?Sized>(&self, client: u32, trace: &W) -> Addr {
+    fn node_of_client(&self, client: u32) -> Addr {
         let n = self.cfg.nodes;
-        let base = (client as usize * n) / trace.client_count().max(1) as usize;
+        let base = (client as usize * n) / CLIENTS as usize;
         match self.cfg.topology {
             TopologyKind::Euclidean => Addr(base.min(n - 1) as u32),
             TopologyKind::Clustered { clusters } => {
-                let want = trace.cluster_of_client(client);
+                let want = client % CLUSTERS;
                 // Node i's cluster is i % clusters (round-robin layout).
                 let aligned = base - (base % clusters as usize) + want as usize;
                 Addr(aligned.min(n - 1) as u32)
@@ -210,7 +215,7 @@ impl Runner {
                 self.overlay.engine.run_until(at);
                 self.collect(&mut pending);
             }
-            let addr = self.node_of_client(op.client, trace);
+            let addr = self.node_of_client(op.client);
             let issued = if op.is_insert {
                 let name = trace.file_name(op.file);
                 let seq = self.overlay.insert(addr, &name, trace.file_size(op.file));

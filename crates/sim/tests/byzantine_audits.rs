@@ -20,8 +20,6 @@ fn defended_cfg(seed: u64, nodes: usize, audits: bool) -> ChurnConfig {
     };
     if audits {
         cfg.past.audit_period = SimDuration::from_secs(10);
-        cfg.past.audit_timeout = SimDuration::from_secs(2);
-        cfg.past.verify_lookup_content = true;
         cfg.pastry.reliability = past_pastry::Reliability::TrackAndDemote;
     }
     cfg
@@ -124,7 +122,6 @@ fn audits_never_perturb_the_rng_stream() {
     let fingerprint = |audit_period: SimDuration| {
         let mut cfg = defended_cfg(21, 18, false);
         cfg.past.audit_period = audit_period;
-        cfg.past.audit_timeout = SimDuration::from_secs(2);
         cfg.pastry.randomized_routing = true;
         let mut r = ChurnRunner::build(cfg);
         let inserted = r.insert_files();

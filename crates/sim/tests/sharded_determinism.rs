@@ -178,8 +178,6 @@ fn byz_fingerprint(shards: usize, fraction: f64, audits: bool) -> Vec<u64> {
     };
     if audits {
         cfg.past.audit_period = SimDuration::from_secs(10);
-        cfg.past.audit_timeout = SimDuration::from_secs(2);
-        cfg.past.verify_lookup_content = true;
         cfg.pastry.reliability = past_pastry::Reliability::TrackAndDemote;
     }
     let mut r = ChurnRunner::build(cfg);

@@ -207,22 +207,23 @@ impl SizeModel {
         }
     }
 
-    /// Calibrates a hybrid model to published (median, mean, max)
-    /// statistics with the given tail parameters: the Pareto tail's mean
+    /// Calibrates a hybrid model to a trace's published (median, mean,
+    /// max) statistics with its tail parameters: the Pareto tail's mean
     /// is computed analytically and the lognormal body absorbs the rest
     /// of the target mean while pinning the median.
     ///
     /// # Panics
     ///
     /// Panics if the tail already overshoots the target mean.
-    pub fn calibrated(
-        median: f64,
-        mean: f64,
-        max: f64,
-        tail_prob: f64,
-        tail_x_m: f64,
-        tail_alpha: f64,
-    ) -> Self {
+    pub fn calibrated(stats: &SizeStats) -> Self {
+        let &SizeStats {
+            median,
+            mean,
+            max,
+            tail_prob,
+            tail_x_m,
+            tail_alpha,
+        } = stats;
         let tail = Pareto::new(tail_x_m, tail_alpha).with_max(max);
         let tail_mean = truncated_pareto_mean(tail_x_m, tail_alpha, max);
         let body_mean = (mean - tail_prob * tail_mean) / (1.0 - tail_prob);
@@ -233,6 +234,26 @@ impl SizeModel {
         let body = LogNormal::from_median_mean(median, body_mean).with_max(max);
         SizeModel::new(body, tail_prob, tail)
     }
+}
+
+/// A trace's file-size statistics: the (median, mean, max) the paper
+/// publishes, and the Pareto tail [`SizeModel::calibrated`] fits the
+/// lognormal body around. Each trace has one, next to its config
+/// (`past_workload::trace`).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct SizeStats {
+    /// Median file size in bytes.
+    pub median: f64,
+    /// Mean file size in bytes.
+    pub mean: f64,
+    /// Maximum file size in bytes (both parts are truncated here).
+    pub max: f64,
+    /// Probability a file's size comes from the Pareto tail.
+    pub tail_prob: f64,
+    /// Pareto tail scale (minimum tail size) in bytes.
+    pub tail_x_m: f64,
+    /// Pareto tail shape.
+    pub tail_alpha: f64,
 }
 
 /// The mean of a Pareto(x_m, alpha) truncated at `max`.

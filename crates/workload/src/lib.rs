@@ -18,7 +18,11 @@ pub mod trace;
 
 pub use capacity::{admit, Admission, CapacityDistribution, MB};
 pub use dist::{
-    standard_normal, truncated_pareto_mean, LogNormal, Pareto, SizeModel, TruncatedNormal, Zipf,
+    standard_normal, truncated_pareto_mean, LogNormal, Pareto, SizeModel, SizeStats,
+    TruncatedNormal, Zipf,
 };
 pub use stream::{OpStream, SizeTable, StreamTrace, Workload};
-pub use trace::{FileSpec, FlashCrowdConfig, FsTraceConfig, Trace, TraceOp, WebTraceConfig};
+pub use trace::{
+    FileSpec, FlashCrowdConfig, FsTraceConfig, Trace, TraceOp, WebTraceConfig, CLIENTS, CLUSTERS,
+    FS_SIZES, WEB_SIZES,
+};

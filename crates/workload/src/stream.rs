@@ -15,7 +15,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::dist::{SizeModel, Zipf};
-use crate::trace::{FileSpec, FlashCrowdConfig, FsTraceConfig, Trace, TraceOp, WebTraceConfig};
+use crate::trace::{
+    FileSpec, Trace, TraceOp, CLIENTS, CLUSTERS, CLUSTER_AFFINITY, FS_SIZES, HOT_FRACTION,
+    WEB_SIZES, ZERO_FRACTION, ZIPF_ALPHA,
+};
 
 /// Packed per-file size table: 4 bytes per file, with a sorted spill
 /// list for the (practically nonexistent) sizes above `u32::MAX` — the
@@ -91,39 +94,34 @@ enum StreamKind {
     Fs,
     /// Web-proxy replay: uniform introduction + Zipf re-reference by
     /// introduction order, optionally flipping to a flash crowd mid-run
-    /// (see [`FlashCrowdConfig`]; the NLANR-like [`WebTraceConfig`] is
-    /// the case with no hot set and no change of exponent).
+    /// (see [`crate::FlashCrowdConfig`]; the NLANR-like
+    /// [`crate::WebTraceConfig`] is the case with no flip).
     Web {
-        /// Affinity cluster of each file (clusters ≤ 256 by assertion).
+        /// Affinity cluster of each file.
         file_cluster: Vec<u8>,
         zipf: Zipf,
         /// The post-flip sampler, when its exponent differs.
         zipf_after: Option<Zipf>,
-        cluster_affinity: f64,
         /// Request index of the popularity flip.
         flip_index: usize,
         /// First hot file index.
         hot_lo: usize,
         /// Hot set size.
         hot_n: usize,
-        /// Post-flip re-reference share of the hot set.
-        hot_fraction: f64,
     },
 }
 
 /// A lazily replayed workload: per-file tables plus the RNG state from
 /// which the request stream re-derives on demand.
 ///
-/// Build one with `stream()` on [`WebTraceConfig`], [`FsTraceConfig`]
-/// or [`FlashCrowdConfig`]; iterate with [`StreamTrace::ops`]
-/// (restartable — each call replays from the captured RNG snapshot).
+/// Build one with `stream()` on [`crate::WebTraceConfig`],
+/// [`crate::FsTraceConfig`] or [`crate::FlashCrowdConfig`]; iterate with
+/// [`StreamTrace::ops`] (restartable — each call replays from the
+/// captured RNG snapshot).
 #[derive(Clone, Debug)]
 pub struct StreamTrace {
     kind: StreamKind,
     sizes: SizeTable,
-    clients: u32,
-    clusters: u32,
-    client_cluster: Vec<u32>,
     requests: usize,
     /// RNG state captured after the per-file phases, right before the
     /// first per-request draw.
@@ -132,18 +130,12 @@ pub struct StreamTrace {
 
 impl StreamTrace {
     /// The eager per-file phase every generator starts with: seed the
-    /// RNG, draw one size per file, assign clients to clusters
-    /// round-robin (balanced sites). What comes back is the insert-only
-    /// stream, one request per file; the web generator goes on to draw
-    /// its affinity table from `op_rng` and sets `kind` and `requests`.
-    fn per_file(
-        seed: u64,
-        files: usize,
-        clients: u32,
-        clusters: u32,
-        mut size: impl FnMut(&mut StdRng) -> u64,
-    ) -> StreamTrace {
-        assert!(files >= 1 && clients >= 1 && clusters >= 1);
+    /// RNG and draw one size per file. What comes back is the
+    /// insert-only stream, one request per file; the web generator goes
+    /// on to draw its affinity table from `op_rng` and sets `kind` and
+    /// `requests`.
+    fn per_file(seed: u64, files: usize, mut size: impl FnMut(&mut StdRng) -> u64) -> StreamTrace {
+        assert!(files >= 1);
         let mut rng = StdRng::seed_from_u64(seed);
         let mut sizes = SizeTable::with_capacity(files);
         for _ in 0..files {
@@ -152,12 +144,52 @@ impl StreamTrace {
         StreamTrace {
             kind: StreamKind::Fs,
             sizes,
-            clients,
-            clusters,
-            client_cluster: (0..clients).map(|c| c % clusters).collect(),
             requests: files,
             op_rng: rng,
         }
+    }
+
+    /// The filesystem stream: [`FS_SIZES`], one insert per file.
+    pub(crate) fn fs(files: usize, seed: u64) -> StreamTrace {
+        let size_dist = SizeModel::calibrated(&FS_SIZES);
+        StreamTrace::per_file(seed, files, |rng| size_dist.sample(rng).round() as u64)
+    }
+
+    /// The web-proxy stream: [`WEB_SIZES`] with zero-byte files, an
+    /// affinity cluster per file, Zipf([`ZIPF_ALPHA`]) re-references.
+    /// From request `flip_index` on, the files `[hot_lo, hot_lo +
+    /// hot_n)` take [`HOT_FRACTION`] of the re-references and the rest
+    /// follow Zipf(`alpha_after`); a flip index of `requests` is no
+    /// flip at all.
+    pub(crate) fn web(
+        files: usize,
+        requests: usize,
+        seed: u64,
+        flip_index: usize,
+        (hot_lo, hot_n): (usize, usize),
+        alpha_after: f64,
+    ) -> StreamTrace {
+        let size_dist = SizeModel::calibrated(&WEB_SIZES);
+        let mut t = StreamTrace::per_file(seed, files, |rng| {
+            if rng.gen::<f64>() < ZERO_FRACTION {
+                0
+            } else {
+                size_dist.sample(rng).round() as u64
+            }
+        });
+        let file_cluster = (0..files)
+            .map(|_| t.op_rng.gen_range(0..CLUSTERS) as u8)
+            .collect();
+        t.kind = StreamKind::Web {
+            file_cluster,
+            zipf: Zipf::new(files, ZIPF_ALPHA),
+            zipf_after: (alpha_after != ZIPF_ALPHA).then(|| Zipf::new(files, alpha_after)),
+            flip_index,
+            hot_lo,
+            hot_n,
+        };
+        t.requests = requests;
+        t
     }
 
     /// Materialises the stream: every size and every op, in order.
@@ -169,13 +201,7 @@ impl StreamTrace {
                 size: self.sizes.get(index),
             })
             .collect();
-        Trace {
-            files,
-            ops,
-            clients: self.clients,
-            clusters: self.clusters,
-            client_cluster: self.client_cluster,
-        }
+        Trace { files, ops }
     }
 
     /// Total bytes across all unique files.
@@ -229,8 +255,8 @@ impl Iterator for OpStream<'_> {
     /// with Zipf popularity by introduction order (early files are the
     /// popular ones, as in real logs) — or, once a flash crowd has
     /// started, a member of the hot set with probability
-    /// `hot_fraction`. Each file has an affinity cluster; a request is
-    /// issued from that cluster with probability `cluster_affinity`,
+    /// `HOT_FRACTION`. Each file has an affinity cluster; a request is
+    /// issued from that cluster with probability `CLUSTER_AFFINITY`,
     /// else from a uniformly random one.
     fn next(&mut self) -> Option<TraceOp> {
         let t = self.trace;
@@ -243,15 +269,13 @@ impl Iterator for OpStream<'_> {
             file_cluster,
             zipf,
             zipf_after,
-            cluster_affinity,
             flip_index,
             hot_lo,
             hot_n,
-            hot_fraction,
         } = &t.kind
         else {
             return Some(TraceOp {
-                client: self.rng.gen_range(0..t.clients),
+                client: self.rng.gen_range(0..CLIENTS),
                 file: r as u32,
                 is_insert: true,
             });
@@ -264,7 +288,7 @@ impl Iterator for OpStream<'_> {
         let (file_idx, is_insert) = if self.introduced < target && self.introduced < unique {
             self.introduced += 1;
             (self.introduced - 1, true)
-        } else if flipped && *hot_n > 0 && self.rng.gen::<f64>() < *hot_fraction {
+        } else if flipped && *hot_n > 0 && self.rng.gen::<f64>() < HOT_FRACTION {
             // The flash crowd: a uniformly chosen member of the hot
             // set (already introduced — the set sits right below the
             // introduction frontier at flip time). No draw is spent on
@@ -282,15 +306,14 @@ impl Iterator for OpStream<'_> {
             }
             (rank - 1, false)
         };
-        let cluster = if self.rng.gen::<f64>() < *cluster_affinity {
+        let cluster = if self.rng.gen::<f64>() < CLUSTER_AFFINITY {
             file_cluster[file_idx] as u32
         } else {
-            self.rng.gen_range(0..t.clusters)
+            self.rng.gen_range(0..CLUSTERS)
         };
         // Pick a client within the chosen cluster.
-        let per_cluster = t.clients.div_ceil(t.clusters);
-        let member = self.rng.gen_range(0..per_cluster);
-        let client = (member * t.clusters + cluster).min(t.clients - 1);
+        let member = self.rng.gen_range(0..CLIENTS.div_ceil(CLUSTERS));
+        let client = (member * CLUSTERS + cluster).min(CLIENTS - 1);
         Some(TraceOp {
             client,
             file: file_idx as u32,
@@ -306,118 +329,6 @@ impl Iterator for OpStream<'_> {
 
 impl ExactSizeIterator for OpStream<'_> {}
 
-impl WebTraceConfig {
-    /// Builds the lazy request stream: the flash-crowd stream with no
-    /// hot set and one exponent throughout, which draws exactly what a
-    /// plain web replay draws.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty or inconsistent config, and when
-    /// `clusters > 256` (the packed affinity table stores one byte per
-    /// file).
-    pub fn stream(&self) -> StreamTrace {
-        FlashCrowdConfig {
-            unique_files: self.unique_files,
-            requests: self.requests,
-            zipf_alpha_before: self.zipf_alpha,
-            zipf_alpha_after: self.zipf_alpha,
-            flip_at: 1.0,
-            hot_set: 0,
-            hot_fraction: 0.0,
-            clients: self.clients,
-            clusters: self.clusters,
-            cluster_affinity: self.cluster_affinity,
-            median_size: self.median_size,
-            mean_size: self.mean_size,
-            max_size: self.max_size,
-            tail_prob: self.tail_prob,
-            tail_x_m: self.tail_x_m,
-            tail_alpha: self.tail_alpha,
-            zero_fraction: self.zero_fraction,
-            seed: self.seed,
-        }
-        .stream()
-    }
-}
-
-impl FlashCrowdConfig {
-    /// Builds the lazy request stream.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty or inconsistent config, and when
-    /// `clusters > 256` (the packed affinity table stores one byte per
-    /// file).
-    pub fn stream(&self) -> StreamTrace {
-        assert!(self.requests >= self.unique_files);
-        assert!((0.0..=1.0).contains(&self.flip_at), "flip_at in [0, 1]");
-        assert!(
-            (0.0..=1.0).contains(&self.hot_fraction),
-            "hot_fraction in [0, 1]"
-        );
-        assert!(
-            self.clusters <= 256,
-            "the affinity table packs a cluster into one byte"
-        );
-        let size_dist = SizeModel::calibrated(
-            self.median_size,
-            self.mean_size,
-            self.max_size,
-            self.tail_prob,
-            self.tail_x_m,
-            self.tail_alpha,
-        );
-        let mut t = StreamTrace::per_file(
-            self.seed,
-            self.unique_files,
-            self.clients,
-            self.clusters,
-            |rng| {
-                if rng.gen::<f64>() < self.zero_fraction {
-                    0
-                } else {
-                    size_dist.sample(rng).round() as u64
-                }
-            },
-        );
-        let file_cluster = (0..self.unique_files)
-            .map(|_| t.op_rng.gen_range(0..self.clusters) as u8)
-            .collect();
-        let (hot_lo, hot_n) = self.hot_range();
-        t.kind = StreamKind::Web {
-            file_cluster,
-            zipf: Zipf::new(self.unique_files, self.zipf_alpha_before),
-            zipf_after: (self.zipf_alpha_after != self.zipf_alpha_before)
-                .then(|| Zipf::new(self.unique_files, self.zipf_alpha_after)),
-            cluster_affinity: self.cluster_affinity,
-            flip_index: self.flip_index(),
-            hot_lo,
-            hot_n,
-            hot_fraction: self.hot_fraction,
-        };
-        t.requests = self.requests;
-        t
-    }
-}
-
-impl FsTraceConfig {
-    /// Builds the lazy insert-only stream.
-    pub fn stream(&self) -> StreamTrace {
-        let size_dist = SizeModel::calibrated(
-            self.median_size,
-            self.mean_size,
-            self.max_size,
-            self.tail_prob,
-            self.tail_x_m,
-            self.tail_alpha,
-        );
-        StreamTrace::per_file(self.seed, self.files, self.clients, self.clusters, |rng| {
-            size_dist.sample(rng).round() as u64
-        })
-    }
-}
-
 /// A replayable workload: what the experiment runner needs to build an
 /// overlay (aggregate statistics) and drive a replay (the op stream and
 /// per-file metadata), abstracted over materialized ([`Trace`]) and
@@ -429,10 +340,6 @@ pub trait Workload {
     fn unique_files(&self) -> usize;
     /// Number of requests.
     fn op_count(&self) -> usize;
-    /// Number of distinct clients.
-    fn client_count(&self) -> u32;
-    /// Cluster of client `c`.
-    fn cluster_of_client(&self, c: u32) -> u32;
     /// The size of file `i`.
     fn file_size(&self, i: u32) -> u64;
     /// The textual name of file `i` (hashed into the fileId).
@@ -453,12 +360,6 @@ impl Workload for Trace {
     fn op_count(&self) -> usize {
         self.ops.len()
     }
-    fn client_count(&self) -> u32 {
-        self.clients
-    }
-    fn cluster_of_client(&self, c: u32) -> u32 {
-        self.client_cluster[c as usize]
-    }
     fn file_size(&self, i: u32) -> u64 {
         self.files[i as usize].size
     }
@@ -477,12 +378,6 @@ impl Workload for StreamTrace {
     fn op_count(&self) -> usize {
         self.requests
     }
-    fn client_count(&self) -> u32 {
-        self.clients
-    }
-    fn cluster_of_client(&self, c: u32) -> u32 {
-        self.client_cluster[c as usize]
-    }
     fn file_size(&self, i: u32) -> u64 {
         self.sizes.get(i)
     }
@@ -497,12 +392,9 @@ mod tests {
 
     #[test]
     fn op_stream_is_restartable() {
-        let stream = WebTraceConfig {
-            unique_files: 500,
-            requests: 1_074,
-            ..Default::default()
-        }
-        .stream();
+        let stream = crate::WebTraceConfig::default()
+            .with_unique_files(500)
+            .stream();
         let a: Vec<TraceOp> = stream.ops().collect();
         let b: Vec<TraceOp> = stream.ops().collect();
         assert_eq!(a, b, "each cursor replays from the same RNG snapshot");

@@ -2,7 +2,12 @@
 //! the paper's workloads (§5.1): an NLANR-like web-proxy request stream
 //! and a filesystem snapshot, both reproduced from their published
 //! statistics (the original traces are not redistributable — see
-//! DESIGN.md §2). The generator itself is `crate::stream`.
+//! DESIGN.md §2). Those statistics are the constants below; a config
+//! sets only the scale and the seed. The generator itself is
+//! `crate::stream`.
+
+use crate::dist::SizeStats;
+use crate::stream::StreamTrace;
 
 /// A file in a workload: logical name index and size in bytes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -25,7 +30,7 @@ impl FileSpec {
 /// the paper replays the NLANR log).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TraceOp {
-    /// Issuing client (0-based).
+    /// Issuing client (0-based, below [`CLIENTS`]).
     pub client: u32,
     /// Referenced file index.
     pub file: u32,
@@ -40,12 +45,6 @@ pub struct Trace {
     pub files: Vec<FileSpec>,
     /// Request stream in temporal order.
     pub ops: Vec<TraceOp>,
-    /// Number of distinct clients.
-    pub clients: u32,
-    /// Number of geographic client clusters (the eight NLANR sites).
-    pub clusters: u32,
-    /// Cluster of each client (index-aligned, `clients` entries).
-    pub client_cluster: Vec<u32>,
 }
 
 impl Trace {
@@ -84,46 +83,84 @@ impl Trace {
     }
 }
 
+/// Distinct clients in every workload (the NLANR log's 775).
+pub const CLIENTS: u32 = 775;
+
+/// Geographic client clusters (the eight NLANR sites). Client `c` sits
+/// in cluster `c % CLUSTERS`: round-robin, so the sites are balanced.
+pub const CLUSTERS: u32 = 8;
+
+/// Probability that a web request comes from the file's affinity
+/// cluster (models the geographic locality the §5.2 experiment relies
+/// on); otherwise the cluster is uniform.
+pub(crate) const CLUSTER_AFFINITY: f64 = 0.5;
+
+/// Zipf exponent of web request popularity (Breslau et al.: ~0.8), and
+/// of the flash crowd's before its flip.
+pub(crate) const ZIPF_ALPHA: f64 = 0.8;
+
+/// Fraction of zero-byte web files (the NLANR trace's smallest is 0).
+pub(crate) const ZERO_FRACTION: f64 = 0.001;
+
+/// The NLANR web trace's file sizes: median 1,312 B, mean 10,517 B, max
+/// 138 MB. The tail is calibrated so that ~0.03% of files exceed 2.9 MB
+/// while holding ~37% of all bytes — matching the published tail of the
+/// trace (964 of 1.86 M files above the 2 MB node lower bound, yet
+/// enough byte mass that rejecting only them sheds a third of the
+/// demand).
+pub const WEB_SIZES: SizeStats = SizeStats {
+    median: 1_312.0,
+    mean: 10_517.0,
+    max: 138.0e6,
+    tail_prob: 0.005,
+    tail_x_m: 100.0e3,
+    tail_alpha: 0.85,
+};
+
+/// The filesystem trace's file sizes: median 4,578 B, mean 88,233 B,
+/// max 2.7 GB, with a heavier tail than the web trace's.
+pub const FS_SIZES: SizeStats = SizeStats {
+    median: 4_578.0,
+    mean: 88_233.0,
+    max: 2.7e9,
+    tail_prob: 0.005,
+    tail_x_m: 1.0e6,
+    tail_alpha: 0.9,
+};
+
+/// Requests per unique file of the web trace: 4,000,000 entries for
+/// 1,863,055 unique URLs.
+const WEB_REQUESTS_PER_FILE: f64 = 2.147;
+
+/// Requests per unique file of the flash crowd, which is lookup-heavy.
+const FLASH_REQUESTS_PER_FILE: f64 = 7.0;
+
+/// The flash crowd's flip point as a fraction of the request stream.
+const FLIP_AT: f64 = 0.5;
+
+/// Cold files that go hot at the flip (the most recently introduced).
+const HOT_SET: usize = 4;
+
+/// Share of post-flip re-references that target the hot set.
+pub(crate) const HOT_FRACTION: f64 = 0.5;
+
+/// `files × per_file`, rounded: the request count of a scaled trace.
+fn scaled_requests(files: usize, per_file: f64) -> usize {
+    (files as f64 * per_file).round() as usize
+}
+
 /// Generator for the NLANR-like web-proxy workload.
 ///
 /// Published statistics reproduced: 4,000,000 entries referencing
-/// 1,863,055 unique URLs (a ~2.15 requests-per-URL ratio), mean size
-/// 10,517 B, median 1,312 B, max 138 MB, including zero-byte files;
-/// 775 clients spread over 8 geographically distributed sites; Zipf-like
-/// request popularity. Scale down via `unique_files` while keeping every
-/// ratio intact.
+/// 1,863,055 unique URLs (a ~2.15 requests-per-URL ratio), the sizes of
+/// [`WEB_SIZES`] including zero-byte files, [`CLIENTS`] clients spread
+/// over [`CLUSTERS`] geographically distributed sites, Zipf-like request
+/// popularity. Scale down via `unique_files` while keeping every ratio
+/// intact.
 #[derive(Clone, Debug)]
 pub struct WebTraceConfig {
     /// Number of unique files (the paper's trace: 1,863,055).
     pub unique_files: usize,
-    /// Total requests (paper: 4,000,000 — ~2.147× the unique count).
-    pub requests: usize,
-    /// Zipf exponent for request popularity (Breslau et al.: ~0.8).
-    pub zipf_alpha: f64,
-    /// Number of clients (paper: 775).
-    pub clients: u32,
-    /// Number of client clusters (paper: 8 NLANR sites).
-    pub clusters: u32,
-    /// Probability that a request comes from the file's affinity cluster
-    /// (models the geographic locality the §5.2 experiment relies on).
-    pub cluster_affinity: f64,
-    /// Median file size in bytes (paper: 1,312).
-    pub median_size: f64,
-    /// Mean file size in bytes (paper: 10,517).
-    pub mean_size: f64,
-    /// Maximum file size in bytes (paper: 138 MB).
-    pub max_size: f64,
-    /// Probability a file's size comes from the Pareto tail. Web size
-    /// distributions are lognormal-bodied with a Pareto tail holding a
-    /// large share of the bytes; PAST's policies depend on that
-    /// concentration (see `past_workload::dist::SizeModel`).
-    pub tail_prob: f64,
-    /// Pareto tail scale (minimum tail size) in bytes.
-    pub tail_x_m: f64,
-    /// Pareto tail shape.
-    pub tail_alpha: f64,
-    /// Fraction of zero-byte files (the NLANR trace's smallest file is 0).
-    pub zero_fraction: f64,
     /// RNG seed.
     pub seed: u64,
 }
@@ -132,35 +169,36 @@ impl Default for WebTraceConfig {
     fn default() -> Self {
         WebTraceConfig {
             unique_files: 50_000,
-            requests: 107_350, // preserves the paper's 2.147 refs/URL
-            zipf_alpha: 0.8,
-            clients: 775,
-            clusters: 8,
-            cluster_affinity: 0.5,
-            median_size: 1_312.0,
-            mean_size: 10_517.0,
-            max_size: 138.0e6,
-            // Calibrated so that ~0.03% of files exceed 2.9 MB while
-            // holding ~37% of all bytes — matching the published tail of
-            // the NLANR trace (964 of 1.86 M files above the 2 MB node
-            // lower bound, yet enough byte mass that rejecting only them
-            // sheds a third of the demand).
-            tail_prob: 0.005,
-            tail_x_m: 100.0e3,
-            tail_alpha: 0.85,
-            zero_fraction: 0.001,
             seed: 0x9a57,
         }
     }
 }
 
 impl WebTraceConfig {
-    /// Keeps the requests/unique ratio while changing the scale.
+    /// The same trace shape at `n` unique files.
     pub fn with_unique_files(mut self, n: usize) -> Self {
-        let ratio = self.requests as f64 / self.unique_files as f64;
         self.unique_files = n;
-        self.requests = (n as f64 * ratio).round() as usize;
         self
+    }
+
+    /// Total requests: 2.147 per unique file (4,000,000 at the paper's
+    /// scale).
+    pub fn requests(&self) -> usize {
+        scaled_requests(self.unique_files, WEB_REQUESTS_PER_FILE)
+    }
+
+    /// Builds the lazy request stream: the flash-crowd stream with no
+    /// flip, which draws exactly what a plain web replay draws.
+    pub fn stream(&self) -> StreamTrace {
+        let requests = self.requests();
+        StreamTrace::web(
+            self.unique_files,
+            requests,
+            self.seed,
+            requests,
+            (0, 0),
+            ZIPF_ALPHA,
+        )
     }
 
     /// Generates the trace: [`WebTraceConfig::stream`], materialised
@@ -172,14 +210,14 @@ impl WebTraceConfig {
 
 /// Generator for a flash-crowd workload: a web-like request stream
 /// whose popularity distribution *flips* mid-run. Up to the flip point
-/// requests follow Zipf(`zipf_alpha_before`) by introduction order (the
+/// (half-way) requests follow Zipf(0.8) by introduction order (the
 /// familiar NLANR shape); from the flip onward, a small set of
-/// previously *cold* files — the most recently introduced ones at flip
-/// time — suddenly attracts `hot_fraction` of all re-references
-/// (uniformly spread across the set), with the remainder drawn from
-/// Zipf(`zipf_alpha_after`). With the default 4-file hot set at 50%,
-/// each hot file takes ~12.5% of post-flip lookups: well past the >10%
-/// single-file threshold that defines a flash crowd here.
+/// previously *cold* files — the four most recently introduced ones at
+/// flip time — suddenly attracts half of all re-references (uniformly
+/// spread across the set), with the remainder drawn from
+/// Zipf(`zipf_alpha_after`). Each hot file then takes ~12.5% of
+/// post-flip lookups: well past the >10% single-file threshold that
+/// defines a flash crowd here.
 ///
 /// Sizes, clusters, and client assignment follow [`WebTraceConfig`]
 /// exactly, so results compare directly against the §5.2 caching setup.
@@ -187,84 +225,41 @@ impl WebTraceConfig {
 pub struct FlashCrowdConfig {
     /// Number of unique files.
     pub unique_files: usize,
-    /// Total requests. Flash-crowd runs are lookup-heavy: the default
-    /// keeps 7 requests per unique file.
-    pub requests: usize,
-    /// Zipf exponent before the flip.
-    pub zipf_alpha_before: f64,
-    /// Zipf exponent after the flip (for the non-hot remainder).
-    pub zipf_alpha_after: f64,
-    /// Flip point as a fraction of the request stream, in `[0, 1]`.
-    pub flip_at: f64,
-    /// Number of cold files that go hot at the flip (the most recently
-    /// introduced files at that moment).
-    pub hot_set: usize,
-    /// Fraction of post-flip re-references that target the hot set.
-    pub hot_fraction: f64,
-    /// Number of clients.
-    pub clients: u32,
-    /// Number of client clusters.
-    pub clusters: u32,
-    /// Probability a request comes from the file's affinity cluster.
-    pub cluster_affinity: f64,
-    /// Median file size in bytes.
-    pub median_size: f64,
-    /// Mean file size in bytes.
-    pub mean_size: f64,
-    /// Maximum file size in bytes.
-    pub max_size: f64,
-    /// Probability a file's size comes from the Pareto tail.
-    pub tail_prob: f64,
-    /// Pareto tail scale in bytes.
-    pub tail_x_m: f64,
-    /// Pareto tail shape.
-    pub tail_alpha: f64,
-    /// Fraction of zero-byte files.
-    pub zero_fraction: f64,
     /// RNG seed.
     pub seed: u64,
+    /// Zipf exponent after the flip (for the non-hot remainder).
+    pub zipf_alpha_after: f64,
 }
 
 impl Default for FlashCrowdConfig {
     fn default() -> Self {
         FlashCrowdConfig {
             unique_files: 20_000,
-            requests: 140_000,
-            zipf_alpha_before: 0.8,
-            zipf_alpha_after: 0.8,
-            flip_at: 0.5,
-            hot_set: 4,
-            hot_fraction: 0.5,
-            clients: 775,
-            clusters: 8,
-            cluster_affinity: 0.5,
-            median_size: 1_312.0,
-            mean_size: 10_517.0,
-            max_size: 138.0e6,
-            tail_prob: 0.005,
-            tail_x_m: 100.0e3,
-            tail_alpha: 0.85,
-            zero_fraction: 0.001,
             seed: 0xfc01,
+            zipf_alpha_after: ZIPF_ALPHA,
         }
     }
 }
 
 impl FlashCrowdConfig {
-    /// Keeps the requests/unique ratio while changing the scale.
+    /// The same trace shape at `n` unique files.
     pub fn with_unique_files(mut self, n: usize) -> Self {
-        let ratio = self.requests as f64 / self.unique_files as f64;
         self.unique_files = n;
-        self.requests = (n as f64 * ratio).round() as usize;
         self
+    }
+
+    /// Total requests: 7 per unique file.
+    pub fn requests(&self) -> usize {
+        scaled_requests(self.unique_files, FLASH_REQUESTS_PER_FILE)
     }
 
     /// The 0-based request index at which popularity flips.
     pub fn flip_index(&self) -> usize {
-        ((self.flip_at * self.requests as f64).floor() as usize).min(self.requests)
+        let requests = self.requests();
+        ((FLIP_AT * requests as f64).floor() as usize).min(requests)
     }
 
-    /// The hot file range `[lo, lo + n)`: the `hot_set` most recently
+    /// The hot file range `[lo, lo + n)`: the four most recently
     /// introduced files at the flip point (guaranteed cold before the
     /// flip under Zipf-by-introduction-order popularity).
     pub fn hot_range(&self) -> (usize, usize) {
@@ -273,9 +268,21 @@ impl FlashCrowdConfig {
         // introduction schedule has introduced exactly
         // ceil(flip * unique / requests) files by then.
         let introduced =
-            ((flip * self.unique_files).div_ceil(self.requests)).min(self.unique_files);
-        let n = self.hot_set.min(introduced);
+            ((flip * self.unique_files).div_ceil(self.requests())).min(self.unique_files);
+        let n = HOT_SET.min(introduced);
         (introduced - n, n)
+    }
+
+    /// Builds the lazy request stream.
+    pub fn stream(&self) -> StreamTrace {
+        StreamTrace::web(
+            self.unique_files,
+            self.requests(),
+            self.seed,
+            self.flip_index(),
+            self.hot_range(),
+            self.zipf_alpha_after,
+        )
     }
 
     /// Generates the trace: [`FlashCrowdConfig::stream`], materialised.
@@ -284,29 +291,12 @@ impl FlashCrowdConfig {
     }
 }
 
-/// Generator for the filesystem workload: insert-only, heavier-tailed
-/// sizes (paper: 2,027,908 files, 166.6 GB, mean 88,233 B, median
-/// 4,578 B, max 2.7 GB).
+/// Generator for the filesystem workload: insert-only, with the sizes
+/// of [`FS_SIZES`] (paper: 2,027,908 files, 166.6 GB).
 #[derive(Clone, Debug)]
 pub struct FsTraceConfig {
     /// Number of files.
     pub files: usize,
-    /// Median file size in bytes (paper: 4,578).
-    pub median_size: f64,
-    /// Mean file size in bytes (paper: 88,233).
-    pub mean_size: f64,
-    /// Maximum file size in bytes (paper: 2.7 GB).
-    pub max_size: f64,
-    /// Probability a file's size comes from the Pareto tail.
-    pub tail_prob: f64,
-    /// Pareto tail scale in bytes.
-    pub tail_x_m: f64,
-    /// Pareto tail shape.
-    pub tail_alpha: f64,
-    /// Number of inserting clients.
-    pub clients: u32,
-    /// Number of client clusters.
-    pub clusters: u32,
     /// RNG seed.
     pub seed: u64,
 }
@@ -315,20 +305,17 @@ impl Default for FsTraceConfig {
     fn default() -> Self {
         FsTraceConfig {
             files: 50_000,
-            median_size: 4_578.0,
-            mean_size: 88_233.0,
-            max_size: 2.7e9,
-            tail_prob: 0.005,
-            tail_x_m: 1.0e6,
-            tail_alpha: 0.9,
-            clients: 775,
-            clusters: 8,
             seed: 0xf5,
         }
     }
 }
 
 impl FsTraceConfig {
+    /// Builds the lazy insert-only stream.
+    pub fn stream(&self) -> StreamTrace {
+        StreamTrace::fs(self.files, self.seed)
+    }
+
     /// Generates the insert-only trace: [`FsTraceConfig::stream`],
     /// materialised.
     pub fn generate(&self) -> Trace {
@@ -342,12 +329,9 @@ mod tests {
     use std::collections::HashSet;
 
     fn small_web() -> Trace {
-        WebTraceConfig {
-            unique_files: 2_000,
-            requests: 4_294,
-            ..Default::default()
-        }
-        .generate()
+        WebTraceConfig::default()
+            .with_unique_files(2_000)
+            .generate()
     }
 
     #[test]
@@ -368,12 +352,9 @@ mod tests {
 
     #[test]
     fn web_trace_sizes_match_published_stats() {
-        let t = WebTraceConfig {
-            unique_files: 60_000,
-            requests: 128_820,
-            ..Default::default()
-        }
-        .generate();
+        let t = WebTraceConfig::default()
+            .with_unique_files(60_000)
+            .generate();
         let median = t.median_file_size() as f64;
         assert!(
             (median / 1312.0 - 1.0).abs() < 0.15,
@@ -409,30 +390,37 @@ mod tests {
     #[test]
     fn web_trace_client_fields_valid() {
         let t = small_web();
-        assert_eq!(t.client_cluster.len(), t.clients as usize);
         for op in &t.ops {
-            assert!(op.client < t.clients);
-        }
-        for &c in &t.client_cluster {
-            assert!(c < t.clusters);
+            assert!(op.client < CLIENTS);
         }
     }
 
     #[test]
     fn with_unique_files_preserves_ratio() {
-        let cfg = WebTraceConfig::default().with_unique_files(10_000);
-        let ratio = cfg.requests as f64 / cfg.unique_files as f64;
-        assert!((ratio - 2.147).abs() < 0.01);
+        // Exact request counts at the scales the goldens, the recorded
+        // results and the benchmark replay: files × 2.147 (web) and × 7
+        // (flash crowd), rounded half away from zero.
+        for (files, requests) in [
+            (500, 1_074),
+            (2_000, 4_294),
+            (60_000, 128_820),
+            (100_000, 214_700),
+            (1_863_055, 3_999_979),
+        ] {
+            let cfg = WebTraceConfig::default().with_unique_files(files);
+            assert_eq!(cfg.requests(), requests, "web trace at {files} files");
+        }
+        for (files, requests) in [(1_000, 7_000), (1_500, 10_500), (2_000, 14_000)] {
+            let cfg = FlashCrowdConfig::default().with_unique_files(files);
+            assert_eq!(cfg.requests(), requests, "flash crowd at {files} files");
+        }
     }
 
     #[test]
     fn flash_crowd_introduces_every_file_exactly_once() {
-        let t = FlashCrowdConfig {
-            unique_files: 1_500,
-            requests: 10_500,
-            ..Default::default()
-        }
-        .generate();
+        let t = FlashCrowdConfig::default()
+            .with_unique_files(1_500)
+            .generate();
         let mut inserted = HashSet::new();
         let mut seen = HashSet::new();
         for op in &t.ops {
@@ -448,15 +436,11 @@ mod tests {
 
     #[test]
     fn flash_crowd_flips_popularity() {
-        let cfg = FlashCrowdConfig {
-            unique_files: 2_000,
-            requests: 14_000,
-            ..Default::default()
-        };
+        let cfg = FlashCrowdConfig::default().with_unique_files(2_000);
         let t = cfg.generate();
         let flip = cfg.flip_index();
         let (hot_lo, hot_n) = cfg.hot_range();
-        assert_eq!(hot_n, cfg.hot_set);
+        assert_eq!(hot_n, HOT_SET);
         let hot = |f: u32| (f as usize) >= hot_lo && (f as usize) < hot_lo + hot_n;
         let pre: Vec<&TraceOp> = t.ops[..flip].iter().filter(|o| !o.is_insert).collect();
         let post: Vec<&TraceOp> = t.ops[flip..].iter().filter(|o| !o.is_insert).collect();
@@ -469,11 +453,11 @@ mod tests {
             "hot set already popular before the flip: {pre_hot}/{}",
             pre.len()
         );
-        // ...and the crowd afterwards: the set takes ~hot_fraction of
+        // ...and the crowd afterwards: the set takes ~HOT_FRACTION of
         // lookups, and a *single* cold file exceeds the 10% flash-crowd
         // threshold.
         assert!(
-            post_hot as f64 > 0.8 * cfg.hot_fraction * post.len() as f64,
+            post_hot as f64 > 0.8 * HOT_FRACTION * post.len() as f64,
             "hot set too cold after the flip: {post_hot}/{}",
             post.len()
         );

@@ -1,8 +1,10 @@
 //! Pins what each generator emits. The digests were recorded from the
 //! last commit that had a hand-written `generate()` per config beside
-//! the lazy stream, so they hold the single draw loop to that output;
-//! a deliberate change to a generator re-records them in the same PR
-//! (and moves `arc_cert_golden` and the pastbench pins with it).
+//! the lazy stream, so they hold the single draw loop to that output
+//! (the flash crowd's was recorded again for the fixed flip parameters
+//! it runs with now, before they became constants); a deliberate change to
+//! a generator re-records them in the same PR (and moves
+//! `arc_cert_golden` and the pastbench pins with it).
 
 use past_workload::{
     FlashCrowdConfig, FsTraceConfig, StreamTrace, Trace, TraceOp, WebTraceConfig, Workload,
@@ -38,20 +40,12 @@ fn check(trace: Trace, stream: StreamTrace, digest: u64) {
     assert_eq!(t.unique_files(), s.unique_files());
     assert_eq!(t.op_count(), s.op_count());
     assert_eq!(t.op_count(), trace.ops.len());
-    assert_eq!(t.client_count(), s.client_count());
     assert_eq!(t.file_name(17), s.file_name(17));
-    for c in 0..t.client_count() {
-        assert_eq!(t.cluster_of_client(c), s.cluster_of_client(c));
-    }
 }
 
 #[test]
 fn web_golden() {
-    let cfg = WebTraceConfig {
-        unique_files: 2_000,
-        requests: 4_294,
-        ..Default::default()
-    };
+    let cfg = WebTraceConfig::default().with_unique_files(2_000);
     check(cfg.generate(), cfg.stream(), 0x2870_fe0f_b5f5_9873);
 }
 
@@ -68,13 +62,8 @@ fn fs_golden() {
 fn flash_crowd_golden() {
     let cfg = FlashCrowdConfig {
         unique_files: 1_000,
-        requests: 7_000,
-        zipf_alpha_before: 0.7,
         zipf_alpha_after: 1.1,
-        flip_at: 0.3,
-        hot_set: 2,
-        hot_fraction: 0.25,
         ..Default::default()
     };
-    check(cfg.generate(), cfg.stream(), 0x8d01_b762_d677_464d);
+    check(cfg.generate(), cfg.stream(), 0x7528_2a3c_5d7d_7647);
 }

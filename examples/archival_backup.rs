@@ -15,6 +15,9 @@ use past::workload::FsTraceConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// Largest file the archive stores.
+const MAX_ARCHIVED_FILE: u64 = 4 << 20;
+
 fn main() {
     let nodes = 60;
     let mut rng = StdRng::seed_from_u64(11);
@@ -23,7 +26,6 @@ fn main() {
     // Keep-alives ON: the overlay must detect failures and re-replicate.
     let pastry_cfg = PastryConfig {
         leaf_set_size: 16,
-        neighborhood_size: 16,
         keep_alive_period: SimDuration::from_secs(5),
         failure_timeout: SimDuration::from_secs(15),
         // Lazy routing-table repair: forwards detect dead next hops by
@@ -45,19 +47,19 @@ fn main() {
     );
 
     // Archive a small filesystem snapshot (sizes follow the paper's
-    // filesystem workload statistics) from one access point.
+    // filesystem workload statistics) from one access point. This
+    // archive holds no file above 4 MB: the tail's multi-GB giants are
+    // capped there.
     let snapshot = FsTraceConfig {
         files: 200,
-        max_size: (4u64 << 20) as f64,
-        mean_size: 60_000.0,
-        median_size: 4_578.0,
         ..Default::default()
     }
     .generate();
     println!("archiving {} files ...", snapshot.files.len());
     let mut archived = Vec::new();
     for spec in &snapshot.files {
-        overlay.insert(Addr(0), &format!("backup/{}", spec.name()), spec.size);
+        let size = spec.size.min(MAX_ARCHIVED_FILE);
+        overlay.insert(Addr(0), &format!("backup/{}", spec.name()), size);
         overlay.engine.run_for(SimDuration::from_secs(2));
         archived.extend(overlay.drain_inserted().map(|(fid, _)| fid));
     }

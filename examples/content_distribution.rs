@@ -17,7 +17,6 @@ fn build(nodes: usize, cache: CachePolicyKind, seed: u64) -> Overlay {
     let topology = ClusteredTopology::round_robin(nodes, 8);
     let pastry_cfg = PastryConfig {
         leaf_set_size: 16,
-        neighborhood_size: 16,
         keep_alive_period: SimDuration::ZERO,
         ..Default::default()
     };

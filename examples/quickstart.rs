@@ -25,7 +25,6 @@ fn main() {
     //    joins via an existing contact.
     let pastry_cfg = PastryConfig {
         leaf_set_size: 16,
-        neighborhood_size: 16,
         keep_alive_period: SimDuration::ZERO, // static demo network
         ..Default::default()
     };

@@ -14,7 +14,8 @@
 #   6. pastbench's own tests (benchmark/, a package of its own), and
 #      the layout guards in the profile pastbench measures
 #   7. copies of a message between send and handler (count_copies.sh)
-#   8. repro: every experiment at smoke scale, twice, asserts on
+#   8. repro: every experiment at smoke scale, twice, asserts on, and
+#      its CSVs against the recorded digests (scripts/repro_smoke.sha256)
 #   9. the three examples, each asserting its own outcome
 #  10. the count-alloc feature: its test, and fig8's peak live heap,
 #      equal to the byte over two runs
@@ -74,8 +75,14 @@ echo "== repro (every experiment at smoke scale, twice)"
 # write byte-identical CSVs, every experiment `repro list` names must
 # leave a non-empty CSV (`<name>.csv` or `<name>_*.csv`), and the driver
 # must share replays between experiments: 21 distinct ones, not the 36
-# they ask for between them. Output goes to a scratch dir so CI never
-# dirties the working tree.
+# they ask for between them. Run `a` must also match the SHA-256 list in
+# scripts/repro_smoke.sha256 byte for byte: a refactor moves no number.
+# A change meant to alter the model re-records the list in the same
+# commit (as `benchmark/pins.json` is re-pinned), from the repo root:
+#   PAST_NODES=60 PAST_FILES=5000 PAST_OUT_DIR=/tmp/smoke \
+#     cargo run --release -q -p past-bench --bin repro -- all
+#   (cd /tmp/smoke && sha256sum *.csv) >scripts/repro_smoke.sha256
+# Output goes to a scratch dir so CI never dirties the working tree.
 out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
 repro() {
@@ -90,6 +97,8 @@ for csv in "$out"/a/*.csv; do
   cmp "$csv" "$out/b/$(basename "$csv")" \
     || { echo "error: repro CSVs not deterministic across runs" >&2; exit 1; }
 done
+(cd "$out/a" && sha256sum --quiet -c -) <scripts/repro_smoke.sha256 \
+  || { echo "error: repro CSVs differ from scripts/repro_smoke.sha256 (re-record it if the model change is meant)" >&2; exit 1; }
 experiments=0
 while read -r name _; do
   wrote=0
@@ -102,7 +111,7 @@ done < <(repro list)
 tail -n 1 "$out/a.out"
 grep -q "ran 21 distinct replays for 36 asked" "$out/a.out" \
   || { echo "error: repro all no longer shares replays (want 21 of 36)" >&2; exit 1; }
-echo "repro OK: $experiments experiments, $(ls "$out"/a/*.csv | wc -l) CSVs byte-identical across two runs"
+echo "repro OK: $experiments experiments, $(ls "$out"/a/*.csv | wc -l) CSVs byte-identical across two runs and to the recorded digests"
 
 echo "== examples (quickstart, content_distribution, archival_backup)"
 # Each drives a `past_sim::Overlay` and asserts that its insert, lookup,

@@ -3,7 +3,7 @@
 //! storage management, caching and quotas together, plus a smoke of
 //! the churn, sharded and flash-crowd planes.
 
-use past::core::{PastConfig, PastEvent, PastNode, PastOverlayNode};
+use past::core::{PastConfig, PastEvent, PastNode, PastOverlayNode, K};
 use past::crypto::{CardIssuer, Scheme};
 use past::net::{Addr, EuclideanTopology, SimDuration, Simulator};
 use past::pastry::{NodeEntry, PastryConfig, PastryNode};
@@ -29,7 +29,6 @@ fn build_card_overlay(
     let mut sim: Simulator<PastOverlayNode> = Simulator::new(Box::new(topology), seed);
     let pastry_cfg = PastryConfig {
         leaf_set_size: 16,
-        neighborhood_size: 16,
         keep_alive_period: SimDuration::ZERO,
         ..Default::default()
     };
@@ -242,7 +241,7 @@ fn static_overlay_audits_clean_after_a_trace_replay() {
         ..Default::default()
     };
     // Uniform disks that together hold half the trace's k replicas.
-    let capacity = trace.total_bytes() * cfg.k as u64 / (2 * nodes as u64);
+    let capacity = trace.total_bytes() * K as u64 / (2 * nodes as u64);
     let mut rng = StdRng::seed_from_u64(22);
     let topology = EuclideanTopology::random(nodes, &mut rng);
     let mut overlay = Overlay::build(
