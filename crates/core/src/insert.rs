@@ -6,6 +6,7 @@ use std::cmp::Reverse;
 use past_crypto::{SharedFileCert, SharedReceipt, StoreReceipt};
 use past_id::FileId;
 use past_pastry::NodeEntry;
+use past_store::StoreError;
 
 use crate::config::K;
 use crate::events::PastEvent;
@@ -84,8 +85,8 @@ impl PastNode {
             InsertCoord {
                 file_id,
                 expected: candidates.clone(),
-                receipts: Vec::new(),
-                stored: Vec::new(),
+                receipts: Vec::with_capacity(K),
+                stored: Vec::with_capacity(K),
             },
         );
         for node in candidates {
@@ -122,14 +123,6 @@ impl PastNode {
             }
             return;
         }
-        if self.store.holds_replica(file_id) {
-            // Already stored (duplicate replicate): report as stored.
-            if let (Some(req), Some(coord)) = (req, coordinator) {
-                let receipt = self.issue_receipt(ctx, file_id, false);
-                self.report_store_result(ctx, req, file_id, Some(receipt), coord);
-            }
-            return;
-        }
         match self.store.store_primary(cert.clone()) {
             Ok(()) => {
                 ctx.emit(PastEvent::ReplicaStored {
@@ -148,7 +141,14 @@ impl PastNode {
                     self.store.remove_replica(file_id);
                 }
             }
-            Err(_) => {
+            Err(StoreError::Duplicate) => {
+                // Already stored (duplicate replicate): report as stored.
+                if let (Some(req), Some(coord)) = (req, coordinator) {
+                    let receipt = self.issue_receipt(ctx, file_id, false);
+                    self.report_store_result(ctx, req, file_id, Some(receipt), coord);
+                }
+            }
+            Err(StoreError::OverThreshold { .. }) => {
                 // Replica diversion: ask a leaf-set node outside the k
                 // closest, preferring maximal remaining free space.
                 match self.pick_diversion_target(ctx, file_id) {

@@ -95,7 +95,7 @@ impl PastNode {
                 }
             }
             Resolution::Pointer(holder) => {
-                let stored = &self.store.pointer(file_id).expect("resolved").cert;
+                let stored = self.store.pointer(file_id).expect("resolved").cert;
                 if cert.verify_memo(stored, &mut self.verify_memo).is_ok() {
                     let pointer = self.store.remove_pointer(file_id).expect("resolved");
                     self.send_to(ctx, holder, MsgKind::ReclaimExec { cert: cert.clone() });
@@ -108,7 +108,7 @@ impl PastNode {
                 // Nothing authoritative here; a backup pointer goes on
                 // the owner's word, like the records above.
                 if let Some(backup) = self.store.backup_pointer(file_id) {
-                    if cert.verify_memo(&backup.cert, &mut self.verify_memo).is_ok() {
+                    if cert.verify_memo(backup.cert, &mut self.verify_memo).is_ok() {
                         self.store.remove_backup_pointer(file_id);
                     }
                 }

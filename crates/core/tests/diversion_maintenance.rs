@@ -340,7 +340,8 @@ fn pointer_owner_failure_keeps_replica_reachable() {
     // Find node A (a pointer owner) and fail it: §3.3 condition (2) —
     // the backup pointer on C keeps the diverted replica reachable.
     let a = *w.pointer_owners(fid).first().expect("pointer owner exists");
-    let a_pointer = w.store(a).pointer(fid).expect("A keeps the pointer").clone();
+    let a_pointer = w.store(a).pointer(fid).expect("A keeps the pointer");
+    let (holder, cert) = (a_pointer.holder, a_pointer.cert.clone());
     let c = a_pointer.backup_at.expect("A's pointer is backed up at C").addr;
     w.sim.fail_node(a);
     // C notices A's failure and promotes its backup: one record moves,
@@ -352,8 +353,8 @@ fn pointer_owner_failure_keeps_replica_reachable() {
         waited += 1;
     }
     let promoted = w.store(c).pointer(fid).expect("C promoted its backup");
-    assert_eq!(promoted.holder, a_pointer.holder);
-    assert!(std::sync::Arc::ptr_eq(&promoted.cert, &a_pointer.cert));
+    assert_eq!(promoted.holder, holder);
+    assert!(std::sync::Arc::ptr_eq(promoted.cert, &cert));
     w.sim.run_for(SimDuration::from_secs(120 - waited));
     w.events();
     let found = (0..10u32)

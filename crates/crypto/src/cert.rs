@@ -67,7 +67,7 @@ impl std::error::Error for CertError {}
 pub fn compute_file_id(name: &str, owner: &PublicKey, salt: u64) -> FileId {
     let mut h = Sha1::new();
     h.update(name.as_bytes());
-    h.update(&owner.to_bytes());
+    owner.hash_into(&mut h);
     h.update(&salt.to_be_bytes());
     h.finalize().to_file_id()
 }

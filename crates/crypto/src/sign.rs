@@ -188,12 +188,29 @@ impl PublicKey {
         }
     }
 
+    /// Feeds [`Self::to_bytes`]'s serialization to `h` without building
+    /// it.
+    pub fn hash_into(&self, h: &mut Sha1) {
+        match self {
+            PublicKey::Schnorr(y) => {
+                h.update(&[0]);
+                h.update(&y.to_be_bytes());
+            }
+            PublicKey::Keyed(d) => {
+                h.update(&[1]);
+                h.update(d.as_bytes());
+            }
+        }
+    }
+
     /// Returns the SHA-1 digest of the serialized key.
     ///
     /// PAST derives nodeIds from this digest ("the nodeId assignment is
     /// quasi-random, e.g. SHA-1 hash of the node's public key").
     pub fn digest(&self) -> Digest {
-        Sha1::digest(&self.to_bytes())
+        let mut h = Sha1::new();
+        self.hash_into(&mut h);
+        h.finalize()
     }
 
     /// Verifies `sig` over `message`.
@@ -300,7 +317,7 @@ fn challenge(r: U256, message: &[u8]) -> U256 {
 /// Simulated signature tag: SHA-1(pubkey ‖ message).
 fn keyed_tag(public: &PublicKey, message: &[u8]) -> Digest {
     let mut h = Sha1::new();
-    h.update(&public.to_bytes());
+    public.hash_into(&mut h);
     h.update(message);
     h.finalize()
 }
@@ -384,6 +401,15 @@ mod tests {
         let a = KeyPair::generate(Scheme::Keyed, &mut rng);
         let b = KeyPair::generate(Scheme::Keyed, &mut rng);
         assert_ne!(a.public().digest(), b.public().digest());
+    }
+
+    #[test]
+    fn hashing_a_key_in_place_feeds_its_serialization() {
+        let mut rng = rng();
+        for scheme in [Scheme::Keyed, Scheme::Schnorr] {
+            let key = KeyPair::generate(scheme, &mut rng).public();
+            assert_eq!(key.digest(), Sha1::digest(&key.to_bytes()));
+        }
     }
 
     #[test]

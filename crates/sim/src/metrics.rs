@@ -3,19 +3,8 @@
 
 use past_core::HitKind;
 
-/// A running-total sample taken at each insert completion, giving the
-/// exact Figure 5 curve (cumulative diverted / stored replicas).
-#[derive(Clone, Copy, Debug)]
-pub struct ReplicaSample {
-    /// Global storage utilization at the sample.
-    pub utilization: f64,
-    /// Replicas currently stored.
-    pub replicas: u64,
-    /// Diverted replicas currently stored.
-    pub diverted: u64,
-}
-
-/// One insert's outcome, recorded at completion time.
+/// One insert's outcome, recorded at completion time, with the replica
+/// totals at that moment (the exact Figure 5 curve reads those).
 #[derive(Clone, Copy, Debug)]
 pub struct InsertRecord {
     /// Global storage utilization (0..=1) when the insert completed.
@@ -25,6 +14,10 @@ pub struct InsertRecord {
     /// Attempts made (1 = stored at the first fileId; 2–4 = file
     /// diversions; the paper aborts after 4).
     pub attempts: u32,
+    /// Replicas stored in the whole system when the insert completed.
+    pub replicas: u32,
+    /// Diverted replicas among them.
+    pub diverted: u32,
     /// Whether the insert succeeded.
     pub success: bool,
 }
@@ -79,8 +72,6 @@ pub struct ExperimentResult {
     /// Per-lookup records in completion order (empty for storage-only
     /// runs).
     pub lookups: Vec<LookupRecord>,
-    /// Running replica totals sampled at each insert completion.
-    pub replica_samples: Vec<ReplicaSample>,
     /// Exact insert completions over the run. Always maintained, even
     /// when per-record vectors are thinned with
     /// [`crate::Runner::with_record_sampling`] — XL-scale replays use
@@ -92,9 +83,10 @@ pub struct ExperimentResult {
     pub lookups_total: u64,
     /// Exact found lookups (see [`Self::inserts_total`]).
     pub lookups_ok: u64,
-    /// Total replicas stored over the run (primary + diverted).
+    /// Replicas held at the end of the run (primary + diverted): every
+    /// store counted, every drop subtracted.
     pub replicas_stored: u64,
-    /// Diverted replicas stored over the run.
+    /// Diverted replicas held at the end of the run.
     pub replicas_diverted: u64,
     /// Total advertised capacity (bytes).
     pub total_capacity: u64,
@@ -227,13 +219,13 @@ impl ExperimentResult {
     /// stored replicas at each utilization grid point.
     pub fn replica_diversion_curve(&self, grid_points: usize) -> Vec<(f64, f64)> {
         let mut curve = Vec::with_capacity(grid_points + 1);
-        let mut last = (0u64, 0u64);
-        let mut iter = self.replica_samples.iter().peekable();
+        let mut last = (0u32, 0u32);
+        let mut iter = self.inserts.iter().peekable();
         for g in 0..=grid_points {
             let u = g as f64 / grid_points as f64;
-            while let Some(s) = iter.peek() {
-                if s.utilization <= u {
-                    last = (s.replicas, s.diverted);
+            while let Some(r) = iter.peek() {
+                if r.utilization <= u {
+                    last = (r.replicas, r.diverted);
                     iter.next();
                 } else {
                     break;
@@ -316,6 +308,8 @@ mod tests {
             utilization: u,
             size,
             attempts,
+            replicas: 0,
+            diverted: 0,
             success,
         }
     }

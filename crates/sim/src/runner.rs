@@ -15,8 +15,7 @@ use rand::SeedableRng;
 use crate::config::{ExperimentConfig, TopologyKind};
 use crate::engine::Engine;
 use crate::metrics::{
-    is_cache_hit, ExperimentResult, InsertRecord, LookupRecord, NodeWindowStat, ReplicaSample,
-    WindowSeries,
+    is_cache_hit, ExperimentResult, InsertRecord, LookupRecord, NodeWindowStat, WindowSeries,
 };
 use crate::overlay::Overlay;
 
@@ -43,8 +42,8 @@ pub struct Runner {
     /// `cfg.replay_lookups` is set — insert-only replays (the XL/XL2
     /// rows) never read it, and at 10M files it would cost 210 MB.
     file_ids: Vec<Option<FileId>>,
-    /// Keep 1-in-N per-event records (`inserts`, `lookups`,
-    /// `replica_samples`); 1 = keep everything (the default).
+    /// Keep 1-in-N per-event records (`inserts`, `lookups`); 1 = keep
+    /// everything (the default).
     record_every: u64,
     result: ExperimentResult,
     /// Progress callback (trace ops completed, total).
@@ -104,8 +103,8 @@ impl Runner {
         }
     }
 
-    /// Thins the per-event record vectors (`inserts`, `lookups`,
-    /// `replica_samples`) to 1-in-`every` entries. The exact aggregate
+    /// Thins the per-event record vectors (`inserts`, `lookups`) to
+    /// 1-in-`every` entries. The exact aggregate
     /// counters ([`ExperimentResult::inserts_total`] and friends) are
     /// unaffected — only the utilization-curve resolution drops. The
     /// default (`every = 1`) records everything; XL-scale replays pass
@@ -155,8 +154,8 @@ impl Runner {
     /// Maps a trace client to its access-point node, respecting cluster
     /// co-location for clustered topologies (requests from one NLANR
     /// site issue from PAST nodes in that site's cluster).
-    fn node_of_client(&self, client: u32) -> Addr {
-        let n = self.cfg.nodes;
+    fn node_of_client(&self, client: u16) -> Addr {
+        let (client, n) = (u32::from(client), self.cfg.nodes);
         let base = (client as usize * n) / CLIENTS as usize;
         match self.cfg.topology {
             TopologyKind::Euclidean => Addr(base.min(n - 1) as u32),
@@ -206,6 +205,16 @@ impl Runner {
         let t0 = self.overlay.engine.now();
         self.result.replay_start_us = t0.micros();
         let total_ops = trace.op_count();
+        // One record per `record_every` completions: every file is
+        // inserted once, every other op is a lookup when lookups replay.
+        let records = |ops: usize| ops.div_ceil(self.record_every as usize);
+        let lookups = if self.cfg.replay_lookups {
+            total_ops - trace.unique_files()
+        } else {
+            0
+        };
+        self.result.inserts.reserve_exact(records(trace.unique_files()));
+        self.result.lookups.reserve_exact(records(lookups));
         // (client addr, client-local seq) → trace file index, kept only
         // where the fileId will be looked up later.
         let mut pending: HashMap<(u32, u64), u32> = HashMap::new();
@@ -341,17 +350,14 @@ impl ExperimentResult {
             } => {
                 self.inserts_ok += success as u64;
                 if self.inserts_total.is_multiple_of(record_every) {
-                    let utilization = self.final_utilization();
+                    let count = |n: u64| u32::try_from(n).expect("replica count fits u32");
                     self.inserts.push(InsertRecord {
-                        utilization,
+                        utilization: self.final_utilization(),
                         size,
                         attempts,
+                        replicas: count(self.replicas_stored),
+                        diverted: count(self.replicas_diverted),
                         success,
-                    });
-                    self.replica_samples.push(ReplicaSample {
-                        utilization,
-                        replicas: self.replicas_stored,
-                        diverted: self.replicas_diverted,
                     });
                 }
                 self.inserts_total += 1;

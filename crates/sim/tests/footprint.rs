@@ -8,9 +8,9 @@ use std::mem::{size_of, size_of_val};
 use past_core::{PastMsg, ReqId};
 use past_crypto::{FileCertificate, KeyPair, Scheme, Sha1};
 use past_pastry::{Envelope, NodeEntry, PastryState, RouteCell};
-use past_sim::{ExperimentConfig, Runner};
-use past_store::{BackupPointer, Cache, Pointer};
-use past_workload::WebTraceConfig;
+use past_sim::{ExperimentConfig, InsertRecord, Runner};
+use past_store::{Cache, NodeStore};
+use past_workload::{FileSpec, TraceOp, WebTraceConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -31,14 +31,30 @@ fn records_that_hold_a_node_id_are_not_padded_to_sixteen() {
     }
 }
 
-/// One diverted replica is one table record at A and one at C, each
-/// found by the certificate it holds (no second copy of the file's id).
-/// Held as six maps in two crates, the same state was 160 + 144 B of
-/// buckets; as two maps keyed by `FileId`, 128 + 112 B.
+/// One diverted replica is one table record at B, one at A and one at
+/// C, each found by the certificate it holds (no second copy of the
+/// file's id) and naming its nodes by 4-byte peer handles. Held as six
+/// maps in two crates, A's and C's state was 160 + 144 B of buckets; as
+/// two maps keyed by `FileId`, 128 + 112 B; with whole `NodeEntry`s in
+/// the records, 64 + 56 B, and B's record 32 B.
 #[test]
-fn a_diversion_is_two_records() {
-    assert!(size_of::<Pointer<NodeEntry>>() <= 72);
-    assert!(size_of::<BackupPointer<NodeEntry>>() <= 64);
+fn a_diversion_is_three_sixteen_byte_records() {
+    type Store = NodeStore<NodeEntry>;
+    const {
+        assert!(Store::DIVERTED_RECORD_BYTES <= 16);
+        assert!(Store::POINTER_RECORD_BYTES <= 16);
+        assert!(Store::BACKUP_RECORD_BYTES <= 16);
+    }
+}
+
+/// What a replay keeps per op: an insert leaves one record (it left two
+/// 24-byte ones while the replica totals had a vector of their own), and
+/// a materialised trace holds 8 bytes per op and 8 per file.
+#[test]
+fn an_insert_leaves_one_record_and_a_trace_op_is_eight_bytes() {
+    assert!(size_of::<InsertRecord>() <= 32, "{} B", size_of::<InsertRecord>());
+    assert!(size_of::<TraceOp>() <= 8, "{} B", size_of::<TraceOp>());
+    assert!(size_of::<FileSpec>() <= 8, "{} B", size_of::<FileSpec>());
 }
 
 /// A cached copy's GD-S order entry names its file through the

@@ -3,8 +3,9 @@
 //! [`NodeStore`] manages one node's advertised disk space: primary
 //! replicas, diverted replicas held for leaf-set neighbors, the A→B and
 //! C→B diversion pointers of §3.3 ([`Pointer`], [`BackupPointer`]: one
-//! record each, certificate included), and a [`Cache`] occupying the
-//! unused remainder with GreedyDual-Size or LRU replacement.
+//! 16-byte record each, certificate included, nodes named by handles
+//! into a per-store peer table), and a [`Cache`] occupying the unused
+//! remainder with GreedyDual-Size or LRU replacement.
 //!
 //! The acceptance thresholds [`StorePolicy::t_pri`]/[`StorePolicy::t_div`]
 //! implement the §3.3.1 policies: a node N rejects a file D when
@@ -18,6 +19,6 @@ mod table;
 
 pub use cache::{Cache, CacheEvent, CachePolicyKind};
 pub use store::{
-    BackupPointer, NodeStore, Pointer, ReplicaRef, Resolution, StoreError, StorePolicy,
-    StoredReplica,
+    BackupPointer, BackupPointerRef, NodeStore, Pointer, PointerRef, ReplicaRef, Resolution,
+    StoreError, StorePolicy, StoredReplica,
 };

@@ -19,6 +19,15 @@
 //! cannot be represented — and the certificate is what every table is
 //! keyed by (see [`crate::table`]), so no record stores the file's id a
 //! second time.
+//!
+//! Nor does a record store a whole node: the holders, backup locations,
+//! owners and diverting nodes it names are 4-byte handles into the
+//! store's peer table, where each distinct node is kept once. A
+//! diversion record is then 16 bytes, the certificate pointer and two
+//! handles. Reads hand back views ([`ReplicaRef`], [`PointerRef`],
+//! [`BackupPointerRef`]) that carry the nodes themselves.
+
+use std::num::NonZeroU32;
 
 use past_crypto::{FileCertificate, SharedFileCert};
 use past_id::FileId;
@@ -136,22 +145,9 @@ impl<H> ReplicaRef<'_, H> {
     }
 }
 
-/// In-table entry for a diverted replica: the certificate plus the node
-/// that diverted the file here (needed when the diverter fails).
-#[derive(Clone, Debug)]
-struct DivertedEntry<H> {
-    cert: SharedFileCert,
-    from: H,
-}
-
-impl<H> AsRef<FileCertificate> for DivertedEntry<H> {
-    fn as_ref(&self) -> &FileCertificate {
-        &self.cert
-    }
-}
-
 /// An A→B diversion pointer: this node is responsible for the file, the
-/// replica lives at `holder` (§3.3).
+/// replica lives at `holder` (§3.3). Returned by value when the pointer
+/// is removed; [`PointerRef`] is the borrowed view.
 #[derive(Clone, Debug)]
 pub struct Pointer<H> {
     /// Node B, which stores the diverted replica.
@@ -164,14 +160,20 @@ pub struct Pointer<H> {
     pub backup_at: Option<H>,
 }
 
-impl<H> AsRef<FileCertificate> for Pointer<H> {
-    fn as_ref(&self) -> &FileCertificate {
-        &self.cert
-    }
+/// Borrowed view of an A→B pointer installed here (see [`Pointer`]).
+#[derive(Clone, Copy, Debug)]
+pub struct PointerRef<'a, H> {
+    /// Node B, which stores the diverted replica.
+    pub holder: H,
+    /// The file's certificate.
+    pub cert: &'a SharedFileCert,
+    /// Node C, if a backup pointer was installed there.
+    pub backup_at: Option<H>,
 }
 
 /// A C→B backup pointer, held by the k+1-th closest node on behalf of
-/// the diverting node `owner`.
+/// the diverting node `owner`. Returned by value when the backup is
+/// removed; [`BackupPointerRef`] is the borrowed view.
 #[derive(Clone, Debug)]
 pub struct BackupPointer<H> {
     /// Node B, which stores the diverted replica.
@@ -184,7 +186,119 @@ pub struct BackupPointer<H> {
     pub owner: H,
 }
 
-impl<H> AsRef<FileCertificate> for BackupPointer<H> {
+/// Borrowed view of a backup pointer installed here (see
+/// [`BackupPointer`]).
+#[derive(Clone, Copy, Debug)]
+pub struct BackupPointerRef<'a, H> {
+    /// Node B, which stores the diverted replica.
+    pub holder: H,
+    /// The file's certificate.
+    pub cert: &'a SharedFileCert,
+    /// Node A, which installed the backup.
+    pub owner: H,
+}
+
+/// A node named by a record of this store: its position in the store's
+/// [`PeerTable`], plus one, so an `Option<Peer>` is four bytes too.
+#[derive(Clone, Copy, Debug)]
+struct Peer(NonZeroU32);
+
+/// Every node the store's records name — holders, backup locations,
+/// owners and diverting nodes — each kept once. The table never shrinks,
+/// so a [`Peer`] handed out stays valid for the store's life, and its
+/// length is at most the number of distinct nodes ever handed in: the
+/// leaf-set neighbours a node diverts to and from, tens in a trace
+/// replay, and at most the overlay's size under churn.
+#[derive(Debug)]
+struct PeerTable<H>(Vec<H>);
+
+impl<H: Copy + Eq> PeerTable<H> {
+    /// The handle of `node`, appending it on first sight. A scan: the
+    /// table holds a few dozen nodes.
+    fn intern(&mut self, node: H) -> Peer {
+        let at = match self.0.iter().position(|&n| n == node) {
+            Some(at) => at,
+            None => {
+                self.0.push(node);
+                self.0.len() - 1
+            }
+        };
+        let handle = u32::try_from(at + 1).ok().and_then(NonZeroU32::new);
+        Peer(handle.expect("peer table outgrew u32"))
+    }
+
+    /// The node behind a handle this table handed out.
+    fn get(&self, peer: Peer) -> H {
+        self.0[peer.0.get() as usize - 1]
+    }
+}
+
+/// In-table entry for a diverted replica: the certificate plus the node
+/// that diverted the file here (needed when the diverter fails).
+#[derive(Clone, Debug)]
+struct DivertedEntry {
+    cert: SharedFileCert,
+    from: Peer,
+}
+
+/// In-table [`Pointer`].
+#[derive(Clone, Debug)]
+struct PointerEntry {
+    cert: SharedFileCert,
+    holder: Peer,
+    backup_at: Option<Peer>,
+}
+
+/// In-table [`BackupPointer`].
+#[derive(Clone, Debug)]
+struct BackupEntry {
+    cert: SharedFileCert,
+    holder: Peer,
+    owner: Peer,
+}
+
+impl DivertedEntry {
+    fn view<'a, H: Copy + Eq>(&'a self, peers: &PeerTable<H>) -> ReplicaRef<'a, H> {
+        ReplicaRef {
+            cert: &self.cert,
+            diverted_from: Some(peers.get(self.from)),
+        }
+    }
+}
+
+impl PointerEntry {
+    fn view<'a, H: Copy + Eq>(&'a self, peers: &PeerTable<H>) -> PointerRef<'a, H> {
+        PointerRef {
+            holder: peers.get(self.holder),
+            cert: &self.cert,
+            backup_at: self.backup_at.map(|at| peers.get(at)),
+        }
+    }
+}
+
+impl BackupEntry {
+    fn view<'a, H: Copy + Eq>(&'a self, peers: &PeerTable<H>) -> BackupPointerRef<'a, H> {
+        BackupPointerRef {
+            holder: peers.get(self.holder),
+            cert: &self.cert,
+            owner: peers.get(self.owner),
+        }
+    }
+}
+
+impl AsRef<FileCertificate> for DivertedEntry {
+    fn as_ref(&self) -> &FileCertificate {
+        &self.cert
+    }
+}
+
+impl AsRef<FileCertificate> for PointerEntry {
+    fn as_ref(&self) -> &FileCertificate {
+        &self.cert
+    }
+}
+
+impl AsRef<FileCertificate> for BackupEntry {
     fn as_ref(&self) -> &FileCertificate {
         &self.cert
     }
@@ -209,25 +323,35 @@ pub enum Resolution<H: Copy> {
 /// The storage manager of one PAST node.
 ///
 /// `H` identifies remote replica holders (the PAST layer instantiates it
-/// with its node-entry type).
+/// with its node-entry type). Two `H`s that compare equal are one node
+/// to the store.
 #[derive(Debug)]
-pub struct NodeStore<H: Copy> {
+pub struct NodeStore<H: Copy + Eq> {
     capacity: u64,
     policy: StorePolicy,
     /// Primary replicas: the record is the certificate alone (an 8-byte
     /// bucket) — a primary's `diverted_from` is always `None`.
     primaries: FileTable<SharedFileCert>,
-    diverted: FileTable<DivertedEntry<H>>,
+    diverted: FileTable<DivertedEntry>,
     /// A→B pointers: this node is responsible, B holds the replica.
-    pointers: FileTable<Pointer<H>>,
+    pointers: FileTable<PointerEntry>,
     /// C→B backup pointers installed on the k+1-th closest node.
-    backup_pointers: FileTable<BackupPointer<H>>,
+    backup_pointers: FileTable<BackupEntry>,
+    /// The nodes the three tables above name, by handle.
+    peers: PeerTable<H>,
     replica_used: u64,
     cache: Cache,
     rejected_inserts: u64,
 }
 
-impl<H: Copy> NodeStore<H> {
+impl<H: Copy + Eq> NodeStore<H> {
+    /// Bytes of one diverted replica's record (a bucket of its table).
+    pub const DIVERTED_RECORD_BYTES: usize = std::mem::size_of::<ByCert<DivertedEntry>>();
+    /// Bytes of one [`Pointer`]'s record.
+    pub const POINTER_RECORD_BYTES: usize = std::mem::size_of::<ByCert<PointerEntry>>();
+    /// Bytes of one [`BackupPointer`]'s record.
+    pub const BACKUP_RECORD_BYTES: usize = std::mem::size_of::<ByCert<BackupEntry>>();
+
     /// Creates a store advertising `capacity` bytes.
     pub fn new(capacity: u64, policy: StorePolicy, cache_policy: CachePolicyKind) -> Self {
         NodeStore {
@@ -237,6 +361,7 @@ impl<H: Copy> NodeStore<H> {
             diverted: FileTable::default(),
             pointers: FileTable::default(),
             backup_pointers: FileTable::default(),
+            peers: PeerTable(Vec::new()),
             replica_used: 0,
             cache: Cache::new(cache_policy),
             rejected_inserts: 0,
@@ -292,6 +417,12 @@ impl<H: Copy> NodeStore<H> {
     /// Number of diversion pointers installed (A→B entries).
     pub fn pointer_count(&self) -> usize {
         self.pointers.len()
+    }
+
+    /// Distinct nodes this store's records have named since it was
+    /// created: the length of its peer table, which never shrinks.
+    pub fn peer_count(&self) -> usize {
+        self.peers.0.len()
     }
 
     /// Read access to the cache.
@@ -360,7 +491,7 @@ impl<H: Copy> NodeStore<H> {
             self.primaries.insert(ByCert(cert));
         } else {
             past_obs::counter("store.replica.diverted", 1);
-            let from = from.expect("diverted replica carries its source");
+            let from = self.peers.intern(from.expect("diverted replica carries its source"));
             self.diverted.insert(ByCert(DivertedEntry { cert, from }));
         }
         Ok(())
@@ -378,7 +509,7 @@ impl<H: Copy> NodeStore<H> {
                 let ByCert(entry) = self.diverted.take(&id)?;
                 StoredReplica {
                     cert: entry.cert,
-                    diverted_from: Some(entry.from),
+                    diverted_from: Some(self.peers.get(entry.from)),
                 }
             }
         };
@@ -393,7 +524,8 @@ impl<H: Copy> NodeStore<H> {
     /// certificate's id.
     pub fn install_pointer(&mut self, id: FileId, holder: H, cert: SharedFileCert) {
         debug_assert_eq!(id, cert.file_id, "pointer installed under another file's certificate");
-        let pointer = Pointer { holder, cert, backup_at: None };
+        let holder = self.peers.intern(holder);
+        let pointer = PointerEntry { cert, holder, backup_at: None };
         self.pointers.replace(ByCert(pointer));
     }
 
@@ -403,7 +535,7 @@ impl<H: Copy> NodeStore<H> {
         // A set hands out no `&mut`; `replace` rewrites the record in
         // the bucket it already occupies.
         if let Some(ByCert(p)) = self.pointers.get(&id) {
-            let pointer = Pointer { backup_at: Some(at), ..p.clone() };
+            let pointer = PointerEntry { backup_at: Some(self.peers.intern(at)), ..p.clone() };
             self.pointers.replace(ByCert(pointer));
         }
     }
@@ -413,40 +545,57 @@ impl<H: Copy> NodeStore<H> {
     /// certificate, as for [`Self::install_pointer`].
     pub fn install_backup_pointer(&mut self, id: FileId, holder: H, cert: SharedFileCert, owner: H) {
         debug_assert_eq!(id, cert.file_id, "pointer installed under another file's certificate");
+        let (holder, owner) = (self.peers.intern(holder), self.peers.intern(owner));
         self.backup_pointers
-            .replace(ByCert(BackupPointer { holder, cert, owner }));
+            .replace(ByCert(BackupEntry { cert, holder, owner }));
     }
 
     /// Removes a diversion pointer. Returns the whole record, so the
     /// caller holds the certificate and the backup location it must
     /// notify.
     pub fn remove_pointer(&mut self, id: FileId) -> Option<Pointer<H>> {
-        self.pointers.take(&id).map(|p| p.0)
+        let ByCert(p) = self.pointers.take(&id)?;
+        Some(Pointer {
+            holder: self.peers.get(p.holder),
+            backup_at: p.backup_at.map(|at| self.peers.get(at)),
+            cert: p.cert,
+        })
     }
 
     /// Removes a backup pointer. Returns the whole record if present.
     pub fn remove_backup_pointer(&mut self, id: FileId) -> Option<BackupPointer<H>> {
-        self.backup_pointers.take(&id).map(|b| b.0)
+        let ByCert(b) = self.backup_pointers.take(&id)?;
+        Some(BackupPointer {
+            holder: self.peers.get(b.holder),
+            owner: self.peers.get(b.owner),
+            cert: b.cert,
+        })
     }
 
     /// The backup pointers currently installed.
-    pub fn backup_pointers(&self) -> impl Iterator<Item = (&FileId, &BackupPointer<H>)> {
-        self.backup_pointers.iter().map(ByCert::entry)
+    pub fn backup_pointers(&self) -> impl Iterator<Item = (&FileId, BackupPointerRef<'_, H>)> {
+        self.backup_pointers
+            .iter()
+            .map(|ByCert(b)| (&b.cert.file_id, b.view(&self.peers)))
     }
 
     /// The A→B pointers currently installed.
-    pub fn pointers(&self) -> impl Iterator<Item = (&FileId, &Pointer<H>)> {
-        self.pointers.iter().map(ByCert::entry)
+    pub fn pointers(&self) -> impl Iterator<Item = (&FileId, PointerRef<'_, H>)> {
+        self.pointers
+            .iter()
+            .map(|ByCert(p)| (&p.cert.file_id, p.view(&self.peers)))
     }
 
     /// The diversion pointer for `id`, if any.
-    pub fn pointer(&self, id: FileId) -> Option<&Pointer<H>> {
-        self.pointers.get(&id).map(|p| &p.0)
+    pub fn pointer(&self, id: FileId) -> Option<PointerRef<'_, H>> {
+        self.pointers.get(&id).map(|ByCert(p)| p.view(&self.peers))
     }
 
     /// The backup pointer for `id`, if any.
-    pub fn backup_pointer(&self, id: FileId) -> Option<&BackupPointer<H>> {
-        self.backup_pointers.get(&id).map(|b| &b.0)
+    pub fn backup_pointer(&self, id: FileId) -> Option<BackupPointerRef<'_, H>> {
+        self.backup_pointers
+            .get(&id)
+            .map(|ByCert(b)| b.view(&self.peers))
     }
 
     /// The certificate this node keeps for `id` in any role: replica,
@@ -455,8 +604,8 @@ impl<H: Copy> NodeStore<H> {
         self.replica(id)
             .map(|r| r.cert)
             .or_else(|| self.cache.cert(id))
-            .or_else(|| self.pointer(id).map(|p| &p.cert))
-            .or_else(|| self.backup_pointer(id).map(|b| &b.cert))
+            .or_else(|| self.pointer(id).map(|p| p.cert))
+            .or_else(|| self.backup_pointer(id).map(|b| b.cert))
     }
 
     /// Resolves a lookup against replicas, pointers, then the cache.
@@ -487,10 +636,7 @@ impl<H: Copy> NodeStore<H> {
                 diverted_from: None,
             });
         }
-        self.diverted.get(&id).map(|ByCert(e)| ReplicaRef {
-            cert: &e.cert,
-            diverted_from: Some(e.from),
-        })
+        self.diverted.get(&id).map(|ByCert(e)| e.view(&self.peers))
     }
 
     /// Iterates over primary replicas as `(file, certificate)` — a
@@ -501,15 +647,9 @@ impl<H: Copy> NodeStore<H> {
 
     /// Iterates over diverted replicas held here.
     pub fn diverted_here(&self) -> impl Iterator<Item = (&FileId, ReplicaRef<'_, H>)> {
-        self.diverted.iter().map(|ByCert(e)| {
-            (
-                &e.cert.file_id,
-                ReplicaRef {
-                    cert: &e.cert,
-                    diverted_from: Some(e.from),
-                },
-            )
-        })
+        self.diverted
+            .iter()
+            .map(|ByCert(e)| (&e.cert.file_id, e.view(&self.peers)))
     }
 
     /// Whether this node holds a replica of `id` (primary or diverted).

@@ -7,8 +7,13 @@
 //! `file_id` and nothing else. The tables find records by the id inside
 //! the certificate, so a twin must be the same file to them, as it was
 //! when the id was a separate map key.
+//!
+//! The nodes a record names come from a pool in which some entries share
+//! an id and some an address: the store keeps them as handles into its
+//! peer table, and every view must still hand back the very entry that
+//! went in.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use past_crypto::{FileCertificate, KeyPair, Scheme, Sha1, SharedFileCert};
@@ -19,6 +24,23 @@ use rand::{rngs::StdRng, SeedableRng};
 
 const CAPACITY: u64 = 20_000;
 const FILES: usize = 24;
+
+/// A remote node as the PAST layer names one: an id and an address.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct Node {
+    id: u64,
+    addr: u32,
+}
+
+/// 24 distinct nodes, 20 that reuse one of their ids at a new address
+/// (a node that rejoined elsewhere) and 20 that reuse one of their
+/// addresses under a new id (a new node on a recycled address).
+fn pool() -> Vec<Node> {
+    let base = (0..24).map(|i| Node { id: 1_000 + i, addr: i as u32 });
+    let moved = (0..20).map(|i| Node { id: 1_000 + i, addr: 100 + i as u32 });
+    let renamed = (0..20).map(|i| Node { id: 2_000 + i, addr: i as u32 });
+    base.chain(moved).chain(renamed).collect()
+}
 
 /// `FILES` certificates and their twins (other owner, content hash,
 /// size, replication factor, salt and date; same `file_id`).
@@ -61,10 +83,12 @@ fn files() -> Vec<[SharedFileCert; 2]> {
 #[derive(Default)]
 struct Model {
     primaries: BTreeMap<FileId, SharedFileCert>,
-    diverted: BTreeMap<FileId, (SharedFileCert, u32)>,
-    pointers: BTreeMap<FileId, (u32, SharedFileCert, Option<u32>)>,
-    backups: BTreeMap<FileId, (u32, SharedFileCert, u32)>,
+    diverted: BTreeMap<FileId, (SharedFileCert, Node)>,
+    pointers: BTreeMap<FileId, (Node, SharedFileCert, Option<Node>)>,
+    backups: BTreeMap<FileId, (Node, SharedFileCert, Node)>,
     used: u64,
+    /// Every node handed to the store, whether or not a record kept it.
+    handed: BTreeSet<Node>,
 }
 
 impl Model {
@@ -72,7 +96,8 @@ impl Model {
         self.primaries.contains_key(&id) || self.diverted.contains_key(&id)
     }
 
-    fn store(&mut self, cert: &SharedFileCert, from: Option<u32>) -> Result<(), StoreError> {
+    fn store(&mut self, cert: &SharedFileCert, from: Option<Node>) -> Result<(), StoreError> {
+        self.handed.extend(from);
         if self.holds(cert.file_id) {
             return Err(StoreError::Duplicate);
         }
@@ -111,32 +136,37 @@ proptest! {
         ops in prop::collection::vec(any::<(u8, u8, u8)>(), 0..400),
         lru: bool,
     ) {
-        let files = files();
+        let (files, pool) = (files(), pool());
         let kind = if lru { CachePolicyKind::Lru } else { CachePolicyKind::GreedyDualSize };
-        let mut s: NodeStore<u32> = NodeStore::new(CAPACITY, StorePolicy::default(), kind);
+        let mut s: NodeStore<Node> = NodeStore::new(CAPACITY, StorePolicy::default(), kind);
         let mut m = Model::default();
         for (op, pick, arg) in ops {
             let pair = &files[pick as usize % FILES];
             // The low bit of `arg` picks the certificate or its twin,
-            // the rest names a remote node.
-            let (cert, node) = (&pair[arg as usize % 2], (arg / 2) as u32);
+            // the rest names a remote node and the one after it.
+            let at = arg as usize / 2;
+            let cert = &pair[arg as usize % 2];
+            let (node, next) = (pool[at % pool.len()], pool[(at + 1) % pool.len()]);
             let id = cert.file_id;
             match op % 12 {
                 0 => prop_assert_eq!(s.store_primary(cert.clone()), m.store(cert, None)),
                 1 => prop_assert_eq!(s.store_diverted(cert.clone(), node), m.store(cert, Some(node))),
                 2 => {
+                    m.handed.insert(node);
                     s.install_pointer(id, node, cert.clone());
                     m.pointers.insert(id, (node, cert.clone(), None));
                 }
                 3 => {
+                    m.handed.insert(node);
                     s.set_pointer_backup(id, node);
                     if let Some(p) = m.pointers.get_mut(&id) {
                         p.2 = Some(node);
                     }
                 }
                 4 => {
-                    s.install_backup_pointer(id, node, cert.clone(), node + 1);
-                    m.backups.insert(id, (node, cert.clone(), node + 1));
+                    m.handed.extend([node, next]);
+                    s.install_backup_pointer(id, node, cert.clone(), next);
+                    m.backups.insert(id, (node, cert.clone(), next));
                 }
                 5 => {
                     let got = s.remove_replica(id);
@@ -209,6 +239,12 @@ proptest! {
                 (s.primary_count(), s.diverted_count(), s.pointer_count()),
                 (m.primaries.len(), m.diverted.len(), m.pointers.len())
             );
+            prop_assert!(
+                s.peer_count() <= m.handed.len(),
+                "{} peers kept for {} distinct nodes handed in",
+                s.peer_count(),
+                m.handed.len()
+            );
             // Each iterator yields the model's keys, each key beside the
             // record the model holds for it.
             let mut primaries: Vec<_> = s.primaries().map(|(id, c)| (*id, addr(Some(c)))).collect();
@@ -225,7 +261,7 @@ proptest! {
             prop_assert_eq!(diverted, want);
             let mut pointers: Vec<_> = s
                 .pointers()
-                .map(|(id, p)| (*id, p.holder, addr(Some(&p.cert)), p.backup_at))
+                .map(|(id, p)| (*id, p.holder, addr(Some(p.cert)), p.backup_at))
                 .collect();
             pointers.sort();
             let want: Vec<_> =
@@ -233,7 +269,7 @@ proptest! {
             prop_assert_eq!(pointers, want);
             let mut backups: Vec<_> = s
                 .backup_pointers()
-                .map(|(id, b)| (*id, b.holder, addr(Some(&b.cert)), b.owner))
+                .map(|(id, b)| (*id, b.holder, addr(Some(b.cert)), b.owner))
                 .collect();
             backups.sort();
             let want: Vec<_> =
@@ -243,8 +279,18 @@ proptest! {
                 let id = pair[0].file_id;
                 prop_assert_eq!(s.holds_replica(id), m.holds(id));
                 prop_assert!(!(s.cache().contains(id) && m.holds(id)), "cached beside its replica");
-                prop_assert_eq!(s.pointer(id).map(|p| p.holder), m.pointers.get(&id).map(|p| p.0));
-                prop_assert_eq!(s.backup_pointer(id).map(|b| b.owner), m.backups.get(&id).map(|b| b.2));
+                prop_assert_eq!(
+                    s.pointer(id).map(|p| (p.holder, addr(Some(p.cert)), p.backup_at)),
+                    m.pointers.get(&id).map(|(h, c, b)| (*h, addr(Some(c)), *b))
+                );
+                prop_assert_eq!(
+                    s.backup_pointer(id).map(|b| (b.holder, addr(Some(b.cert)), b.owner)),
+                    m.backups.get(&id).map(|(h, c, o)| (*h, addr(Some(c)), *o))
+                );
+                prop_assert_eq!(
+                    s.replica(id).and_then(|r| r.diverted_from),
+                    m.diverted.get(&id).map(|(_, from)| *from)
+                );
                 prop_assert_eq!(
                     addr(s.replica(id).map(|r| r.cert)),
                     addr(m.primaries.get(&id).or(m.diverted.get(&id).map(|(c, _)| c)))

@@ -4,8 +4,9 @@
 //! exist up front (sizes, affinity clusters) are generated eagerly but
 //! stored packed (4 B + 1 B per file), and the per-request draws are
 //! replayed on demand from a snapshot of the generator's RNG state. At
-//! the 10M-file scale that saves the ~250 MB of `TraceOp`s plus ~160 MB
-//! of `FileSpec`s a materialised [`Trace`] holds for the whole replay.
+//! the 10M-file scale that saves the ~170 MB of 8-byte `TraceOp`s plus
+//! ~80 MB of 8-byte `FileSpec`s a materialised [`Trace`] holds for the
+//! whole replay.
 //!
 //! This is the only generator. `generate()` on each config is
 //! `stream()` collected into a [`Trace`], so the two forms cannot
@@ -196,10 +197,7 @@ impl StreamTrace {
     pub(crate) fn into_trace(self) -> Trace {
         let ops = self.ops().collect();
         let files = (0..self.sizes.len() as u32)
-            .map(|index| FileSpec {
-                index,
-                size: self.sizes.get(index),
-            })
+            .map(|i| FileSpec { size: self.sizes.get(i) })
             .collect();
         Trace { files, ops }
     }
@@ -275,7 +273,7 @@ impl Iterator for OpStream<'_> {
         } = &t.kind
         else {
             return Some(TraceOp {
-                client: self.rng.gen_range(0..CLIENTS),
+                client: self.rng.gen_range(0..CLIENTS) as u16,
                 file: r as u32,
                 is_insert: true,
             });
@@ -315,7 +313,7 @@ impl Iterator for OpStream<'_> {
         let member = self.rng.gen_range(0..CLIENTS.div_ceil(CLUSTERS));
         let client = (member * CLUSTERS + cluster).min(CLIENTS - 1);
         Some(TraceOp {
-            client,
+            client: client as u16,
             file: file_idx as u32,
             is_insert,
         })

@@ -9,20 +9,13 @@
 use crate::dist::SizeStats;
 use crate::stream::StreamTrace;
 
-/// A file in a workload: logical name index and size in bytes.
+/// A file in a workload. Its index is its position in [`Trace::files`],
+/// and its textual name is `format!("f{index}")` (see
+/// [`crate::Workload::file_name`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FileSpec {
-    /// Dense index; the file's textual name is `format!("f{index}")`.
-    pub index: u32,
     /// File size in bytes.
     pub size: u64,
-}
-
-impl FileSpec {
-    /// The file's textual name (hashed into the fileId).
-    pub fn name(&self) -> String {
-        format!("f{}", self.index)
-    }
 }
 
 /// One trace record: a client references a file. The first reference to
@@ -31,7 +24,7 @@ impl FileSpec {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TraceOp {
     /// Issuing client (0-based, below [`CLIENTS`]).
-    pub client: u32,
+    pub client: u16,
     /// Referenced file index.
     pub file: u32,
     /// Whether this is the file's first appearance (an insert).
@@ -83,8 +76,11 @@ impl Trace {
     }
 }
 
-/// Distinct clients in every workload (the NLANR log's 775).
+/// Distinct clients in every workload (the NLANR log's 775). A client
+/// is drawn as a `u32` below this and kept as a `u16`.
 pub const CLIENTS: u32 = 775;
+
+const _: () = assert!(CLIENTS <= 1 << 16, "a client must fit TraceOp::client");
 
 /// Geographic client clusters (the eight NLANR sites). Client `c` sits
 /// in cluster `c % CLUSTERS`: round-robin, so the sites are balanced.
@@ -391,7 +387,7 @@ mod tests {
     fn web_trace_client_fields_valid() {
         let t = small_web();
         for op in &t.ops {
-            assert!(op.client < CLIENTS);
+            assert!(u32::from(op.client) < CLIENTS);
         }
     }
 
@@ -503,7 +499,8 @@ mod tests {
     #[test]
     fn file_names_unique() {
         let t = small_web();
-        let names: HashSet<String> = t.files.iter().map(|f| f.name()).collect();
+        let names: HashSet<String> =
+            (0..t.unique_files() as u32).map(|i| crate::Workload::file_name(&t, i)).collect();
         assert_eq!(names.len(), t.files.len());
     }
 }

@@ -22,7 +22,8 @@ fn fold(w: &dyn Workload) -> u64 {
         eat(&w.file_size(i).to_le_bytes());
     }
     for op in w.ops_iter() {
-        eat(&op.client.to_le_bytes());
+        // Widened: the digests were recorded when a client was a `u32`.
+        eat(&u32::from(op.client).to_le_bytes());
         eat(&op.file.to_le_bytes());
         eat(&[op.is_insert as u8]);
     }

@@ -57,9 +57,9 @@ fn main() {
     .generate();
     println!("archiving {} files ...", snapshot.files.len());
     let mut archived = Vec::new();
-    for spec in &snapshot.files {
+    for (i, spec) in snapshot.files.iter().enumerate() {
         let size = spec.size.min(MAX_ARCHIVED_FILE);
-        overlay.insert(Addr(0), &format!("backup/{}", spec.name()), size);
+        overlay.insert(Addr(0), &format!("backup/f{i}"), size);
         overlay.engine.run_for(SimDuration::from_secs(2));
         archived.extend(overlay.drain_inserted().map(|(fid, _)| fid));
     }

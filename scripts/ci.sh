@@ -17,8 +17,9 @@
 #   8. repro: every experiment at smoke scale, twice, asserts on, and
 #      its CSVs against the recorded digests (scripts/repro_smoke.sha256)
 #   9. the three examples, each asserting its own outcome
-#  10. the count-alloc feature: its test, and fig8's peak live heap,
-#      equal to the byte over two runs
+#  10. the count-alloc feature: its test, and the peak live heap of fig8
+#      and fig5, each equal to the byte over two runs, fig5's under a
+#      ceiling (MAX_FIG5_PEAK)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -127,17 +128,27 @@ echo "== counting allocator (feature build, residency twice)"
 # past-obs). With it, `repro` prints each experiment's peak live heap:
 # requested bytes, frees subtracted, no allocator slack, so with the
 # shards inline it repeats to the byte where RSS drifts by hundreds of kB.
+# fig5 is the storage replay, so its peak is what a stored file and a
+# replayed op cost: the ceiling is the count when it was last cut, plus
+# 2 %. Lower it when a change cuts the count; raise it only in a change
+# that says which bytes it adds and why.
+MAX_FIG5_PEAK=2017920
 cargo test -q --release -p past-obs --features count-alloc --offline
-for run in a b; do
-  PAST_SHARD_THREADS=0 PAST_NODES=60 PAST_FILES=5000 PAST_OUT_DIR="$out/alloc_$run" \
-    cargo run --release -q -p past-bench --features count-alloc --bin repro --offline -- fig8 \
-    2>"$out/alloc_$run.err" >/dev/null \
-    || { cat "$out/alloc_$run.err" >&2; echo "error: repro fig8 (count-alloc) failed" >&2; exit 1; }
-  grep "peak live heap" "$out/alloc_$run.err" >"$out/alloc_$run.peak" \
-    || { echo "error: repro printed no peak live heap" >&2; exit 1; }
+for exp in fig8 fig5; do
+  for run in a b; do
+    PAST_SHARD_THREADS=0 PAST_NODES=60 PAST_FILES=5000 PAST_OUT_DIR="$out/alloc_$run" \
+      cargo run --release -q -p past-bench --features count-alloc --bin repro --offline -- "$exp" \
+      2>"$out/alloc_$exp$run.err" >/dev/null \
+      || { cat "$out/alloc_$exp$run.err" >&2; echo "error: repro $exp (count-alloc) failed" >&2; exit 1; }
+    grep "peak live heap" "$out/alloc_$exp$run.err" >"$out/alloc_$exp$run.peak" \
+      || { echo "error: repro $exp printed no peak live heap" >&2; exit 1; }
+  done
+  cmp "$out/alloc_${exp}a.peak" "$out/alloc_${exp}b.peak" \
+    || { echo "error: $exp's peak live heap differs between two runs" >&2; exit 1; }
+  cat "$out/alloc_${exp}a.peak"
 done
-cmp "$out/alloc_a.peak" "$out/alloc_b.peak" \
-  || { echo "error: fig8's peak live heap differs between two runs" >&2; exit 1; }
-cat "$out/alloc_a.peak"
+peak=$(awk '{ print $(NF - 1) }' "$out/alloc_fig5a.peak")
+[ "$peak" -le "$MAX_FIG5_PEAK" ] \
+  || { echo "error: fig5's peak live heap $peak B is above $MAX_FIG5_PEAK B" >&2; exit 1; }
 
 echo "CI OK"

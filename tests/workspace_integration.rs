@@ -253,7 +253,7 @@ fn static_overlay_audits_clean_after_a_trace_replay() {
     );
     let mut stored = vec![None; trace.unique_files()];
     for op in trace.ops_iter() {
-        let from = Addr(op.client % nodes as u32);
+        let from = Addr(u32::from(op.client) % nodes as u32);
         if op.is_insert {
             overlay.insert(from, &trace.file_name(op.file), trace.file_size(op.file));
         } else if let Some((fid, _)) = stored[op.file as usize] {
