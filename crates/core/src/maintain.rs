@@ -90,26 +90,17 @@ impl PastNode {
         ctx.set_app_timer(self.cfg.maint_ack_timeout, MAINT_RETRY_BASE + seq);
     }
 
-    /// Accounts maintenance payload bytes by class. The struct counters
-    /// always run (plain integers, invisible to legacy metrics); the
-    /// obs counters are emitted only in warm-restart mode so existing
-    /// metrics reports stay byte-identical.
-    pub(crate) fn count_maint_bytes(&mut self, ctx: &PCtx<'_, '_>, bytes: u64, refresh: bool) {
-        if refresh {
-            self.maint_stats.bytes_refresh += bytes;
+    /// Accounts maintenance payload bytes by class, in the struct
+    /// counters and, when a recorder is installed, the obs counters.
+    pub(crate) fn count_maint_bytes(&mut self, bytes: u64, refresh: bool) {
+        let stats = &mut self.maint_stats;
+        let (total, name) = if refresh {
+            (&mut stats.bytes_refresh, "maint.bytes.refresh")
         } else {
-            self.maint_stats.bytes_rereplication += bytes;
-        }
-        if ctx.config().warm_restart && past_obs::is_enabled() {
-            past_obs::counter(
-                if refresh {
-                    "maint.bytes.refresh"
-                } else {
-                    "maint.bytes.rereplication"
-                },
-                bytes,
-            );
-        }
+            (&mut stats.bytes_rereplication, "maint.bytes.rereplication")
+        };
+        *total += bytes;
+        past_obs::counter(name, bytes);
     }
 
     /// The receiver acknowledged maintenance message `seq`.
@@ -247,7 +238,7 @@ impl PastNode {
         }
         to_restore.sort_by_key(|(_, cert)| cert.file_id);
         for (node, cert) in to_restore {
-            self.count_maint_bytes(ctx, cert.file_size, false);
+            self.count_maint_bytes(cert.file_size, false);
             self.send_maint(ctx, node, MsgKind::ReplicaTransfer { cert });
         }
         // (b) A→B pointers whose holder B failed: the diverted replica is
@@ -319,7 +310,7 @@ impl PastNode {
         }
         if let Some(replica) = self.store.replica(file_id) {
             let cert = replica.cert.clone();
-            self.count_maint_bytes(ctx, cert.file_size, refresh);
+            self.count_maint_bytes(cert.file_size, refresh);
             self.send_maint(ctx, from, MsgKind::ReplicaTransfer { cert });
         }
     }
@@ -472,7 +463,7 @@ impl PastNode {
                         },
                     );
                 } else {
-                    self.count_maint_bytes(ctx, cert.file_size, true);
+                    self.count_maint_bytes(cert.file_size, true);
                     self.send_maint(ctx, node, MsgKind::ReplicaTransfer { cert: cert.clone() });
                 }
             }

@@ -47,8 +47,6 @@ const AUDIT_BATCH: usize = 4;
 /// How long an auditor waits for a possession proof before treating the
 /// challenge as failed.
 const AUDIT_TIMEOUT: past_net::SimDuration = past_net::SimDuration::from_secs(2);
-/// Bytes of one warm-restart inventory entry: a fileId and its size.
-const INVENTORY_ENTRY: usize = 20 + 8;
 
 /// A client operation awaiting completion.
 #[derive(Clone, Debug)]
@@ -222,24 +220,9 @@ impl PastNode {
         &self.cfg
     }
 
-    /// The node's public key.
-    pub fn public_key(&self) -> past_crypto::PublicKey {
-        self.keys.public()
-    }
-
-    /// Number of client operations still pending.
-    pub fn pending_ops(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Counters for the reliable maintenance plane.
     pub fn maint_stats(&self) -> MaintStats {
         self.maint_stats
-    }
-
-    /// Number of maintenance messages still awaiting acknowledgement.
-    pub fn maint_in_flight(&self) -> usize {
-        self.maint_pending.len()
     }
 
     /// This node's Byzantine strategy (all-false = honest).
@@ -753,49 +736,6 @@ impl PastNode {
             ctx.demote_peer(p.holder.id);
         }
     }
-
-    /// Encodes the storage inventory carried in the warm-restart
-    /// snapshot's application payload: the primary file table, as a
-    /// little-endian `u32` count followed by (id, size) pairs, sorted so
-    /// same-seed runs snapshot identical bytes regardless of hash-map
-    /// order.
-    pub(crate) fn encode_inventory(&self) -> Vec<u8> {
-        let mut primaries: Vec<(FileId, u64)> = self
-            .store
-            .primaries()
-            .map(|(id, cert)| (*id, cert.file_size))
-            .collect();
-        primaries.sort_by_key(|(id, _)| *id);
-        let mut out = Vec::with_capacity(4 + primaries.len() * INVENTORY_ENTRY);
-        out.extend_from_slice(&(primaries.len() as u32).to_le_bytes());
-        for (id, size) in &primaries {
-            out.extend_from_slice(id.as_bytes());
-            out.extend_from_slice(&size.to_le_bytes());
-        }
-        out
-    }
-
-    /// Decodes [`Self::encode_inventory`]. Returns `None` on any framing
-    /// violation — a corrupt payload is treated as "no inventory", never
-    /// trusted partially.
-    pub(crate) fn decode_inventory(payload: &[u8]) -> Option<Vec<(FileId, u64)>> {
-        let (count, entries) = payload.split_first_chunk::<4>()?;
-        let count = u32::from_le_bytes(*count) as usize;
-        if count.checked_mul(INVENTORY_ENTRY)? != entries.len() {
-            return None;
-        }
-        let primaries = entries
-            .chunks_exact(INVENTORY_ENTRY)
-            .map(|entry| {
-                let (id, size) = entry.split_at(20);
-                (
-                    FileId::from_bytes(id.try_into().expect("20 bytes")),
-                    u64::from_le_bytes(size.try_into().expect("8 bytes")),
-                )
-            })
-            .collect();
-        Some(primaries)
-    }
 }
 
 impl Application for PastNode {
@@ -1035,31 +975,26 @@ impl Application for PastNode {
         self.arm_sweeps(ctx, MIGRATION_TOKEN..=AUDIT_SWEEP_TOKEN);
     }
 
-    fn snapshot(&self) -> Vec<u8> {
-        self.encode_inventory()
-    }
-
-    fn on_restore(&mut self, ctx: &mut PCtx<'_, '_>, payload: &[u8]) {
+    fn on_restore(&mut self, ctx: &mut PCtx<'_, '_>) {
         // The periodic sweeps' timer chains broke while the node was
         // down (timers addressed to a down node are discarded); re-arm
         // them so a warm-restarted node resumes background repair.
         self.arm_sweeps(ctx, MIGRATION_TOKEN..=AUDIT_SWEEP_TOKEN);
-        let inventory = match Self::decode_inventory(payload) {
-            Some(v) => v,
-            None => return,
-        };
+        // Re-advertise every primary the store ("disk") still holds with
+        // the cheap certificate-sized message, routed so it converges on
+        // the file's current responsible node. Sorted by fileId: the
+        // store's maps iterate in per-instance random order.
+        let mut primaries: Vec<SharedFileCert> = self
+            .store
+            .primaries()
+            .map(|(_, cert)| cert.clone())
+            .collect();
+        primaries.sort_unstable_by_key(|cert| cert.file_id);
         let own = ctx.own();
-        for (file_id, size) in inventory {
-            // Validated, not trusted: only files the store ("disk")
-            // actually holds at the recorded size are re-advertised —
-            // with the cheap certificate-sized message, routed so it
-            // converges on the file's current responsible node.
-            let cert = match self.store.replica(file_id) {
-                Some(r) if r.size() == size => r.cert.clone(),
-                _ => continue,
-            };
+        for cert in primaries {
+            let key = cert.file_id.as_key();
             let m = self.msg(MsgKind::ReplicaAdvertise { cert, holder: own });
-            ctx.route(file_id.as_key(), m);
+            ctx.route(key, m);
         }
     }
 
@@ -1088,56 +1023,5 @@ impl Application for PastNode {
             self.audit_sweep(ctx);
             self.arm_sweeps(ctx, [token]);
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn fid(n: u8) -> FileId {
-        FileId::from_bytes([n; 20])
-    }
-
-    fn encode(primaries: &[(FileId, u64)]) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&(primaries.len() as u32).to_le_bytes());
-        for (id, size) in primaries {
-            out.extend_from_slice(id.as_bytes());
-            out.extend_from_slice(&size.to_le_bytes());
-        }
-        out
-    }
-
-    #[test]
-    fn inventory_roundtrip() {
-        let primaries = vec![(fid(1), 100u64), (fid(2), 2_000_000)];
-        let payload = encode(&primaries);
-        assert_eq!(payload.len(), 4 + 2 * INVENTORY_ENTRY);
-        assert_eq!(PastNode::decode_inventory(&payload), Some(primaries));
-
-        let empty = encode(&[]);
-        assert_eq!(PastNode::decode_inventory(&empty), Some(vec![]));
-    }
-
-    #[test]
-    fn inventory_rejects_malformed_payloads() {
-        let payload = encode(&[(fid(3), 42), (fid(4), 7)]);
-        // Truncations at every prefix length fail closed.
-        for cut in 0..payload.len() {
-            assert_eq!(
-                PastNode::decode_inventory(&payload[..cut]),
-                None,
-                "truncated at {cut}"
-            );
-        }
-        // Trailing garbage is rejected, not ignored.
-        let mut long = payload.clone();
-        long.push(0);
-        assert_eq!(PastNode::decode_inventory(&long), None);
-        // A count far past the payload's end must not panic or allocate.
-        let mut bogus = encode(&[]);
-        bogus[..4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert_eq!(PastNode::decode_inventory(&bogus), None);
     }
 }

@@ -41,8 +41,9 @@ pub trait Protocol: Sized {
     /// Invoked when the node crashes (scheduled fault or harness call).
     /// Deliberately context-free: a crashing node cannot send messages,
     /// arm timers, or draw randomness — which also makes the hook
-    /// trivially invariant across shard counts. Protocols use it to
-    /// capture a "persisted to disk" snapshot for warm restarts.
+    /// trivially invariant across shard counts. The node's state is
+    /// kept while it is down, so protocols use the hook only to drop
+    /// what a real crash would lose and to mark a warm restart.
     fn on_crash(&mut self, now: SimTime) {
         let _ = now;
     }
@@ -105,13 +106,6 @@ impl<'a, M, U> Ctx<'a, M, U> {
     /// Scalar proximity between this node and `other` (e.g. an RTT probe).
     pub fn proximity(&self, other: Addr) -> f64 {
         self.topology.distance(self.self_addr, other)
-    }
-
-    /// Scalar proximity between two arbitrary nodes. Real deployments
-    /// estimate this with probes; the emulation exposes the metric
-    /// directly, as the paper's emulation environment does.
-    pub fn proximity_between(&self, a: Addr, b: Addr) -> f64 {
-        self.topology.distance(a, b)
     }
 
     /// Deterministic RNG. Under the single-threaded engine this is one

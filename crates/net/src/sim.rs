@@ -166,7 +166,7 @@ impl<P: Protocol> Simulator<P> {
     /// Marks a node as failed: pending and future messages/timers for it
     /// are dropped, but its state (disk contents) is retained. The
     /// protocol's context-free [`Protocol::on_crash`] hook runs once per
-    /// up→down transition (e.g. to snapshot state for a warm restart).
+    /// up→down transition (e.g. to mark a warm restart).
     pub fn fail_node(&mut self, addr: Addr) {
         self.core.fail_node(addr);
     }

@@ -158,13 +158,6 @@ impl ClusteredTopology {
         }
     }
 
-    /// Overrides the intra/inter-cluster distances.
-    pub fn with_distances(mut self, intra: f64, inter: f64) -> Self {
-        self.intra = intra;
-        self.inter = inter;
-        self
-    }
-
     /// Returns the cluster a node belongs to.
     pub fn cluster(&self, a: Addr) -> u32 {
         self.cluster_of[a.index()]

@@ -56,14 +56,13 @@ pub struct PastryConfig {
     /// lazily") and re-forwards around it. Costs one extra message and a
     /// timer per hop; static-network experiments disable it.
     pub per_hop_acks: bool,
-    /// Warm restarts: on crash the node captures a state snapshot
-    /// (leaf set, routing table, neighborhood, peer scores, application
-    /// payload) and on recovery restores from it — replaying every
-    /// entry through the normal validation paths — instead of rejoining
-    /// cold. The application reads the same flag: PAST's payload is its
-    /// file inventory and quota ledger, which a restored node validates
-    /// against its store and re-advertises, and its anti-entropy sweep
-    /// and over-replication reconciliation switch to the advertise-based
+    /// Warm restarts: a recovering node rebuilds from the state it kept
+    /// across the crash (leaf set, routing table, neighborhood, peer
+    /// scores) — re-feeding every entry through the normal validation
+    /// paths — instead of rejoining cold. The application reads the
+    /// same flag: a restarted PAST node re-advertises the primaries its
+    /// store still holds, and its anti-entropy sweep and
+    /// over-replication reconciliation switch to the advertise-based
     /// forms. Off by default so legacy runs stay byte-identical.
     pub warm_restart: bool,
     /// Per-peer reliability: off, tracked, or tracked and acted on by

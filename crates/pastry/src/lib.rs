@@ -23,7 +23,6 @@ mod neighborhood;
 mod node;
 mod peer_score;
 mod routing_table;
-mod snapshot;
 mod state;
 
 pub use config::{PastryConfig, Reliability, B};
@@ -32,5 +31,4 @@ pub use neighborhood::{Neighbor, NeighborhoodSet};
 pub use node::{AppCtx, Application, Body, Envelope, PastryNode};
 pub use peer_score::{PeerScore, PeerScoreTable, RELIABILITY_PRIOR_MILLI};
 pub use routing_table::{RouteCell, RoutingTable};
-pub use snapshot::{NodeSnapshot, SnapshotCell, SnapshotError, SnapshotPeer};
 pub use state::{HopClass, LeafChange, NextHop, PastryState};

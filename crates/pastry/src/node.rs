@@ -3,7 +3,7 @@
 //! application interception.
 
 
-use std::cell::{Ref, RefCell};
+use std::cell::RefCell;
 
 use past_id::{IdHashMap, NodeId};
 use past_net::{Addr, Ctx, Protocol, SimDuration, SimTime};
@@ -12,7 +12,6 @@ use crate::config::{PastryConfig, Reliability, B};
 use crate::leaf_set::NodeEntry;
 use crate::peer_score::PeerScoreTable;
 use crate::routing_table::RouteCell;
-use crate::snapshot::{NodeSnapshot, SnapshotCell, SnapshotPeer};
 use crate::state::{LeafChange, NextHop, PastryState};
 
 /// Timer token for the periodic keep-alive sweep.
@@ -190,19 +189,13 @@ pub trait Application: Sized {
         let _ = (ctx, token);
     }
 
-    /// Serializes application state for a warm-restart snapshot. Called
-    /// at crash time with no context (the node is going down); must be
-    /// a pure read. The bytes come back through [`Application::on_restore`].
-    fn snapshot(&self) -> Vec<u8> {
-        Vec::new()
-    }
-
-    /// The node recovered from a warm-restart snapshot; `payload` is
-    /// what [`Application::snapshot`] returned at crash time. The
-    /// application should validate the payload against its live state
-    /// and re-advertise anything the overlay may have re-replicated.
-    fn on_restore(&mut self, ctx: &mut AppCtx<'_, '_, Self::Msg, Self::Upcall>, payload: &[u8]) {
-        let _ = (ctx, payload);
+    /// The node warm-restarted: its Pastry state was rebuilt from what
+    /// it kept across the crash, and the application's own state is as
+    /// it was when the node went down. The application should restart
+    /// its timers and re-advertise anything the overlay may have
+    /// re-replicated meanwhile.
+    fn on_restore(&mut self, ctx: &mut AppCtx<'_, '_, Self::Msg, Self::Upcall>) {
+        let _ = ctx;
     }
 }
 
@@ -382,11 +375,13 @@ pub struct PastryNode<A: Application> {
     demotions: RefCell<Vec<NodeId>>,
     /// Peers this node refuses to re-admit (failed storage audits).
     shunned: std::collections::BTreeSet<NodeId>,
-    /// Encoded [`NodeSnapshot`] captured at crash time (warm restarts).
-    snapshot_bytes: Option<Vec<u8>>,
-    /// Recoveries that restored state from a snapshot.
+    /// Crashed under `warm_restart` and not yet recovered: the next
+    /// recovery rebuilds from the state the node kept.
+    crashed: bool,
+    /// Recoveries that rebuilt from the kept state.
     restarts_warm: u64,
-    /// Recoveries that rejoined cold (no snapshot, or rejected one).
+    /// Recoveries that rejoined cold (warm restarts off, or no crash
+    /// since the last recovery).
     restarts_cold: u64,
 }
 
@@ -408,7 +403,7 @@ impl<A: Application> PastryNode<A> {
             scores,
             demotions: RefCell::new(Vec::new()),
             shunned: std::collections::BTreeSet::new(),
-            snapshot_bytes: None,
+            crashed: false,
             restarts_warm: 0,
             restarts_cold: 0,
         }
@@ -439,20 +434,9 @@ impl<A: Application> PastryNode<A> {
         self.state.own()
     }
 
-    /// Read access to the peer-reliability table.
-    pub fn peer_scores(&self) -> Ref<'_, PeerScoreTable> {
-        self.scores.borrow()
-    }
-
     /// `(warm, cold)` recovery counts for this node.
     pub fn restart_counts(&self) -> (u64, u64) {
         (self.restarts_warm, self.restarts_cold)
-    }
-
-    /// The encoded snapshot captured at the last crash, if any
-    /// (test/diagnostic access).
-    pub fn snapshot_bytes(&self) -> Option<&[u8]> {
-        self.snapshot_bytes.as_deref()
     }
 
     /// Runs `f` against the hosted application with a full [`AppCtx`].
@@ -776,66 +760,31 @@ impl<A: Application> PastryNode<A> {
         }
     }
 
-    /// Captures everything worth persisting across a restart.
-    fn capture_snapshot(&self, now: SimTime) -> NodeSnapshot {
-        NodeSnapshot {
-            own: self.state.own(),
-            taken_at: now,
-            leaf: self.state.leaf_set().members().copied().collect(),
-            routing: self
-                .state
-                .routing_table()
-                .entries()
-                .map(|c| SnapshotCell {
-                    entry: c.entry,
-                    proximity: c.proximity,
-                })
-                .collect(),
-            neighborhood: self
-                .state
-                .neighborhood()
-                .members()
-                .map(|n| SnapshotCell {
-                    entry: n.entry,
-                    proximity: n.proximity,
-                })
-                .collect(),
-            peers: self
-                .scores
-                .borrow()
-                .entries_sorted()
-                .into_iter()
-                .map(|(id, score)| SnapshotPeer { id, score })
-                .collect(),
-            app: self.app.snapshot(),
-        }
-    }
-
-    /// Warm recovery: rebuild Pastry state by replaying every snapshot
-    /// entry through the normal observation path (`on_node_seen`), so
-    /// the restored structures pass the same invariant checks live
-    /// traffic would — the snapshot is validated, not trusted. Then
-    /// probe a bounded number of the most reliable restored peers
-    /// instead of the whole leaf set.
-    fn restore_from_snapshot(
-        &mut self,
-        ctx: &mut Ctx<'_, Envelope<A::Msg>, A::Upcall>,
-        snap: NodeSnapshot,
-    ) {
+    /// Warm recovery from the state the node kept across the crash:
+    /// reset the Pastry state and re-feed every remembered leaf,
+    /// routing and neighborhood entry through the normal observation
+    /// path (`on_node_seen`), so the rebuilt structures pass the same
+    /// invariant checks live traffic would. The peer scores are kept
+    /// as they are. Then probe a bounded number of the most reliable
+    /// leaf-set members instead of the whole leaf set.
+    fn restart_warm(&mut self, ctx: &mut Ctx<'_, Envelope<A::Msg>, A::Upcall>) {
         let now = ctx.now();
-        self.state = PastryState::new(snap.own, &self.cfg);
-        let remembered = snap
-            .leaf
-            .iter()
+        let own = self.state.own();
+        let remembered: Vec<NodeEntry> = self
+            .state
+            .leaf_set()
+            .members()
             .copied()
-            .chain(snap.routing.iter().map(|c| c.entry))
-            .chain(snap.neighborhood.iter().map(|c| c.entry));
+            .chain(self.state.routing_table().entries().map(|c| c.entry))
+            .chain(self.state.neighborhood().members().map(|n| n.entry))
+            .collect();
+        self.state = PastryState::new(own, &self.cfg);
         let track_heard = self.cfg.keep_alive_period.micros() > 0 || self.cfg.per_hop_acks;
         for entry in remembered {
-            if entry.id == snap.own.id {
+            if entry.id == own.id {
                 continue;
             }
-            // Fresh proximity measurement, not the snapshot's: the
+            // Fresh proximity measurement, not the kept one: the
             // network may have changed while we were down.
             let proximity = ctx.proximity(entry.addr);
             self.state.on_node_seen(entry, proximity);
@@ -845,11 +794,6 @@ impl<A: Application> PastryNode<A> {
                 self.last_heard.insert(entry.id, now);
             }
         }
-        let mut table = PeerScoreTable::new(RELIABILITY_HALF_LIFE);
-        for p in &snap.peers {
-            table.insert_raw(p.id, p.score);
-        }
-        *self.scores.borrow_mut() = table;
         self.joined = true;
         // Bounded, prioritized reconnection: highest reliability first,
         // id as the deterministic tie-break.
@@ -867,9 +811,8 @@ impl<A: Application> PastryNode<A> {
             self.send(ctx, m.addr, Body::LeafSetRequest);
             self.send(ctx, m.addr, Body::Announce);
         }
-        let app_payload = snap.app;
         let mut app_ctx = Self::app_ctx(&self.state, &self.cfg, &self.scores, &self.demotions, ctx);
-        self.app.on_restore(&mut app_ctx, &app_payload);
+        self.app.on_restore(&mut app_ctx);
     }
 }
 
@@ -901,14 +844,14 @@ impl<A: Application> Protocol for PastryNode<A> {
         }
     }
 
-    fn on_crash(&mut self, now: SimTime) {
-        if !self.cfg.warm_restart {
-            return;
+    fn on_crash(&mut self, _now: SimTime) {
+        if self.cfg.warm_restart {
+            // In-flight forwards die with the process; the rest of the
+            // node's state is what it kept, and nothing touches it
+            // until it recovers.
+            self.pending_forwards.clear();
+            self.crashed = true;
         }
-        // "Flush to disk": serialize the node's state so recovery can
-        // restore from it. In-flight forwards die with the process.
-        self.pending_forwards.clear();
-        self.snapshot_bytes = Some(self.capture_snapshot(now).encode());
     }
 
     fn on_recover(&mut self, ctx: &mut Ctx<'_, Self::Msg, Self::Upcall>) {
@@ -916,15 +859,10 @@ impl<A: Application> Protocol for PastryNode<A> {
             ctx.set_timer(self.cfg.keep_alive_period, KEEPALIVE_TOKEN);
         }
         if self.cfg.warm_restart {
-            let snap = self
-                .snapshot_bytes
-                .take()
-                .and_then(|b| NodeSnapshot::decode(&b).ok())
-                .filter(|s| s.own == self.state.own());
-            if let Some(snap) = snap {
+            if std::mem::take(&mut self.crashed) {
                 self.restarts_warm += 1;
                 past_obs::counter("maint.restart.warm", 1);
-                self.restore_from_snapshot(ctx, snap);
+                self.restart_warm(ctx);
                 return;
             }
             past_obs::counter("maint.restart.cold", 1);

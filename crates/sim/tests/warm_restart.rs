@@ -1,7 +1,10 @@
 //! Warm-restart integration tests.
 //!
-//! Three contracts from the warm-restart work:
+//! Four contracts from the warm-restart work:
 //!
+//! - **only a crash arms a warm restart**: a recovery rebuilds from the
+//!   kept state only if the node crashed since its last recovery;
+//!   otherwise it rejoins cold.
 //! - **over-replication reconciles**: a holder that rejoins after its
 //!   replica was re-created elsewhere briefly yields k+1 copies; the
 //!   advertise/`MigrationDone` reconciliation must deterministically
@@ -12,7 +15,7 @@
 //! - **engine parity**: a churn run with warm restarts on must produce
 //!   identical results on the legacy engine and at any shard count.
 
-use past_net::{FaultPlan, SimDuration};
+use past_net::{Addr, FaultPlan, SimDuration};
 use past_pastry::Reliability;
 use past_sim::{ChurnConfig, ChurnRunner};
 
@@ -31,6 +34,24 @@ fn warm_cfg(seed: u64, warm: bool, shards: usize) -> ChurnConfig {
         cfg.pastry.reliability = Reliability::Track;
     }
     cfg
+}
+
+/// With `warm_restart` on, recovering a node that has not crashed since
+/// its last recovery rejoins cold; a crash followed by a recovery
+/// rebuilds warm, once.
+#[test]
+fn only_a_crash_arms_a_warm_restart() {
+    let mut r = ChurnRunner::build(warm_cfg(3, true, 0));
+    let node = Addr(1);
+    assert_eq!(r.restart_totals(), (0, 0));
+    r.sim_mut().recover_node(node);
+    assert_eq!(r.restart_totals(), (0, 1), "no crash since last recovery");
+    r.sim_mut().fail_node(node);
+    r.run_for(SimDuration::from_secs(5));
+    r.sim_mut().recover_node(node);
+    assert_eq!(r.restart_totals(), (1, 1), "a crash, then a recovery");
+    r.sim_mut().recover_node(node);
+    assert_eq!(r.restart_totals(), (1, 2), "one crash, one warm restart");
 }
 
 /// Satellite regression: crash one replica holder long enough for the

@@ -16,6 +16,7 @@
 #   7. copies of a message between send and handler (count_copies.sh)
 #   8. repro: every experiment at smoke scale, twice, asserts on, and
 #      its CSVs against the recorded digests (scripts/repro_smoke.sha256)
+#      and the fixed-scale ones against results/
 #   9. the three examples, each asserting its own outcome
 #  10. the count-alloc feature: its test, and the peak live heap of fig8
 #      and fig5, each equal to the byte over two runs, fig5's under a
@@ -83,6 +84,7 @@ echo "== repro (every experiment at smoke scale, twice)"
 #   PAST_NODES=60 PAST_FILES=5000 PAST_OUT_DIR=/tmp/smoke \
 #     cargo run --release -q -p past-bench --bin repro -- all
 #   (cd /tmp/smoke && sha256sum *.csv) >scripts/repro_smoke.sha256
+#   cp /tmp/smoke/{churn_availability,churn_warm_vs_cold,byzantine_audit}.csv results/
 # Output goes to a scratch dir so CI never dirties the working tree.
 out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
@@ -100,6 +102,13 @@ for csv in "$out"/a/*.csv; do
 done
 (cd "$out/a" && sha256sum --quiet -c -) <scripts/repro_smoke.sha256 \
   || { echo "error: repro CSVs differ from scripts/repro_smoke.sha256 (re-record it if the model change is meant)" >&2; exit 1; }
+# The three experiments that drive their own overlay at a fixed scale
+# ignore PAST_NODES / PAST_FILES, so the smoke run must also reproduce
+# their committed results/ files byte for byte.
+for name in churn_availability churn_warm_vs_cold byzantine_audit; do
+  cmp "$out/a/$name.csv" "results/$name.csv" \
+    || { echo "error: repro $name differs from results/$name.csv" >&2; exit 1; }
+done
 experiments=0
 while read -r name _; do
   wrote=0
