@@ -25,8 +25,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use past_bench::{
-    base_config, fs_trace, print_table, progress_logger, storage_row, web_stream, web_trace,
-    write_csv, NamedRow, Scale,
+    base_config, fs_trace, progress_logger, storage_row, web_stream, web_trace, NamedRow, Scale,
+    Table,
 };
 use past_core::{PastConfig, PastEvent};
 use past_net::{Addr, EuclideanTopology, FaultPlan, SimDuration};
@@ -88,15 +88,6 @@ struct Replay {
     label: String,
     source: Source,
     cfg: ExperimentConfig,
-}
-
-/// One CSV, `<name>.csv`.
-struct Table {
-    name: &'static str,
-    /// Whether it is also printed, under the experiment's title.
-    print: bool,
-    header: Vec<String>,
-    rows: Vec<Vec<String>>,
 }
 
 /// One table or figure of the paper, or one experiment on a later
@@ -416,22 +407,12 @@ fn strings<const N: usize>(cells: [&str; N]) -> Vec<String> {
 
 /// The one table of a single-table experiment.
 fn table(e: &Experiment, header: Vec<String>, rows: Vec<Vec<String>>) -> Vec<Table> {
-    vec![Table {
-        name: e.name,
-        print: true,
-        header,
-        rows,
-    }]
+    vec![Table::new(e.name, true, header, rows)]
 }
 
 /// A further CSV of a multi-table experiment, written but not printed.
 fn quiet_table(name: &'static str, header: Vec<String>, rows: Vec<Vec<String>>) -> Table {
-    Table {
-        name,
-        print: false,
-        header,
-        rows,
-    }
+    Table::new(name, false, header, rows)
 }
 
 /// The one table of a single-table experiment, from rows that carry
@@ -525,12 +506,7 @@ fn summary(name: &'static str, rows: &[(&str, String)]) -> Table {
     let rows = rows
         .iter()
         .map(|(metric, value)| vec![metric.to_string(), value.clone()]);
-    Table {
-        name,
-        print: true,
-        header: strings(["metric", "value"]),
-        rows: rows.collect(),
-    }
+    Table::new(name, true, strings(["metric", "value"]), rows.collect())
 }
 
 fn keep_fig6(_: &Experiment, _: &str, r: &ExperimentResult, mean_size: f64) -> Vec<Table> {
@@ -945,7 +921,7 @@ fn render_byzantine_audit(e: &Experiment, _: Scale, _: Vec<Vec<Table>>) -> Vec<T
             let shunned: usize = r
                 .entries()
                 .iter()
-                .filter_map(|e| r.engine().node(e.addr))
+                .filter_map(|e| r.sim().node(e.addr))
                 .map(|n| n.shunned().len())
                 .sum();
             let report = r.audit();
@@ -1353,9 +1329,9 @@ fn main() {
         }
         for table in tables {
             if table.print {
-                print_table(e.title, &table.header, &table.rows);
+                table.print(e.title);
             }
-            if let Err(e) = write_csv(table.name, &table.header, &table.rows) {
+            if let Err(e) = table.write_csv() {
                 eprintln!("repro: cannot write {e}");
                 std::process::exit(1);
             }

@@ -120,56 +120,92 @@ pub fn storage_row(label: &str, r: &ExperimentResult) -> NamedRow {
     ]
 }
 
-/// Prints an aligned text table.
-pub fn print_table(title: &str, header: &[String], rows: &[Vec<String>]) {
-    println!("\n== {title}");
-    let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            if i < widths.len() {
-                widths[i] = widths[i].max(cell.len());
+/// One CSV, `<name>.csv`. Every row is exactly as wide as the header:
+/// [`Table::new`] checks it once, where the table is built, so the
+/// printed table and the CSV always have the same shape.
+pub struct Table {
+    /// The CSV's file stem.
+    pub name: &'static str,
+    /// Whether it is also printed, under the experiment's title.
+    pub print: bool,
+    /// The column names.
+    pub header: Vec<String>,
+    /// The rows, each as wide as the header.
+    pub rows: Vec<Vec<String>>,
+}
+
+impl Table {
+    /// A table of `rows` under `header`.
+    ///
+    /// # Panics
+    ///
+    /// If a row is not exactly as wide as `header`.
+    pub fn new(
+        name: &'static str,
+        print: bool,
+        header: Vec<String>,
+        rows: Vec<Vec<String>>,
+    ) -> Table {
+        if let Some(row) = rows.iter().find(|row| row.len() != header.len()) {
+            panic!("{name}: row {row:?} is not as wide as its header {header:?}");
+        }
+        Table {
+            name,
+            print,
+            header,
+            rows,
+        }
+    }
+
+    /// Prints the table aligned, under `title`.
+    pub fn print(&self, title: &str) {
+        println!("\n== {title}");
+        let mut widths: Vec<usize> = self.header.iter().map(|h| h.len()).collect();
+        for row in &self.rows {
+            for (width, cell) in widths.iter_mut().zip(row) {
+                *width = (*width).max(cell.len());
             }
         }
-    }
-    let mut line = String::new();
-    for (i, h) in header.iter().enumerate() {
-        let _ = write!(line, "{:<w$}  ", h, w = widths[i]);
-    }
-    println!("{line}");
-    println!("{}", "-".repeat(line.len()));
-    for row in rows {
-        let mut line = String::new();
-        for (i, cell) in row.iter().enumerate() {
-            let _ = write!(line, "{:<w$}  ", cell, w = widths[i]);
+        let line = |cells: &[String]| {
+            let mut line = String::new();
+            for (cell, w) in cells.iter().zip(&widths) {
+                let _ = write!(line, "{cell:<w$}  ");
+            }
+            line
+        };
+        let head = line(&self.header);
+        println!("{head}");
+        println!("{}", "-".repeat(head.len()));
+        for row in &self.rows {
+            println!("{}", line(row));
         }
-        println!("{line}");
     }
-}
 
-/// Writes rows as CSV under `results/<name>.csv` (or
-/// `$PAST_OUT_DIR/<name>.csv`, so scratch runs at other scales don't
-/// dirty the tree). An error names the path it could not write.
-pub fn write_csv(name: &str, header: &[String], rows: &[Vec<String>]) -> io::Result<()> {
-    let path = past_sim::out_dir().join(format!("{name}.csv"));
-    write_csv_at(&path, header, rows)
-        .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", path.display())))?;
-    println!("(wrote {})", path.display());
-    Ok(())
-}
-
-/// Writes rows as the CSV file `path`, creating its directory if need
-/// be.
-fn write_csv_at(path: &Path, header: &[String], rows: &[Vec<String>]) -> io::Result<()> {
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)?;
+    /// Writes the table as `results/<name>.csv` (or
+    /// `$PAST_OUT_DIR/<name>.csv`, so scratch runs at other scales don't
+    /// dirty the tree). An error names the path it could not write.
+    pub fn write_csv(&self) -> io::Result<()> {
+        let path = past_sim::out_dir().join(format!("{}.csv", self.name));
+        self.write_csv_at(&path)
+            .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", path.display())))?;
+        println!("(wrote {})", path.display());
+        Ok(())
     }
-    let mut body = header.join(",");
-    body.push('\n');
-    for row in rows {
-        body.push_str(&row.join(","));
+
+    /// Writes the table as the CSV file `path`, creating its directory
+    /// if need be.
+    fn write_csv_at(&self, path: &Path) -> io::Result<()> {
+        if let Some(dir) = path.parent() {
+            std::fs::create_dir_all(dir)?;
+        }
+        let mut body = self.header.join(",");
         body.push('\n');
+        for row in &self.rows {
+            body.push_str(&row.join(","));
+            body.push('\n');
+        }
+        std::fs::write(path, body)
     }
-    std::fs::write(path, body)
 }
 
 /// Progress logger for long runs.
@@ -194,18 +230,35 @@ mod tests {
         assert_eq!(row[5], ("Util.", "0.0%".to_string()));
     }
 
+    fn cells<const N: usize>(cells: [&str; N]) -> Vec<String> {
+        cells.map(str::to_string).into()
+    }
+
     #[test]
     fn write_csv_emits_header_and_rows() {
-        let header: Vec<String> = ["a", "b"].iter().map(|s| s.to_string()).collect();
-        let rows = vec![vec!["1".to_string(), "2".to_string()]];
+        let table = Table::new("t", false, cells(["a", "b"]), vec![cells(["1", "2"])]);
         let dir = std::env::temp_dir().join(format!("past-bench-selftest-{}", std::process::id()));
         let path = dir.join("bench_lib_selftest.csv");
-        write_csv_at(&path, &header, &rows).expect("csv written");
+        table.write_csv_at(&path).expect("csv written");
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "a,b\n1,2\n");
         // A directory that cannot be created (its parent is that file)
         // is an error the caller sees, not a warning.
-        assert!(write_csv_at(&path.join("sub/x.csv"), &header, &rows).is_err());
+        assert!(table.write_csv_at(&path.join("sub/x.csv")).is_err());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A row wider or narrower than its header is refused where the
+    /// table is built, before it can be printed or written.
+    #[test]
+    fn a_ragged_table_is_rejected_where_it_is_built() {
+        let build = |row: Vec<String>| {
+            std::panic::catch_unwind(|| Table::new("t", true, cells(["a", "b"]), vec![row]))
+        };
+        build(cells(["1", "a cell wider than its column"]))
+            .expect("a wide cell is not a wide row")
+            .print("t");
+        assert!(build(cells(["1", "2", "3"])).is_err());
+        assert!(build(cells(["1"])).is_err());
     }
 
     #[test]

@@ -564,10 +564,7 @@ impl PastNode {
             );
             return;
         }
-        let verified = !self.cfg.verify_certificates
-            || receipts
-                .iter()
-                .all(|r| r.verify_memo(&mut self.verify_memo).is_ok());
+        let verified = !self.cfg.verify_certificates || receipts.iter().all(|r| r.verify().is_ok());
         if ok && receipts.len() as u32 == expected && verified {
             if past_obs::is_enabled() {
                 past_obs::counter("past.insert.ok", 1);

@@ -5,7 +5,7 @@
 
 use past_crypto::{
     Digest, FileCertificate, KeyPair, QuotaLedger, ReclaimCertificate, SharedFileCert,
-    SharedReceipt, SharedReclaimCert, VerifyMemo,
+    SharedReceipt, SharedReclaimCert,
 };
 use past_id::{FileId, IdHashMap, NodeId};
 use past_net::ByzantineBehavior;
@@ -36,12 +36,6 @@ pub(crate) const TIMEOUT_BASE: u64 = 1 << 20;
 /// Maintenance retransmission tokens: `MAINT_RETRY_BASE + maint seq`.
 pub(crate) const MAINT_RETRY_BASE: u64 = 1 << 36;
 
-/// Bound on the per-node signature-verification memo (entries). A
-/// certificate travels through many verify-and-accept sites (the
-/// coordinator, every replica holder, diversion targets, reclaim); the
-/// memo short-circuits re-verification of byte-identical
-/// `(signing bytes, signature)` pairs that already verified here.
-const VERIFY_MEMO_CAPACITY: usize = 1024;
 /// Maximum files audited per storage-audit sweep.
 const AUDIT_BATCH: usize = 4;
 /// How long an auditor waits for a possession proof before treating the
@@ -166,8 +160,6 @@ pub struct PastNode {
     pub(crate) maint_stats: MaintStats,
     /// Resume point of the anti-entropy sweep (last fileId audited).
     pub(crate) anti_entropy_cursor: Option<FileId>,
-    /// Memoized signature verifications (see [`VerifyMemo`]).
-    pub(crate) verify_memo: VerifyMemo,
     /// This node's Byzantine strategy (all-false = honest).
     pub(crate) malice: ByzantineBehavior,
     /// Outstanding possession challenges this node issued as auditor.
@@ -197,7 +189,6 @@ impl PastNode {
             next_maint_seq: 0,
             maint_stats: MaintStats::default(),
             anti_entropy_cursor: None,
-            verify_memo: VerifyMemo::new(VERIFY_MEMO_CAPACITY),
             malice: ByzantineBehavior::default(),
             audits: AuditBook::new(),
             audit_stats: AuditStats::default(),
@@ -298,17 +289,9 @@ impl PastNode {
     }
 
     /// Storage-node certificate check: passes when verification is
-    /// disabled, otherwise verifies through the node's memo so a
-    /// certificate already verified here skips the signature math.
-    pub(crate) fn cert_ok(&mut self, cert: &FileCertificate) -> bool {
-        !self.cfg.verify_certificates
-            || cert.verify_memo(None, &mut self.verify_memo).is_ok()
-    }
-
-    /// The node's signature-verification memo (hit/miss introspection
-    /// for tests; the counters also flow through `past-obs`).
-    pub fn verify_memo(&self) -> &VerifyMemo {
-        &self.verify_memo
+    /// disabled, otherwise verifies the owner's signature.
+    pub(crate) fn cert_ok(&self, cert: &FileCertificate) -> bool {
+        !self.cfg.verify_certificates || cert.verify(None).is_ok()
     }
 
     /// Starts a client timeout for `seq` if timeouts are enabled.

@@ -27,7 +27,7 @@ impl PastNode {
         // Verify against the locally stored certificate where possible.
         let stored_cert = self.store.certificate(file_id).cloned();
         let ok = match &stored_cert {
-            Some(sc) => cert.verify_memo(sc, &mut self.verify_memo).is_ok(),
+            Some(sc) => cert.verify(sc).is_ok(),
             None => false,
         };
         if !ok {
@@ -84,8 +84,8 @@ impl PastNode {
         let file_id = cert.file_id;
         match self.store.resolve(file_id) {
             Resolution::Primary | Resolution::DivertedHere => {
-                let stored = self.store.replica(file_id).expect("resolved").cert.clone();
-                if cert.verify_memo(&stored, &mut self.verify_memo).is_ok() {
+                let stored = &self.store.replica(file_id).expect("resolved").cert;
+                if cert.verify(stored).is_ok() {
                     let replica = self.store.remove_replica(file_id).expect("resolved");
                     ctx.emit(PastEvent::ReplicaDropped {
                         file_id,
@@ -96,7 +96,7 @@ impl PastNode {
             }
             Resolution::Pointer(holder) => {
                 let stored = self.store.pointer(file_id).expect("resolved").cert;
-                if cert.verify_memo(stored, &mut self.verify_memo).is_ok() {
+                if cert.verify(stored).is_ok() {
                     let pointer = self.store.remove_pointer(file_id).expect("resolved");
                     self.send_to(ctx, holder, MsgKind::ReclaimExec { cert: cert.clone() });
                     if let Some(c_node) = pointer.backup_at {
@@ -108,7 +108,7 @@ impl PastNode {
                 // Nothing authoritative here; a backup pointer goes on
                 // the owner's word, like the records above.
                 if let Some(backup) = self.store.backup_pointer(file_id) {
-                    if cert.verify_memo(backup.cert, &mut self.verify_memo).is_ok() {
+                    if cert.verify(backup.cert).is_ok() {
                         self.store.remove_backup_pointer(file_id);
                     }
                 }

@@ -12,25 +12,19 @@
 
 use past_id::FileId;
 
-use crate::memo::VerifyMemo;
 use crate::sha1::{Digest, Sha1};
 use crate::sign::{KeyPair, OwnerKey, PublicKey, Signature};
 
 /// Whether `sig` is `key`'s signature over `bytes`. A blob issued
-/// unsigned has no signature and never verifies (fail closed).
+/// unsigned has no signature and never verifies (fail closed). Every
+/// signature checked counts as `crypto.verify` (a no-op unless a
+/// `past-obs` recorder is installed); an unsigned blob fails first and
+/// is not counted.
 fn signed_by(key: &PublicKey, bytes: &[u8], sig: Option<&Signature>) -> bool {
-    sig.is_some_and(|sig| key.verify(bytes, sig))
-}
-
-/// [`signed_by`] through `memo`. A blob without a signature fails
-/// before the memo is consulted, so it counts as neither hit nor miss.
-fn signed_by_memo(
-    key: &PublicKey,
-    bytes: &[u8],
-    sig: Option<&Signature>,
-    memo: &mut VerifyMemo,
-) -> bool {
-    sig.is_some_and(|sig| memo.check(VerifyMemo::key(bytes, sig), || key.verify(bytes, sig)))
+    sig.is_some_and(|sig| {
+        past_obs::counter("crypto.verify", 1);
+        key.verify(bytes, sig)
+    })
 }
 
 /// Errors arising from certificate verification.
@@ -179,31 +173,6 @@ impl FileCertificate {
         Ok(())
     }
 
-    /// [`verify`](Self::verify) with memoized signature checking: the
-    /// signature predicate is skipped when `memo` has already seen this
-    /// exact `(signing bytes, signature)` pair verify. The
-    /// zero-replication and content-hash checks are relational (they
-    /// depend on state outside the certificate) and always run.
-    pub fn verify_memo(
-        &self,
-        received_content_hash: Option<Digest>,
-        memo: &mut VerifyMemo,
-    ) -> Result<(), CertError> {
-        if self.replicas == 0 {
-            return Err(CertError::ZeroReplication);
-        }
-        let sig = self.signature.as_deref();
-        if !signed_by_memo(&self.owner, &self.signing_bytes(), sig, memo) {
-            return Err(CertError::BadSignature);
-        }
-        if let Some(h) = received_content_hash {
-            if h != self.content_hash {
-                return Err(CertError::ContentMismatch);
-            }
-        }
-        Ok(())
-    }
-
     /// Verifies additionally that the fileId matches the (name, owner,
     /// salt) derivation — used by tests and by clients validating their own
     /// certificates.
@@ -273,27 +242,6 @@ impl ReclaimCertificate {
         }
         Ok(())
     }
-
-    /// [`verify`](Self::verify) with memoized signature checking. The
-    /// owner-equality check binds this certificate to the *stored* file
-    /// certificate, so it is re-evaluated on every call; only the
-    /// signature predicate — a pure function of this certificate — is
-    /// memoized.
-    pub fn verify_memo(
-        &self,
-        stored: &FileCertificate,
-        memo: &mut VerifyMemo,
-    ) -> Result<(), CertError> {
-        if self.owner != stored.owner {
-            return Err(CertError::BadSignature);
-        }
-        let sig = self.signature.as_deref();
-        if signed_by_memo(&self.owner, &self.signing_bytes(), sig, memo) {
-            Ok(())
-        } else {
-            Err(CertError::BadSignature)
-        }
-    }
 }
 
 /// A store receipt issued by each node accepting a replica; the client
@@ -356,16 +304,6 @@ impl StoreReceipt {
             Err(CertError::BadSignature)
         }
     }
-
-    /// [`verify`](Self::verify) with memoized signature checking.
-    pub fn verify_memo(&self, memo: &mut VerifyMemo) -> Result<(), CertError> {
-        let sig = self.signature.as_deref();
-        if signed_by_memo(&self.storer, &self.signing_bytes(), sig, memo) {
-            Ok(())
-        } else {
-            Err(CertError::BadSignature)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -373,6 +311,10 @@ mod tests {
     use super::*;
     use crate::sign::Scheme;
     use rand::{rngs::StdRng, SeedableRng};
+
+    /// A signed field's name and an edit of it; the key is another
+    /// party's, for the fields that name one.
+    type Tamper<T> = (&'static str, fn(&mut T, &KeyPair));
 
     fn setup() -> (StdRng, KeyPair) {
         let mut rng = StdRng::seed_from_u64(7);
@@ -422,10 +364,25 @@ mod tests {
     #[test]
     fn file_certificate_detects_field_tamper() {
         let (mut rng, owner) = setup();
+        let other = KeyPair::generate(Scheme::Keyed, &mut rng);
         let content = Sha1::digest(b"x");
-        let mut cert = FileCertificate::issue(&owner, "f", content, 10, 5, 1, 0, &mut rng);
-        cert.file_size = 999_999;
-        assert_eq!(cert.verify(None), Err(CertError::BadSignature));
+        let cert = FileCertificate::issue(&owner, "f", content, 10, 5, 1, 0, &mut rng);
+        let tampers: [Tamper<FileCertificate>; 7] = [
+            ("file_id", |c, _| {
+                c.file_id = compute_file_id("g", &c.owner, c.salt)
+            }),
+            ("content_hash", |c, _| c.content_hash = Sha1::digest(b"y")),
+            ("file_size", |c, _| c.file_size = 999_999),
+            ("replicas", |c, _| c.replicas = 6),
+            ("salt", |c, _| c.salt = 2),
+            ("created_at", |c, _| c.created_at = 1),
+            ("owner", |c, k| c.owner = k.public_shared()),
+        ];
+        for (field, tamper) in tampers {
+            let mut t = cert.clone();
+            tamper(&mut t, &other);
+            assert_eq!(t.verify(None), Err(CertError::BadSignature), "{field}");
+        }
     }
 
     #[test]
@@ -463,21 +420,47 @@ mod tests {
         let content = Sha1::digest(b"x");
         let file = FileCertificate::issue(&owner, "f", content, 10, 5, 1, 0, &mut rng);
         let good = ReclaimCertificate::issue(&owner, file.file_id, 5, &mut rng);
-        let bad = ReclaimCertificate::issue(&thief, file.file_id, 5, &mut rng);
         assert!(good.verify(&file).is_ok());
-        assert_eq!(bad.verify(&file), Err(CertError::BadSignature));
+        let bad = ReclaimCertificate::issue(&thief, file.file_id, 5, &mut rng);
+        // The thief's signature under the owner's name: the owner
+        // matches the stored certificate, the signature does not.
+        let mut forged = bad.clone();
+        forged.owner = owner.public_shared();
+        let mut file_id = good.clone();
+        file_id.file_id = compute_file_id("g", &owner.public(), 1);
+        let mut issued_at = good.clone();
+        issued_at.issued_at = 6;
+        for (case, t) in [
+            ("thief", bad),
+            ("forged owner", forged),
+            ("file_id", file_id),
+            ("issued_at", issued_at),
+        ] {
+            assert_eq!(t.verify(&file), Err(CertError::BadSignature), "{case}");
+        }
     }
 
     #[test]
     fn store_receipt_roundtrip() {
         let mut rng = StdRng::seed_from_u64(9);
         let node = KeyPair::generate(Scheme::Keyed, &mut rng);
+        let other = KeyPair::generate(Scheme::Keyed, &mut rng);
         let fid = compute_file_id("f", &node.public(), 0);
         let r = StoreReceipt::issue(&node, fid, true, 77, &mut rng);
         assert!(r.verify().is_ok());
-        let mut tampered = r.clone();
-        tampered.diverted = false;
-        assert_eq!(tampered.verify(), Err(CertError::BadSignature));
+        let tampers: [Tamper<StoreReceipt>; 4] = [
+            ("file_id", |r, k| {
+                r.file_id = compute_file_id("g", &k.public(), 0)
+            }),
+            ("storer", |r, k| r.storer = k.public_shared()),
+            ("diverted", |r, _| r.diverted = false),
+            ("issued_at", |r, _| r.issued_at = 78),
+        ];
+        for (field, tamper) in tampers {
+            let mut t = r.clone();
+            tamper(&mut t, &other);
+            assert_eq!(t.verify(), Err(CertError::BadSignature), "{field}");
+        }
     }
 
     #[test]

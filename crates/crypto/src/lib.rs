@@ -11,7 +11,8 @@
 //!   a fast *simulated* keyed-hash scheme used by the large trace-driven
 //!   experiments (see the module docs for the security caveats — neither
 //!   instantiation is production crypto, by design of the reproduction).
-//! - [`cert`]: file certificates, reclaim certificates and store receipts.
+//! - [`cert`]: file certificates, reclaim certificates and store receipts,
+//!   each checked by its one `verify` (counted as `crypto.verify`).
 //! - [`audit`]: challenge-response possession proofs (SHA-1 over
 //!   file ‖ nonce) for sampled storage audits.
 //! - [`smartcard`]: the smartcard model — issuer-certified key pairs,
@@ -20,7 +21,6 @@
 
 pub mod audit;
 pub mod cert;
-pub mod memo;
 pub mod quota;
 mod sha1;
 pub mod sign;
@@ -29,7 +29,6 @@ mod u256;
 
 pub use audit::{audit_nonce, possession_proof, verify_possession};
 pub use cert::{compute_file_id, CertError, FileCertificate, ReclaimCertificate, StoreReceipt};
-pub use memo::VerifyMemo;
 pub use quota::{QuotaError, QuotaLedger};
 pub use sha1::{Digest, Sha1};
 pub use sign::{KeyPair, OwnerKey, PublicKey, Scheme, SchnorrSig, Signature};

@@ -1,12 +1,11 @@
 //! Regression suite for the owner-key interning and signature boxing
 //! that shrank `FileCertificate` for the 10M-file replay: the packed
 //! layout must hold, interning must not consume or shift any RNG
-//! stream, memoized verification must behave exactly as it did with
-//! inline owners, and a certificate issued unsigned never verifies.
+//! stream, and a certificate issued unsigned never verifies.
 
 use past_crypto::{
     CertError, FileCertificate, KeyPair, OwnerKey, ReclaimCertificate, Scheme, Sha1, Signature,
-    StoreReceipt, VerifyMemo,
+    StoreReceipt,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -36,16 +35,16 @@ fn packed_certificate_layout_holds() {
 }
 
 /// Fail closed: a certificate, receipt or reclaim certificate issued
-/// unsigned is rejected directly and through the memo, whose counters
-/// it never moves, while the signed twins of the same fields verify
-/// both ways.
+/// unsigned is rejected before any signature is checked, so it never
+/// moves the `crypto.verify` counter, while the signed twins of the
+/// same fields verify and count one check each.
 #[test]
 fn unsigned_never_verifies_and_signed_still_round_trips() {
     let mut rng = StdRng::seed_from_u64(17);
     for scheme in [Scheme::Keyed, Scheme::Schnorr] {
         let kp = KeyPair::generate(scheme, &mut rng);
         let content = Sha1::digest(b"body");
-        let mut memo = VerifyMemo::new(64);
+        past_obs::install(past_obs::Recorder::new());
 
         let file = FileCertificate::issue_unsigned(&kp, "f", content, 10, 3, 0, 0);
         let receipt = StoreReceipt::issue_unsigned(&kp, file.file_id, false, 0);
@@ -55,14 +54,11 @@ fn unsigned_never_verifies_and_signed_still_round_trips() {
         for _ in 0..2 {
             let bad = Err(CertError::BadSignature);
             assert_eq!(file.verify(Some(content)), bad);
-            assert_eq!(file.verify_memo(Some(content), &mut memo), bad);
             assert_eq!(receipt.verify(), bad);
-            assert_eq!(receipt.verify_memo(&mut memo), bad);
             assert_eq!(reclaim.verify(&file), bad);
-            assert_eq!(reclaim.verify_memo(&file, &mut memo), bad);
         }
-        assert_eq!((memo.hits(), memo.misses()), (0, 0));
-        assert!(memo.is_empty());
+        let verifies = || past_obs::with_recorder(|r| r.metrics().counter_value("crypto.verify"));
+        assert_eq!(verifies(), Some(0));
 
         let signed = FileCertificate::issue(&kp, "f", content, 10, 3, 0, 0, &mut rng);
         assert_eq!(signed.file_id, file.file_id);
@@ -70,13 +66,11 @@ fn unsigned_never_verifies_and_signed_still_round_trips() {
         let reclaim = ReclaimCertificate::issue(&kp, signed.file_id, 0, &mut rng);
         for _ in 0..2 {
             assert_eq!(signed.verify(Some(content)), Ok(()));
-            assert_eq!(signed.verify_memo(Some(content), &mut memo), Ok(()));
             assert_eq!(receipt.verify(), Ok(()));
-            assert_eq!(receipt.verify_memo(&mut memo), Ok(()));
             assert_eq!(reclaim.verify(&signed), Ok(()));
-            assert_eq!(reclaim.verify_memo(&signed, &mut memo), Ok(()));
         }
-        assert_eq!((memo.hits(), memo.misses()), (3, 3));
+        assert_eq!(verifies(), Some(6));
+        past_obs::uninstall();
     }
 }
 
@@ -126,26 +120,3 @@ fn interning_is_rng_stream_neutral() {
 /// Captured from the pre-interning implementation (same seed, same
 /// call sequence as `interning_is_rng_stream_neutral`).
 const PINNED_PROBE: u64 = 3162259528749214585;
-
-/// Interned certificates memoize exactly like inline ones: the memo
-/// key binds the serialized owner bytes (not the Arc identity), so a
-/// clone sharing the allocation hits, and a different owner misses.
-#[test]
-fn interned_certificates_are_memo_compatible() {
-    let mut rng = StdRng::seed_from_u64(13);
-    let kp = KeyPair::generate(Scheme::Schnorr, &mut rng);
-    let cert = FileCertificate::issue(&kp, "m", Sha1::digest(b"m"), 64, 5, 0, 0, &mut rng);
-    let mut memo = VerifyMemo::new(64);
-    cert.verify_memo(None, &mut memo).expect("verifies");
-    assert_eq!(memo.misses(), 1);
-    // A clone shares the interned owner — and the memo entry.
-    let clone = cert.clone();
-    assert!(std::ptr::eq(clone.owner.key(), cert.owner.key()));
-    clone.verify_memo(None, &mut memo).expect("verifies");
-    assert_eq!(memo.hits(), 1, "shared-owner clone must hit the memo");
-    // A certificate from another owner takes the full path.
-    let kp2 = KeyPair::generate(Scheme::Schnorr, &mut rng);
-    let other = FileCertificate::issue(&kp2, "m", Sha1::digest(b"m"), 64, 5, 0, 0, &mut rng);
-    other.verify_memo(None, &mut memo).expect("verifies");
-    assert_eq!(memo.misses(), 2, "different owner must miss");
-}

@@ -6,11 +6,10 @@
 
 use std::collections::BTreeSet;
 
-use past_core::{MaintStats, PastConfig, PastEvent, PastOverlayNode};
+use past_core::{MaintStats, PastConfig, PastEvent};
 use past_id::FileId;
 use past_net::{
     Addr, ByzantineBehavior, EuclideanTopology, FaultPlan, NetStats, SimDuration, SimTime,
-    Simulator,
 };
 use past_pastry::{NodeEntry, PastryConfig};
 use rand::rngs::StdRng;
@@ -149,33 +148,16 @@ impl ChurnRunner {
         &self.overlay
     }
 
-    /// The legacy simulator (for custom fault plans and inspection).
-    ///
-    /// # Panics
-    ///
-    /// Panics under the sharded engine (`cfg.shards >= 1`); use the
-    /// engine-agnostic wrappers ([`Self::run_for`],
-    /// [`Self::set_loss_probability`], …) or [`Self::engine`] instead.
-    pub fn sim(&self) -> &Simulator<PastOverlayNode> {
-        self.overlay
-            .engine
-            .as_single()
-            .expect("ChurnRunner::sim() requires the single-threaded engine (cfg.shards == 0)")
-    }
-
-    /// Mutable legacy simulator access (for scenario surgery in tests:
-    /// direct kills, recoveries, extra invocations). Same engine
-    /// restriction as [`Self::sim`].
-    pub fn sim_mut(&mut self) -> &mut Simulator<PastOverlayNode> {
-        self.overlay
-            .engine
-            .as_single_mut()
-            .expect("ChurnRunner::sim_mut() requires the single-threaded engine (cfg.shards == 0)")
-    }
-
-    /// Engine-agnostic access to the simulation backend.
-    pub fn engine(&self) -> &Engine {
+    /// The engine the overlay runs on (for custom fault plans and
+    /// inspection), whichever `cfg.shards` selected.
+    pub fn sim(&self) -> &Engine {
         &self.overlay.engine
+    }
+
+    /// Mutable engine access (for scenario surgery in tests: direct
+    /// kills, recoveries, extra invocations).
+    pub fn sim_mut(&mut self) -> &mut Engine {
+        &mut self.overlay.engine
     }
 
     /// Advances simulated time by `span` on whichever engine is active.
@@ -358,7 +340,7 @@ impl ChurnRunner {
         let mut ok = 0;
         for i in 0..count {
             let (fid, _) = self.files[i % self.files.len()];
-            let mut live: Vec<Addr> = self.overlay.engine.live_addrs();
+            let mut live: Vec<Addr> = self.overlay.engine.live_addrs().collect();
             // Honest clients only: a malicious issuer would "lose" its
             // own request. The filter is gated on the set being
             // non-empty so default (adversary-free) runs draw the exact

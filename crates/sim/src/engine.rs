@@ -32,23 +32,6 @@ impl Engine {
         }
     }
 
-    /// The legacy simulator, when that engine is active (tests doing
-    /// scenario surgery pin `shards = 0` and go through this).
-    pub fn as_single(&self) -> Option<&Simulator<PastOverlayNode>> {
-        match self {
-            Engine::Single(s) => Some(s),
-            Engine::Sharded(_) => None,
-        }
-    }
-
-    /// Mutable counterpart of [`Engine::as_single`].
-    pub fn as_single_mut(&mut self) -> Option<&mut Simulator<PastOverlayNode>> {
-        match self {
-            Engine::Single(s) => Some(s),
-            Engine::Sharded(_) => None,
-        }
-    }
-
     pub fn reserve_capacity(&mut self, events: usize, upcalls: usize) {
         match self {
             Engine::Single(s) => s.reserve_capacity(events, upcalls),
@@ -158,10 +141,10 @@ impl Engine {
     }
 
     /// Live addresses, in address order under both engines.
-    pub fn live_addrs(&self) -> Vec<Addr> {
+    pub fn live_addrs(&self) -> std::vec::IntoIter<Addr> {
         match self {
-            Engine::Single(s) => s.live_addrs().collect(),
-            Engine::Sharded(s) => s.live_addrs(),
+            Engine::Single(s) => s.live_addrs().collect::<Vec<_>>().into_iter(),
+            Engine::Sharded(s) => s.live_addrs().into_iter(),
         }
     }
 
@@ -169,6 +152,14 @@ impl Engine {
         match self {
             Engine::Single(s) => s.fail_node(addr),
             Engine::Sharded(s) => s.fail_node(addr),
+        }
+    }
+
+    /// Removes a node for good, returning its state.
+    pub fn remove_node(&mut self, addr: Addr) -> Option<PastOverlayNode> {
+        match self {
+            Engine::Single(s) => s.remove_node(addr),
+            Engine::Sharded(s) => s.remove_node(addr),
         }
     }
 

@@ -67,7 +67,7 @@ fn audits_detect_demote_and_rereplicate() {
     let shunned: usize = r
         .entries()
         .iter()
-        .filter_map(|e| r.engine().node(e.addr))
+        .filter_map(|e| r.sim().node(e.addr))
         .map(|n| n.shunned().len())
         .sum();
     assert!(shunned > 0, "convictions must shun the guilty holders");

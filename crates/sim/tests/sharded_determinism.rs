@@ -192,7 +192,7 @@ fn byz_fingerprint(shards: usize, fraction: f64, audits: bool) -> Vec<u64> {
     let shunned: u64 = r
         .entries()
         .iter()
-        .filter_map(|e| r.engine().node(e.addr))
+        .filter_map(|e| r.sim().node(e.addr))
         .map(|n| n.shunned().len() as u64)
         .sum();
     let detection = r.detection_latency().map(|d| d.micros()).unwrap_or(0);
