@@ -279,7 +279,7 @@ impl<P: Protocol, O: Order> Core<P, O> {
 
     /// Runs `f` with this core's fragment recorder, if it has one, in
     /// the thread's `past-obs` slot, so what `f` records lands in the
-    /// core's mergeable fragment on whichever thread runs it.
+    /// core's mergeable fragment.
     pub(crate) fn recording(&mut self, f: impl FnOnce(&mut Self)) {
         let Some(recorder) = self.recorder.take() else {
             return f(self);

@@ -13,8 +13,8 @@
 //!   stream draws. [`Simulator`] is one core under the legacy order
 //!   (one global sequence number, one engine-wide RNG). [`ShardedSim`]
 //!   partitions nodes across cores under the shard order (per-node
-//!   sequence numbers and RNG streams), which advance in parallel
-//!   under conservative lookahead (window = the topology's
+//!   sequence numbers and RNG streams), which advance window by window
+//!   on one thread under conservative lookahead (window = the topology's
 //!   [`Topology::min_latency`]) with the *same seed producing the same
 //!   execution at any shard count*; its windows and barrier are its
 //!   own.

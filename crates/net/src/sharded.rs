@@ -1,10 +1,10 @@
-//! The sharded multi-core simulation engine.
+//! The sharded simulation engine.
 //!
 //! [`ShardedSim`] partitions the emulated world round-robin across
 //! `shards` event cores (node `a` lives on shard `a % shards`), each
 //! under the shard order of [`crate::shard`]: its own event heap,
-//! per-node RNG streams and fault sub-schedule. Shards advance in
-//! parallel under **conservative lookahead**: with `L =
+//! per-node RNG streams and fault sub-schedule. Shards advance window
+//! by window under **conservative lookahead**: with `L =
 //! topology.min_latency()`, every message sent at time `t` arrives no
 //! earlier than `t + L`, so all shards can process the window `[T, T +
 //! L)` independently — any message one shard sends another inside the
@@ -29,15 +29,10 @@
 //! - upcalls and observability fragments are merged in that same
 //!   deterministic order at the barrier.
 //!
-//! Worker threads are purely an execution detail: windows are handed to
-//! a small thread pool when the host has spare cores and run inline on
-//! the coordinator thread otherwise, with identical results by
-//! construction. `PAST_SHARD_THREADS` overrides the pool size (0 forces
-//! inline execution).
+//! Every window runs its shards one after another on the calling
+//! thread, as the paper's prototype ran every node in one process.
 
-use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 
 use crate::addr::Addr;
 use crate::fault::FaultPlan;
@@ -45,96 +40,6 @@ use crate::proto::{Ctx, NetStats, Protocol};
 use crate::shard::{ShardCore, ShardOrder};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
-
-struct Job<P: Protocol> {
-    idx: usize,
-    core: ShardCore<P>,
-    last: SimTime,
-}
-
-/// A window-granular worker pool: the coordinator moves whole shard
-/// cores through channels (no shared mutable state, no unsafe), workers
-/// run one window and send the core back.
-struct WorkerPool<P: Protocol> {
-    job_tx: Option<Sender<Job<P>>>,
-    jobs: Arc<Mutex<Receiver<Job<P>>>>,
-    done_rx: Receiver<(usize, ShardCore<P>)>,
-    handles: Vec<JoinHandle<()>>,
-}
-
-impl<P> WorkerPool<P>
-where
-    P: Protocol + Send + 'static,
-    P::Msg: Send + 'static,
-    P::Upcall: Send + 'static,
-{
-    fn spawn(workers: usize) -> Self {
-        let (job_tx, job_rx) = mpsc::channel::<Job<P>>();
-        let jobs = Arc::new(Mutex::new(job_rx));
-        let (done_tx, done_rx) = mpsc::channel();
-        let handles = (0..workers)
-            .map(|i| {
-                let jobs = Arc::clone(&jobs);
-                let done = done_tx.clone();
-                std::thread::Builder::new()
-                    .name(format!("past-shard-{i}"))
-                    .spawn(move || loop {
-                        // The guard drops as soon as recv returns, so a
-                        // worker only holds the lock while the queue is
-                        // empty — which is exactly when there is
-                        // nothing for anyone else to take.
-                        let job = {
-                            let guard = jobs.lock().expect("job queue lock");
-                            guard.recv()
-                        };
-                        match job {
-                            Ok(mut job) => {
-                                run_window(&mut job.core, job.last);
-                                if done.send((job.idx, job.core)).is_err() {
-                                    break;
-                                }
-                            }
-                            Err(_) => break,
-                        }
-                    })
-                    .expect("spawn shard worker thread")
-            })
-            .collect();
-        WorkerPool {
-            job_tx: Some(job_tx),
-            jobs,
-            done_rx,
-            handles,
-        }
-    }
-
-    /// Grabs a queued job without blocking (the coordinator helps drain
-    /// the queue while waiting). `try_lock` keeps this deadlock-free: a
-    /// worker parked in `recv` holds the lock, but only when the queue
-    /// is already empty.
-    fn try_steal(&self) -> Option<Job<P>> {
-        match self.jobs.try_lock() {
-            Ok(guard) => guard.try_recv().ok(),
-            Err(_) => None,
-        }
-    }
-}
-
-impl<P: Protocol> Drop for WorkerPool<P> {
-    fn drop(&mut self) {
-        self.job_tx.take();
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-/// Processes one window of a shard, through `last` inclusive, with the
-/// shard's fragment recorder in place (protocol instrumentation reaches
-/// the right recorder on any thread).
-fn run_window<P: Protocol>(core: &mut ShardCore<P>, last: SimTime) {
-    core.recording(|c| c.run_through(last));
-}
 
 /// The sharded discrete-event simulator: a drop-in counterpart to
 /// [`crate::Simulator`] that partitions nodes across shards and runs
@@ -144,30 +49,17 @@ fn run_window<P: Protocol>(core: &mut ShardCore<P>, last: SimTime) {
 ///
 /// Construction panics if the topology's
 /// [`min_latency`](Topology::min_latency) is zero — a zero lower bound
-/// leaves no lookahead window, so such topologies must run on the
-/// single-threaded engine.
-pub struct ShardedSim<P>
-where
-    P: Protocol + Send + 'static,
-    P::Msg: Send + 'static,
-    P::Upcall: Send + 'static,
-{
-    /// `None` only transiently, while a core is out on a worker thread.
-    cores: Vec<Option<ShardCore<P>>>,
+/// leaves no lookahead window, so such topologies must run on
+/// [`crate::Simulator`].
+pub struct ShardedSim<P: Protocol> {
+    cores: Vec<ShardCore<P>>,
     shards: usize,
     lookahead: SimDuration,
     time: SimTime,
-    worker_threads: usize,
-    pool: Option<WorkerPool<P>>,
     upcall_buf: Vec<(SimTime, Addr, P::Upcall)>,
 }
 
-impl<P> ShardedSim<P>
-where
-    P: Protocol + Send + 'static,
-    P::Msg: Send + 'static,
-    P::Upcall: Send + 'static,
-{
+impl<P: Protocol> ShardedSim<P> {
     /// Creates a sharded simulator over `topology` with `shards` shards
     /// and deterministic per-node randomness derived from `seed`.
     pub fn new(topology: Box<dyn Topology>, seed: u64, shards: usize) -> Self {
@@ -178,7 +70,7 @@ where
             "ShardedSim requires a topology with a positive min_latency(): \
              conservative lookahead needs a nonzero lower bound on link \
              latency. Override Topology::min_latency() for this topology, \
-             or use the single-threaded Simulator."
+             or use the legacy Simulator."
         );
         let topology: Arc<dyn Topology> = Arc::from(topology);
         let cores = (0..shards)
@@ -188,7 +80,7 @@ where
                     shards,
                     master_seed: seed,
                 };
-                Some(ShardCore::new(order, Arc::clone(&topology)))
+                ShardCore::new(order, Arc::clone(&topology))
             })
             .collect();
         ShardedSim {
@@ -196,38 +88,16 @@ where
             shards,
             lookahead,
             time: SimTime::ZERO,
-            worker_threads: default_worker_threads(shards),
-            pool: None,
             upcall_buf: Vec::new(),
         }
     }
 
-    /// Overrides the worker-thread count (0 forces inline execution on
-    /// the coordinator thread; results are identical either way). Also
-    /// settable via the `PAST_SHARD_THREADS` environment variable.
-    pub fn set_worker_threads(&mut self, n: usize) {
-        let n = n.min(self.shards.saturating_sub(1));
-        if n != self.worker_threads {
-            self.worker_threads = n;
-            // Joins the old pool; a right-sized one respawns lazily.
-            self.pool = None;
-        }
-    }
-
-    fn cores_mut(&mut self) -> impl Iterator<Item = &mut ShardCore<P>> {
-        self.cores.iter_mut().flatten()
-    }
-
     fn core(&self, addr: Addr) -> &ShardCore<P> {
-        self.cores[addr.index() % self.shards]
-            .as_ref()
-            .expect("core present between windows")
+        &self.cores[addr.index() % self.shards]
     }
 
     fn core_mut(&mut self, addr: Addr) -> &mut ShardCore<P> {
-        self.cores[addr.index() % self.shards]
-            .as_mut()
-            .expect("core present between windows")
+        &mut self.cores[addr.index() % self.shards]
     }
 
     /// Pre-sizes the event heaps and upcall buffers (split evenly
@@ -235,7 +105,7 @@ where
     pub fn reserve_capacity(&mut self, events: usize, upcalls: usize) {
         let per = events / self.shards + 1;
         let per_up = upcalls / self.shards + 1;
-        for c in self.cores_mut() {
+        for c in &mut self.cores {
             c.reserve(per, per_up);
         }
     }
@@ -247,7 +117,7 @@ where
     ///
     /// Panics unless `0.0 <= p <= 1.0`.
     pub fn set_loss_probability(&mut self, p: f64) {
-        for c in self.cores_mut() {
+        for c in &mut self.cores {
             c.set_loss_probability(p);
         }
     }
@@ -256,7 +126,7 @@ where
     /// of its own nodes; partitions, link loss and jitter are shared.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         let plan = Arc::new(plan);
-        for c in self.cores_mut() {
+        for c in &mut self.cores {
             c.set_fault_plan(Arc::clone(&plan));
         }
     }
@@ -270,7 +140,7 @@ where
     /// [`NetStats::queue_peak`] for its caveat).
     pub fn stats(&self) -> NetStats {
         let mut s = NetStats::default();
-        for c in self.cores.iter().flatten() {
+        for c in &self.cores {
             s.merge_from(&c.stats());
         }
         s
@@ -305,7 +175,6 @@ where
         let mut v: Vec<Addr> = self
             .cores
             .iter()
-            .flatten()
             .flat_map(|c| c.live_addrs())
             .collect();
         v.sort_unstable();
@@ -358,7 +227,7 @@ where
     /// Like [`ShardedSim::drain_upcalls`], appending into `buf`.
     pub fn drain_upcalls_into(&mut self, buf: &mut Vec<(SimTime, Addr, P::Upcall)>) {
         let mut merged = std::mem::take(&mut self.upcall_buf);
-        for c in self.cores_mut() {
+        for c in &mut self.cores {
             merged.append(&mut c.upcalls);
         }
         // A node's upcalls all sit in its own shard's buffer, in
@@ -371,14 +240,14 @@ where
 
     /// Discards all pending upcalls.
     pub fn discard_upcalls(&mut self) {
-        for c in self.cores_mut() {
+        for c in &mut self.cores {
             c.upcalls.clear();
         }
     }
 
     /// Total queued events across all shards.
     pub fn queue_len(&self) -> usize {
-        self.cores.iter().flatten().map(|c| c.queue_len()).sum()
+        self.cores.iter().map(|c| c.queue_len()).sum()
     }
 
     /// Runs until no events or scheduled faults remain anywhere.
@@ -410,7 +279,7 @@ where
         }
         let cores = &mut self.cores;
         past_obs::with_recorder(|primary| {
-            for c in cores.iter_mut().flatten() {
+            for c in cores.iter_mut() {
                 if let Some(rec) = c.recorder.as_mut() {
                     primary.absorb(rec);
                 }
@@ -431,7 +300,6 @@ where
             let next = self
                 .cores
                 .iter()
-                .flatten()
                 .filter_map(|c| c.next_ts())
                 .min();
             let Some(t) = next else { break };
@@ -445,44 +313,12 @@ where
         }
     }
 
-    /// Runs every shard through `last` — on the worker pool when one is
-    /// configured, inline otherwise. Identical results either way.
+    /// Runs every shard through `last`, each with its fragment recorder
+    /// in place.
     fn execute_window(&mut self, last: SimTime) {
-        if self.worker_threads == 0 {
-            for c in self.cores_mut() {
-                run_window(c, last);
-            }
-            return;
+        for c in &mut self.cores {
+            c.recording(|c| c.run_through(last));
         }
-        if self.pool.is_none() {
-            self.pool = Some(WorkerPool::spawn(self.worker_threads));
-        }
-        let pool = self.pool.take().expect("pool just ensured");
-        let mut pending = 0usize;
-        for i in 1..self.shards {
-            let core = self.cores[i].take().expect("core present");
-            pool.job_tx
-                .as_ref()
-                .expect("job channel open")
-                .send(Job { idx: i, core, last })
-                .expect("worker pool alive");
-            pending += 1;
-        }
-        // Shard 0 always runs on the coordinator thread…
-        run_window(self.cores[0].as_mut().expect("core present"), last);
-        // …which then helps drain the queue when workers are
-        // oversubscribed.
-        while let Some(mut job) = pool.try_steal() {
-            run_window(&mut job.core, job.last);
-            self.cores[job.idx] = Some(job.core);
-            pending -= 1;
-        }
-        while pending > 0 {
-            let (idx, core) = pool.done_rx.recv().expect("worker returned core");
-            self.cores[idx] = Some(core);
-            pending -= 1;
-        }
-        self.pool = Some(pool);
     }
 
     /// The barrier exchange: every shard takes what every other sent it
@@ -492,21 +328,19 @@ where
         for d in 0..self.shards {
             let (before, rest) = self.cores.split_at_mut(d);
             let (to, after) = rest.split_first_mut().expect("d < shards");
-            let to = to.as_mut().expect("core present");
-            for from in before.iter_mut().chain(after).flatten() {
+            for from in before.iter_mut().chain(after) {
                 to.receive(from);
             }
         }
     }
 
     /// Gives every shard a fragment recorder when metrics are on, so
-    /// instrumentation lands in a mergeable per-shard registry no
-    /// matter which thread runs the window.
+    /// instrumentation lands in a mergeable per-shard registry.
     fn ensure_obs_fragments(&mut self) {
         if !past_obs::is_enabled() {
             return;
         }
-        for c in self.cores_mut() {
+        for c in &mut self.cores {
             c.recorder.get_or_insert_with(past_obs::Recorder::fragment);
         }
     }
@@ -514,28 +348,12 @@ where
     /// Brings the clock to the latest shard's and every shard's clock to
     /// it, so the next injection dispatches at a consistent `now`.
     fn sync_clocks(&mut self) {
-        let t = self.cores.iter().flatten().map(|c| c.now()).fold(self.time, SimTime::max);
+        let t = self.cores.iter().map(|c| c.now()).fold(self.time, SimTime::max);
         self.time = t;
-        for c in self.cores_mut() {
+        for c in &mut self.cores {
             c.advance_to(t);
         }
     }
-}
-
-/// Default pool size: one thread per shard beyond the first, capped by
-/// the machine's available parallelism (0 on a single-core host —
-/// inline execution, no thread overhead). `PAST_SHARD_THREADS`
-/// overrides.
-fn default_worker_threads(shards: usize) -> usize {
-    if let Ok(v) = std::env::var("PAST_SHARD_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            return n.min(shards.saturating_sub(1));
-        }
-    }
-    let avail = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    avail.min(shards).saturating_sub(1)
 }
 
 #[cfg(test)]
@@ -545,6 +363,8 @@ mod tests {
     use crate::topology::{EuclideanTopology, Topology, UniformTopology};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::cell::Cell;
+    use std::rc::Rc;
 
     fn euclid(n: usize, seed: u64) -> EuclideanTopology {
         EuclideanTopology::random(n, &mut StdRng::seed_from_u64(seed))
@@ -553,11 +373,13 @@ mod tests {
     /// A gossip protocol exercising sends, timers, upcalls and RNG:
     /// every node pings a few pseudo-random peers on start; each ping
     /// is re-forwarded while its TTL lasts; pongs bump a counter and
-    /// emit an upcall.
+    /// emit an upcall. Every node also counts its pongs into one
+    /// `Rc<Cell<_>>` shared by all nodes of the run.
     struct Gossip {
         n: u32,
         pongs: u64,
         fanout: u32,
+        all_pongs: Rc<Cell<u64>>,
     }
 
     #[derive(Clone)]
@@ -591,6 +413,7 @@ mod tests {
                 }
                 Msg::Pong => {
                     self.pongs += 1;
+                    self.all_pongs.set(self.all_pongs.get() + 1);
                     if self.pongs.is_multiple_of(5) {
                         let me = ctx.addr();
                         let pongs = self.pongs;
@@ -606,12 +429,10 @@ mod tests {
         }
     }
 
-    fn build(n: u32, shards: usize, threads: Option<usize>) -> ShardedSim<Gossip> {
+    fn build(n: u32, shards: usize) -> ShardedSim<Gossip> {
         let topo = euclid(n as usize, 99);
         let mut sim = ShardedSim::new(Box::new(topo), 42, shards);
-        if let Some(t) = threads {
-            sim.set_worker_threads(t);
-        }
+        let all_pongs = Rc::new(Cell::new(0));
         for a in 0..n {
             sim.add_node(
                 Addr(a),
@@ -619,6 +440,7 @@ mod tests {
                     n,
                     pongs: 0,
                     fanout: 2,
+                    all_pongs: Rc::clone(&all_pongs),
                 },
             );
         }
@@ -662,7 +484,7 @@ mod tests {
     fn stats_invariant_across_shard_counts() {
         let mut reference = None;
         for &shards in &[1usize, 2, 4, 8] {
-            let mut sim = build(48, shards, Some(0));
+            let mut sim = build(48, shards);
             sim.run_until_idle();
             let fp = fingerprint(&mut sim);
             assert!(fp.2.delivered > 0, "workload must exercise the network");
@@ -683,27 +505,28 @@ mod tests {
         }
     }
 
+    /// Node state may share an `Rc` across nodes — and so across
+    /// shards — because every shard runs on the calling thread.
     #[test]
-    fn threaded_execution_matches_inline() {
-        let run = |threads: usize| {
-            let mut sim = build(32, 4, Some(threads));
+    fn rc_shared_node_state_is_shard_invariant() {
+        let run = |shards: usize| {
+            let mut sim = build(32, shards);
             sim.run_until_idle();
-            fingerprint(&mut sim)
+            let all = sim.node(Addr(0)).unwrap().all_pongs.get();
+            let (pongs, ..) = fingerprint(&mut sim);
+            assert_eq!(all, pongs.iter().sum::<u64>());
+            all
         };
-        let (p0, u0, s0) = run(0);
-        let (p3, u3, s3) = run(3);
-        assert_eq!(p0, p3);
-        assert_eq!(u0, u3);
-        assert_eq!(s0.delivered, s3.delivered);
-        assert_eq!(s0.events, s3.events);
-        assert_eq!(s0.timers_fired, s3.timers_fired);
+        let one = run(1);
+        assert!(one > 0, "workload must exchange pongs");
+        assert_eq!(one, run(4));
     }
 
     #[test]
     fn faults_loss_and_jitter_are_shard_invariant() {
         let run = |shards: usize| {
             let n = 40u32;
-            let mut sim = build(n, shards, Some(if shards > 1 { 2 } else { 0 }));
+            let mut sim = build(n, shards);
             sim.set_loss_probability(0.2);
             let nodes: Vec<Addr> = (1..n).map(Addr).collect();
             let plan = FaultPlan::new()
@@ -726,7 +549,7 @@ mod tests {
             sim.run_until_idle();
             // Idle: every message was delivered, lost, cut off or sent
             // to a crashed node, and each way out freed its slot.
-            for core in sim.cores.iter().flatten() {
+            for core in &sim.cores {
                 let (slots, vacant) = core.parcels_occupancy();
                 assert_eq!(slots, vacant, "a dropped message kept its slot");
             }
@@ -769,6 +592,7 @@ mod tests {
                     n: 4,
                     pongs: 0,
                     fanout: 0,
+                    all_pongs: Rc::default(),
                 },
             );
         }

@@ -23,10 +23,7 @@ use crate::addr::Addr;
 use crate::time::SimDuration;
 
 /// A proximity/latency model over node addresses.
-///
-/// `Send + Sync` because the sharded engine shares one topology across
-/// its worker shards; all provided models are plain immutable data.
-pub trait Topology: Send + Sync {
+pub trait Topology {
     /// Scalar proximity metric between two nodes. Smaller is closer.
     /// Symmetric; zero only for a node and itself.
     fn distance(&self, a: Addr, b: Addr) -> f64;

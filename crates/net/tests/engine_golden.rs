@@ -218,9 +218,7 @@ fn legacy_order_matches_its_golden_fingerprint() {
 #[test]
 fn shard_order_matches_its_golden_fingerprint_at_one_and_four_shards() {
     for shards in [1, 4] {
-        let mut sim = ShardedSim::new(topology(), SEED, shards);
-        sim.set_worker_threads(0);
-        let h = fingerprint!(sim);
+        let h = fingerprint!(ShardedSim::new(topology(), SEED, shards));
         assert_eq!(h, SHARDED, "{shards} shards: got {h:#018x}");
     }
 }

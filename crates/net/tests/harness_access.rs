@@ -120,9 +120,7 @@ fn legacy_engine_harness_access() {
 #[test]
 fn sharded_engine_harness_access() {
     for shards in [1, 3] {
-        let mut sim = ShardedSim::<Probe>::new(topology(), 1, shards);
-        sim.set_worker_threads(0);
-        harness_script!(sim);
+        harness_script!(ShardedSim::<Probe>::new(topology(), 1, shards));
     }
 }
 
@@ -148,7 +146,6 @@ fn legacy_invoke_on_removed_node_panics() {
 #[should_panic(expected = "invoke on absent/down node")]
 fn sharded_invoke_on_down_node_panics() {
     let mut sim = ShardedSim::<Probe>::new(topology(), 1, 2);
-    sim.set_worker_threads(0);
     sim.add_node(Addr(1), Probe::default());
     sim.fail_node(Addr(1));
     sim.invoke(Addr(1), |_p, ctx| ctx.send(Addr(1), 1));
@@ -158,7 +155,6 @@ fn sharded_invoke_on_down_node_panics() {
 #[should_panic(expected = "invoke on absent/down node")]
 fn sharded_invoke_on_removed_node_panics() {
     let mut sim = ShardedSim::<Probe>::new(topology(), 1, 2);
-    sim.set_worker_threads(0);
     sim.add_node(Addr(1), Probe::default());
     sim.remove_node(Addr(1));
     sim.invoke(Addr(1), |_p, ctx| ctx.send(Addr(1), 1));

@@ -1,9 +1,9 @@
 //! Engine selection: one overlay, two simulation backends.
 //!
 //! [`Engine`] dispatches the harness-facing simulator API to either the
-//! single-threaded legacy `past_net::Simulator` (the default,
-//! `shards = 0` — bit-for-bit the behavior every golden test pins) or
-//! the sharded multi-core `past_net::ShardedSim` (`shards ≥ 1`, whose
+//! legacy `past_net::Simulator` (the default, `shards = 0` —
+//! bit-for-bit the behavior every golden test pins) or the sharded
+//! `past_net::ShardedSim` (`shards ≥ 1`, whose
 //! results are invariant across shard counts but keyed by a different
 //! event order than the legacy engine).
 

@@ -135,17 +135,18 @@ echo "== counting allocator (feature build, residency twice)"
 # The counting allocator is feature-gated off the default build (`repro`
 # owns the #[global_allocator], so the feature only exists there and in
 # past-obs). With it, `repro` prints each experiment's peak live heap:
-# requested bytes, frees subtracted, no allocator slack, so with the
-# shards inline it repeats to the byte where RSS drifts by hundreds of kB.
+# requested bytes, frees subtracted, no allocator slack, so on one
+# thread it repeats to the byte where RSS drifts by hundreds of kB; the
+# sharded streaming_replay is checked for that too.
 # fig5 is the storage replay, so its peak is what a stored file and a
 # replayed op cost: the ceiling is the count when it was last cut, plus
 # 2 %. Lower it when a change cuts the count; raise it only in a change
 # that says which bytes it adds and why.
 MAX_FIG5_PEAK=2010609
 cargo test -q --release -p past-obs --features count-alloc --offline
-for exp in fig8 fig5; do
+for exp in fig8 fig5 streaming_replay; do
   for run in a b; do
-    PAST_SHARD_THREADS=0 PAST_NODES=60 PAST_FILES=5000 PAST_OUT_DIR="$out/alloc_$run" \
+    PAST_NODES=60 PAST_FILES=5000 PAST_OUT_DIR="$out/alloc_$run" \
       cargo run --release -q -p past-bench --features count-alloc --bin repro --offline -- "$exp" \
       2>"$out/alloc_$exp$run.err" >/dev/null \
       || { cat "$out/alloc_$exp$run.err" >&2; echo "error: repro $exp (count-alloc) failed" >&2; exit 1; }
