@@ -17,7 +17,8 @@ use crate::node::{InsertCoord, PCtx, PastNode, PendingDiversion, PendingOp};
 impl PastNode {
     /// Coordinates an insert at the first among-k node the request
     /// reaches: store locally, fan the request out to the other k−1
-    /// replica holders, and collect receipts.
+    /// replica holders, and collect their outcomes (and receipts, when
+    /// they are signed).
     pub(crate) fn coordinate_insert(
         &mut self,
         ctx: &mut PCtx<'_, '_>,
@@ -85,7 +86,7 @@ impl PastNode {
             InsertCoord {
                 file_id,
                 expected: candidates.clone(),
-                receipts: Vec::with_capacity(K),
+                receipts: Vec::with_capacity(if self.cfg.verify_certificates { K } else { 0 }),
                 stored: Vec::with_capacity(K),
             },
         );
@@ -108,7 +109,7 @@ impl PastNode {
 
     /// One of the k replica holders attempts to store the file: locally
     /// first, then via replica diversion. `coordinator` is `None` during
-    /// §3.5 maintenance re-replication (no receipts flow then).
+    /// §3.5 maintenance re-replication (no outcome is reported then).
     pub(crate) fn attempt_store(
         &mut self,
         ctx: &mut PCtx<'_, '_>,
@@ -119,7 +120,7 @@ impl PastNode {
         let file_id = cert.file_id;
         if !self.cert_ok(&cert) {
             if let (Some(req), Some(coord)) = (req, coordinator) {
-                self.report_store_result(ctx, req, file_id, None, coord);
+                self.report_store_result(ctx, req, file_id, false, None, coord);
             }
             return;
         }
@@ -132,10 +133,10 @@ impl PastNode {
                 });
                 if let (Some(req), Some(coord)) = (req, coordinator) {
                     let receipt = self.issue_receipt(ctx, file_id, false);
-                    self.report_store_result(ctx, req, file_id, Some(receipt), coord);
+                    self.report_store_result(ctx, req, file_id, true, receipt, coord);
                 }
-                // Byzantine acknowledge-then-discard: the receipt went
-                // out, the copy silently doesn't. No drop event — the
+                // Byzantine acknowledge-then-discard: the acknowledgement
+                // went out, the copy silently doesn't. No drop event — the
                 // harness's global auditor must not see the betrayal.
                 if self.malice.ack_then_discard {
                     self.store.remove_replica(file_id);
@@ -145,7 +146,7 @@ impl PastNode {
                 // Already stored (duplicate replicate): report as stored.
                 if let (Some(req), Some(coord)) = (req, coordinator) {
                     let receipt = self.issue_receipt(ctx, file_id, false);
-                    self.report_store_result(ctx, req, file_id, Some(receipt), coord);
+                    self.report_store_result(ctx, req, file_id, true, receipt, coord);
                 }
             }
             Err(StoreError::OverThreshold { .. }) => {
@@ -186,7 +187,7 @@ impl PastNode {
                     }
                     None => {
                         if let (Some(req), Some(coord)) = (req, coordinator) {
-                            self.report_store_result(ctx, req, file_id, None, coord);
+                            self.report_store_result(ctx, req, file_id, false, None, coord);
                         }
                     }
                 }
@@ -341,12 +342,12 @@ impl PastNode {
             }
             if let (Some(req), Some(coord)) = (pending.req, pending.coordinator) {
                 let receipt = self.issue_receipt(ctx, file_id, true);
-                self.report_store_result(ctx, req, file_id, Some(receipt), coord);
+                self.report_store_result(ctx, req, file_id, true, receipt, coord);
             }
         } else if let (Some(req), Some(coord)) = (pending.req, pending.coordinator) {
             // "When one of the k nodes declines ... and the node it then
             // chooses also declines, then the entire file is diverted."
-            self.report_store_result(ctx, req, file_id, None, coord);
+            self.report_store_result(ctx, req, file_id, false, None, coord);
         }
     }
 
@@ -371,17 +372,22 @@ impl PastNode {
     }
 
     /// Signs a store receipt for a file this node is responsible for.
+    /// Only a client that verifies receipts reads one, so with
+    /// verification off there is none.
     pub(crate) fn issue_receipt(
         &mut self,
         ctx: &mut PCtx<'_, '_>,
         file_id: FileId,
         diverted: bool,
-    ) -> SharedReceipt {
-        SharedReceipt::new(if self.cfg.verify_certificates {
-            StoreReceipt::issue(&self.keys, file_id, diverted, ctx.now().micros(), ctx.rng())
-        } else {
-            // Unread when verification is off; skip the signature hash.
-            StoreReceipt::issue_unsigned(&self.keys, file_id, diverted, ctx.now().micros())
+    ) -> Option<SharedReceipt> {
+        self.cfg.verify_certificates.then(|| {
+            SharedReceipt::new(StoreReceipt::issue(
+                &self.keys,
+                file_id,
+                diverted,
+                ctx.now().micros(),
+                ctx.rng(),
+            ))
         })
     }
 
@@ -392,12 +398,13 @@ impl PastNode {
         ctx: &mut PCtx<'_, '_>,
         req: ReqId,
         file_id: FileId,
+        stored: bool,
         receipt: Option<SharedReceipt>,
         coordinator: NodeEntry,
     ) {
         let own = ctx.own();
         if coordinator.id == own.id {
-            self.on_replicate_result(ctx, req, file_id, receipt, own);
+            self.on_replicate_result(ctx, req, file_id, stored, receipt, own);
         } else {
             self.send_to(
                 ctx,
@@ -405,6 +412,7 @@ impl PastNode {
                 MsgKind::ReplicateResult {
                     req,
                     file_id,
+                    stored,
                     receipt,
                     storer: own,
                 },
@@ -418,6 +426,7 @@ impl PastNode {
         ctx: &mut PCtx<'_, '_>,
         req: ReqId,
         file_id: FileId,
+        stored: bool,
         receipt: Option<SharedReceipt>,
         storer: NodeEntry,
     ) {
@@ -429,7 +438,7 @@ impl PastNode {
             _ => {
                 // The attempt was already aborted; a straggler stored a
                 // replica that must now be discarded.
-                if receipt.is_some() {
+                if stored {
                     self.send_discard(ctx, storer, file_id);
                 }
                 return;
@@ -439,55 +448,52 @@ impl PastNode {
         if coord.stored.iter().any(|s| s.id == storer.id) {
             return;
         }
-        match receipt {
-            Some(r) => {
-                coord.receipts.push(r);
-                coord.stored.push(storer);
-                if coord.receipts.len() == coord.expected.len() {
-                    let coord = self.coords.remove(&req.key()).expect("present");
-                    self.send_to(
-                        ctx,
-                        req.client,
-                        MsgKind::InsertReply {
-                            req,
-                            file_id,
-                            receipts: coord.receipts,
-                            expected: coord.expected.len() as u32,
-                            ok: true,
-                        },
-                    );
-                }
-            }
-            None => {
-                // Abort: discard everything stored so far, fail the
-                // attempt back to the client (file diversion follows).
+        if stored {
+            coord.receipts.extend(receipt);
+            coord.stored.push(storer);
+            if coord.stored.len() == coord.expected.len() {
                 let coord = self.coords.remove(&req.key()).expect("present");
-                if past_obs::is_enabled() {
-                    past_obs::counter("past.insert.attempt_aborted", 1);
-                    past_obs::span_event(
-                        obs::req_span(&req),
-                        ctx.now().micros(),
-                        ctx.own().addr.0,
-                        "abort",
-                        coord.stored.len() as i64,
-                    );
-                }
-                ctx.emit(PastEvent::InsertAttemptAborted { file_id });
-                for node in coord.stored {
-                    self.send_discard(ctx, node, file_id);
-                }
                 self.send_to(
                     ctx,
                     req.client,
                     MsgKind::InsertReply {
                         req,
                         file_id,
-                        receipts: Vec::new(),
+                        receipts: coord.receipts,
                         expected: coord.expected.len() as u32,
-                        ok: false,
+                        ok: true,
                     },
                 );
             }
+        } else {
+            // Abort: discard everything stored so far, fail the attempt
+            // back to the client (file diversion follows).
+            let coord = self.coords.remove(&req.key()).expect("present");
+            if past_obs::is_enabled() {
+                past_obs::counter("past.insert.attempt_aborted", 1);
+                past_obs::span_event(
+                    obs::req_span(&req),
+                    ctx.now().micros(),
+                    ctx.own().addr.0,
+                    "abort",
+                    coord.stored.len() as i64,
+                );
+            }
+            ctx.emit(PastEvent::InsertAttemptAborted { file_id });
+            for node in coord.stored {
+                self.send_discard(ctx, node, file_id);
+            }
+            self.send_to(
+                ctx,
+                req.client,
+                MsgKind::InsertReply {
+                    req,
+                    file_id,
+                    receipts: Vec::new(),
+                    expected: coord.expected.len() as u32,
+                    ok: false,
+                },
+            );
         }
     }
 
@@ -564,8 +570,12 @@ impl PastNode {
             );
             return;
         }
-        let verified = !self.cfg.verify_certificates || receipts.iter().all(|r| r.verify().is_ok());
-        if ok && receipts.len() as u32 == expected && verified {
+        // A verifying client counts the copies by their receipts; with
+        // verification off no receipt is signed and the coordinator's
+        // verdict stands alone.
+        let verified = !self.cfg.verify_certificates
+            || (receipts.len() as u32 == expected && receipts.iter().all(|r| r.verify().is_ok()));
+        if ok && verified {
             if past_obs::is_enabled() {
                 past_obs::counter("past.insert.ok", 1);
                 past_obs::observe("past.insert.attempts", attempts as u64);
@@ -638,5 +648,132 @@ impl PastNode {
                 success: false,
             });
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{PastConfig, PastOverlayNode};
+    use past_crypto::{KeyPair, Scheme};
+    use past_net::{Addr, EuclideanTopology, Simulator};
+    use past_pastry::{PastryConfig, PastryNode};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    const CLIENT: Addr = Addr(3);
+
+    /// A settled overlay of 20 nodes, keep-alives off.
+    fn overlay(verify_certificates: bool) -> Simulator<PastOverlayNode> {
+        let past = PastConfig {
+            verify_certificates,
+            ..Default::default()
+        };
+        let pastry = PastryConfig {
+            leaf_set_size: 16,
+            keep_alive_period: past_net::SimDuration::ZERO,
+            ..Default::default()
+        };
+        let mut seeder = StdRng::seed_from_u64(5);
+        let topo = EuclideanTopology::random(20, &mut seeder);
+        let mut sim = Simulator::new(Box::new(topo), 5);
+        for i in 0..20 {
+            let keys = KeyPair::generate(Scheme::Keyed, &mut seeder);
+            let entry = NodeEntry::new(past_crypto::derive_node_id(&keys.public()), Addr(i));
+            let app = PastNode::new(past.clone(), keys, 1 << 30, u64::MAX / 2);
+            let bootstrap = (i > 0).then(|| Addr(seeder.gen_range(0..i)));
+            sim.add_node(
+                entry.addr,
+                PastryNode::new(pastry.clone(), entry, app, bootstrap),
+            );
+            sim.run_until_idle();
+        }
+        sim.discard_upcalls();
+        sim
+    }
+
+    /// Starts an insert at the client and, before any message of it is
+    /// delivered, hands the client a coordinator's success reply carrying
+    /// `receipts` valid receipts. Returns the attempts the insert is then
+    /// on (`None` once it is done) and the outcomes it reported.
+    fn reply_with_receipts(
+        sim: &mut Simulator<PastOverlayNode>,
+        receipts: usize,
+    ) -> (Option<u32>, Vec<bool>) {
+        let mut attempts = None;
+        sim.invoke(CLIENT, |node, ctx| {
+            node.invoke_app(ctx, |app, actx| {
+                let seq = app.insert(actx, "f", 1_000);
+                let file_id = match &app.pending[&seq] {
+                    PendingOp::Insert { cert, .. } => cert.file_id,
+                    _ => unreachable!("an insert is pending"),
+                };
+                let mut rng = StdRng::seed_from_u64(9);
+                let receipts = (0..receipts)
+                    .map(|_| {
+                        let storer = KeyPair::generate(Scheme::Keyed, &mut rng);
+                        SharedReceipt::new(StoreReceipt::issue(
+                            &storer, file_id, false, 0, &mut rng,
+                        ))
+                    })
+                    .collect();
+                let req = ReqId {
+                    client: actx.own(),
+                    seq,
+                };
+                app.on_insert_reply(actx, req, file_id, receipts, K as u32, true);
+                attempts = match app.pending.get(&seq) {
+                    Some(PendingOp::Insert { attempts, .. }) => Some(*attempts),
+                    _ => None,
+                };
+            });
+        });
+        let outcomes = sim
+            .drain_upcalls()
+            .into_iter()
+            .filter_map(|(_, _, e)| match e {
+                PastEvent::InsertDone { success, .. } => Some(success),
+                _ => None,
+            })
+            .collect();
+        (attempts, outcomes)
+    }
+
+    /// With verification on the client counts copies by their receipts:
+    /// k − 1 valid receipts fail the attempt (the insert is re-salted),
+    /// k complete it.
+    #[test]
+    fn a_verifying_client_needs_k_valid_receipts() {
+        let mut sim = overlay(true);
+        assert_eq!(reply_with_receipts(&mut sim, K - 1), (Some(2), vec![]));
+        assert_eq!(reply_with_receipts(&mut sim, K), (None, vec![true]));
+    }
+
+    /// With verification off no receipt is signed: an insert replicated
+    /// over the overlay completes, and so does a reply that carries an
+    /// empty receipt list.
+    #[test]
+    fn without_verification_an_insert_completes_without_receipts() {
+        let mut sim = overlay(false);
+        assert_eq!(reply_with_receipts(&mut sim, 0), (None, vec![true]));
+        sim.run_until_idle();
+        sim.discard_upcalls();
+        sim.invoke(CLIENT, |node, ctx| {
+            node.invoke_app(ctx, |app, actx| {
+                app.insert(actx, "g", 1_000);
+            });
+        });
+        sim.run_until_idle();
+        let done: Vec<_> = sim
+            .drain_upcalls()
+            .into_iter()
+            .filter_map(|(_, _, e)| match e {
+                PastEvent::InsertDone {
+                    success, attempts, ..
+                } => Some((success, attempts)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(done, vec![(true, 1)]);
     }
 }

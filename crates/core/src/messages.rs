@@ -80,15 +80,17 @@ pub enum MsgKind {
         /// The coordinating node (receives the result).
         coordinator: NodeEntry,
     },
-    /// Replica holder → coordinator: outcome of a store attempt
-    /// (`receipt` is `None` when both the local store and the diversion
-    /// attempt failed).
+    /// Replica holder → coordinator: outcome of a store attempt.
     ReplicateResult {
         /// Operation id.
         req: ReqId,
         /// File concerned.
         file_id: FileId,
-        /// Signed store receipt on success.
+        /// Whether the holder stored the replica, itself or through a
+        /// diversion (`false` when both failed).
+        stored: bool,
+        /// The signed store receipt: present when `stored` and the run
+        /// verifies certificates, since only then is one signed.
         receipt: Option<SharedReceipt>,
         /// The node reporting.
         storer: NodeEntry,
@@ -138,7 +140,8 @@ pub enum MsgKind {
         req: ReqId,
         /// File concerned.
         file_id: FileId,
-        /// Store receipts from each replica holder.
+        /// Store receipts from each replica holder (empty when the run
+        /// does not verify certificates).
         receipts: Vec<SharedReceipt>,
         /// Number of replicas the coordinator aimed for.
         expected: u32,

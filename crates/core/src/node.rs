@@ -80,9 +80,10 @@ pub(crate) struct InsertCoord {
     pub file_id: FileId,
     /// The replica set this coordinator selected.
     pub expected: Vec<NodeEntry>,
-    /// Receipts collected so far.
+    /// Receipts collected so far (none when receipts are not signed).
     pub receipts: Vec<SharedReceipt>,
-    /// Nodes that confirmed storage (for discards on abort).
+    /// Nodes that confirmed storage (for discards on abort); the
+    /// attempt succeeds when every expected node is here.
     pub stored: Vec<NodeEntry>,
 }
 
@@ -855,9 +856,10 @@ impl Application for PastNode {
             MsgKind::ReplicateResult {
                 req,
                 file_id,
+                stored,
                 receipt,
                 storer,
-            } => self.on_replicate_result(ctx, req, file_id, receipt, storer),
+            } => self.on_replicate_result(ctx, req, file_id, stored, receipt, storer),
             MsgKind::Divert {
                 req,
                 cert,

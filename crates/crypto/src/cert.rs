@@ -256,7 +256,7 @@ pub struct StoreReceipt {
     pub diverted: bool,
     /// Issue time.
     pub issued_at: u64,
-    /// Storer's signature; `None` when issued unsigned.
+    /// Storer's signature; a receipt without one never verifies.
     pub signature: Option<Box<Signature>>,
 }
 
@@ -269,21 +269,15 @@ impl StoreReceipt {
         issued_at: u64,
         rng: &mut R,
     ) -> Self {
-        let mut receipt = Self::issue_unsigned(storer, file_id, diverted, issued_at);
-        receipt.signature = Some(Box::new(storer.sign(&receipt.signing_bytes(), rng)));
-        receipt
-    }
-
-    /// Unsigned variant for runs with verification disabled; see
-    /// [`FileCertificate::issue_unsigned`].
-    pub fn issue_unsigned(storer: &KeyPair, file_id: FileId, diverted: bool, issued_at: u64) -> Self {
-        StoreReceipt {
+        let mut receipt = StoreReceipt {
             file_id,
             storer: storer.public_shared(),
             diverted,
             issued_at,
             signature: None,
-        }
+        };
+        receipt.signature = Some(Box::new(storer.sign(&receipt.signing_bytes(), rng)));
+        receipt
     }
 
     fn signing_bytes(&self) -> Vec<u8> {
@@ -346,10 +340,10 @@ mod tests {
         // And an unsigned certificate never passes verification.
         assert!(unsigned.verify(Some(content)).is_err());
 
-        let r_unsigned = StoreReceipt::issue_unsigned(&owner, signed.file_id, true, 100);
-        let r_signed = StoreReceipt::issue(&owner, signed.file_id, true, 100, &mut rng);
-        assert_eq!(r_unsigned.signing_bytes(), r_signed.signing_bytes());
-        assert!(r_unsigned.verify().is_err());
+        let mut receipt = StoreReceipt::issue(&owner, signed.file_id, true, 100, &mut rng);
+        assert!(receipt.verify().is_ok());
+        receipt.signature = None;
+        assert!(receipt.verify().is_err());
     }
 
     #[test]

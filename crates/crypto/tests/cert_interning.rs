@@ -34,10 +34,10 @@ fn packed_certificate_layout_holds() {
     );
 }
 
-/// Fail closed: a certificate, receipt or reclaim certificate issued
-/// unsigned is rejected before any signature is checked, so it never
-/// moves the `crypto.verify` counter, while the signed twins of the
-/// same fields verify and count one check each.
+/// Fail closed: a certificate or reclaim certificate issued unsigned,
+/// or a receipt without its signature, is rejected before any signature
+/// is checked, so it never moves the `crypto.verify` counter, while the
+/// signed twins of the same fields verify and count one check each.
 #[test]
 fn unsigned_never_verifies_and_signed_still_round_trips() {
     let mut rng = StdRng::seed_from_u64(17);
@@ -47,7 +47,13 @@ fn unsigned_never_verifies_and_signed_still_round_trips() {
         past_obs::install(past_obs::Recorder::new());
 
         let file = FileCertificate::issue_unsigned(&kp, "f", content, 10, 3, 0, 0);
-        let receipt = StoreReceipt::issue_unsigned(&kp, file.file_id, false, 0);
+        let receipt = StoreReceipt {
+            file_id: file.file_id,
+            storer: kp.public_shared(),
+            diverted: false,
+            issued_at: 0,
+            signature: None,
+        };
         let reclaim = ReclaimCertificate::issue_unsigned(&kp, file.file_id, 0);
         assert!(file.signature.is_none() && receipt.signature.is_none());
         assert!(reclaim.signature.is_none());

@@ -132,8 +132,30 @@ impl LeafSet {
     }
 
     /// Returns `true` if `id` is a member.
+    ///
+    /// Only the side `id` falls on (clockwise or counter-clockwise of
+    /// this node, whichever is nearer) can hold it, and that side is
+    /// sorted by distance from this node: anything beyond its last
+    /// member is rejected in O(1), the rest found by binary search.
     pub fn contains(&self, id: NodeId) -> bool {
-        self.smaller.iter().any(|e| e.id == id) || self.larger.iter().any(|e| e.id == id)
+        let own = self.own;
+        if self.is_cw(id) {
+            Self::side_contains(&self.larger, id, |m| own.cw_distance(m))
+        } else {
+            Self::side_contains(&self.smaller, id, |m| own.ccw_distance(m))
+        }
+    }
+
+    /// `side` is the one [`LeafSet::is_cw`] assigns `id` to, and `dist`
+    /// its order.
+    fn side_contains(side: &[NodeEntry], id: NodeId, dist: impl Fn(NodeId) -> u128) -> bool {
+        let d = dist(id);
+        match side.last() {
+            Some(last) if d <= dist(last.id) => {
+                side.binary_search_by(|e| dist(e.id).cmp(&d)).is_ok()
+            }
+            _ => false,
+        }
     }
 
     /// Iterates over all members (both sides), no particular order.
@@ -263,16 +285,30 @@ impl LeafSet {
     /// Returns `true` if this node is among the `k` numerically closest
     /// to `key`, judged from its local leaf set. Equivalent to checking
     /// membership in [`LeafSet::replica_candidates`] but allocation-free
-    /// (this test runs on every forwarded insert), and it stops at the
-    /// `k`-th closer member: with `k = 1` it asks "am I the closest?"
-    /// and usually answers after a member or two.
+    /// (this test runs on every forwarded insert).
+    ///
+    /// A side is an arc of at most half the ring that starts at `own`,
+    /// and along such an arc the ring distance to `key` is unimodal:
+    /// it falls to `key` and rises after it, or rises to the antipode of
+    /// `key` and falls after it. So the members closer to `key` than
+    /// `own` sit in a run at the near end of a side, or in a run at its
+    /// far end, and only those runs are read: usually one member at
+    /// each end of each side. Counting stops at the `k`-th.
     pub fn is_among_k_closest(&self, key: NodeId, k: usize) -> bool {
         let own = rank(self.own, key);
-        self.members()
-            .filter(|e| rank(e.id, key) < own)
-            .take(k)
-            .count()
-            < k
+        let closer = |e: &&NodeEntry| rank(e.id, key) < own;
+        let mut count = 0;
+        for side in [&self.smaller, &self.larger] {
+            let near = side.iter().take_while(closer).take(k - count).count();
+            count += near;
+            if count < k && near < side.len() {
+                count += side.iter().rev().take_while(closer).take(k - count).count();
+            }
+            if count == k {
+                return false;
+            }
+        }
+        true
     }
 }
 
@@ -501,6 +537,43 @@ mod tests {
             ls.replica_candidates_into(keyn, k, Addr(7), &mut buf);
             let ranked: Vec<_> = all.iter().map(|e| (e.id.ring_distance(keyn), *e)).collect();
             prop_assert_eq!(&buf, &ranked);
+        }
+
+        #[test]
+        fn prop_side_order_lookups_equal_scans_on_a_small_ring(
+            own in 0u128..64,
+            half in 1usize..6,
+            ops in prop::collection::vec((0u8..4, 0u128..64), 0..60),
+        ) {
+            // A ring of 64 ids (`prop_insert_equals_scan_first_version`'s
+            // `id << 121` fills half the ring), so sides fill, wrap, reach
+            // the antipode and see removals. After every op, every id is
+            // looked up and every key on the ring's half-steps is asked
+            // for every k, so some keys sit exactly between two ids and
+            // tie.
+            let own = own << 122;
+            let mut ls = LeafSet::new(NodeId::from_u128(own), half);
+            for (op, id) in ops {
+                let e = NodeEntry::new(NodeId::from_u128(id << 122), Addr(id as u32));
+                if op == 0 {
+                    ls.remove(e.id);
+                } else {
+                    ls.insert(e);
+                }
+                for probe in 0u128..64 {
+                    let probe = NodeId::from_u128(probe << 122);
+                    prop_assert_eq!(ls.contains(probe), ls.members().any(|m| m.id == probe));
+                }
+                for key in 0u128..128 {
+                    let key = NodeId::from_u128(key << 121);
+                    // Own's place in sort-and-truncate order: it is among
+                    // the k closest exactly when k is beyond it.
+                    let place = ls.members().filter(|m| rank(m.id, key) < rank(ls.own, key)).count();
+                    for k in 0..=ls.len() + 1 {
+                        prop_assert_eq!(ls.is_among_k_closest(key, k), place < k, "k {}", k);
+                    }
+                }
+            }
         }
 
         #[test]

@@ -12,7 +12,8 @@
 #   4. cargo clippy -D warnings
 #   5. cargo doc -D warnings
 #   6. pastbench's own tests (benchmark/, a package of its own), and
-#      the layout guards in the profile pastbench measures
+#      the layout guards, SHA-1 and the leaf set in the profile
+#      pastbench measures
 #   7. copies of a message between send and handler (count_copies.sh)
 #   8. repro: every experiment at smoke scale, twice, asserts on, and
 #      its CSVs against the recorded digests (scripts/repro_smoke.sha256)
@@ -60,6 +61,10 @@ cargo test --release --offline --manifest-path benchmark/Cargo.toml
 # profile too, not only in stage 3's debug build.
 cargo test -q --release --offline -p past-store
 cargo test -q --release --offline -p past-sim --test footprint
+# SHA-1's block function runs on `unsafe` SHA-extension intrinsics and
+# the leaf set answers from its sides' order: hold both against their
+# reference forms in the optimized build too.
+cargo test -q --release --offline -p past-crypto -p past-pastry
 
 echo "== copies per message (memcpy/memmove calls of a message's size, per message sent)"
 # A message is written into the slab once and read out of it once; a
