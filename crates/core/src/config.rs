@@ -27,15 +27,6 @@ pub struct PastConfig {
     /// disables timeouts (static experiments never need them and the
     /// event queue drains faster without timer events).
     pub client_timeout: SimDuration,
-    /// Period of the background migration sweep that gradually moves
-    /// diverted/pointed-to files onto their responsible nodes after node
-    /// arrivals (§3.5). Zero disables migration.
-    pub migration_period: SimDuration,
-    /// Ack timeout for reliable maintenance traffic (`ReplicaTransfer`,
-    /// `InstallPointer`, `FetchReplica`, `Discard`). Each unacked send
-    /// is retransmitted after this timeout, doubling on every retry.
-    /// Zero reverts maintenance to fire-and-forget.
-    pub maint_ack_timeout: SimDuration,
     /// Period of the anti-entropy sweep: each node re-audits a batch of
     /// its primary replicas against the current replica set and
     /// re-issues repairs ("slow repair"). Zero disables the sweep —
@@ -79,8 +70,6 @@ impl Default for PastConfig {
             max_file_diversions: 3,
             verify_certificates: false,
             client_timeout: SimDuration::ZERO,
-            migration_period: SimDuration::ZERO,
-            maint_ack_timeout: SimDuration::from_secs(2),
             anti_entropy_period: SimDuration::ZERO,
             audit_period: SimDuration::ZERO,
             obs_window: SimDuration::ZERO,

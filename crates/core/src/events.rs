@@ -75,17 +75,4 @@ pub enum PastEvent {
         /// Whether the dropped copy was a diverted replica.
         diverted: bool,
     },
-    /// An insert attempt was aborted by its coordinator (leads to either
-    /// a re-salt or a final failure at the client).
-    InsertAttemptAborted {
-        /// File id of the aborted attempt.
-        file_id: FileId,
-    },
-    /// A reliable maintenance message exhausted its retry budget
-    /// without being acknowledged; the repair is abandoned until the
-    /// next anti-entropy sweep re-issues it.
-    MaintExhausted {
-        /// File the abandoned message concerned.
-        file_id: FileId,
-    },
 }

@@ -92,7 +92,7 @@ impl PastNode {
         );
         for node in candidates {
             if node.id == own.id {
-                self.attempt_store(ctx, Some(req), cert.clone(), Some(own));
+                self.attempt_store(ctx, cert.clone(), Some((req, own)));
             } else {
                 self.send_to(
                     ctx,
@@ -108,18 +108,18 @@ impl PastNode {
     }
 
     /// One of the k replica holders attempts to store the file: locally
-    /// first, then via replica diversion. `coordinator` is `None` during
-    /// §3.5 maintenance re-replication (no outcome is reported then).
+    /// first, then via replica diversion. `origin` names the insert and
+    /// its coordinator, which gets the outcome; it is `None` during §3.5
+    /// maintenance re-replication (no outcome is reported then).
     pub(crate) fn attempt_store(
         &mut self,
         ctx: &mut PCtx<'_, '_>,
-        req: Option<ReqId>,
         cert: SharedFileCert,
-        coordinator: Option<NodeEntry>,
+        origin: Option<(ReqId, NodeEntry)>,
     ) {
         let file_id = cert.file_id;
         if !self.cert_ok(&cert) {
-            if let (Some(req), Some(coord)) = (req, coordinator) {
+            if let Some((req, coord)) = origin {
                 self.report_store_result(ctx, req, file_id, false, None, coord);
             }
             return;
@@ -131,7 +131,7 @@ impl PastNode {
                     size: cert.file_size,
                     diverted: false,
                 });
-                if let (Some(req), Some(coord)) = (req, coordinator) {
+                if let Some((req, coord)) = origin {
                     let receipt = self.issue_receipt(ctx, file_id, false);
                     self.report_store_result(ctx, req, file_id, true, receipt, coord);
                 }
@@ -144,7 +144,7 @@ impl PastNode {
             }
             Err(StoreError::Duplicate) => {
                 // Already stored (duplicate replicate): report as stored.
-                if let (Some(req), Some(coord)) = (req, coordinator) {
+                if let Some((req, coord)) = origin {
                     let receipt = self.issue_receipt(ctx, file_id, false);
                     self.report_store_result(ctx, req, file_id, true, receipt, coord);
                 }
@@ -156,7 +156,7 @@ impl PastNode {
                     Some(target) => {
                         if past_obs::is_enabled() {
                             past_obs::counter("past.divert.requested", 1);
-                            if let Some(req) = req {
+                            if let Some((req, _)) = origin {
                                 past_obs::span_event(
                                     obs::req_span(&req),
                                     ctx.now().micros(),
@@ -169,9 +169,8 @@ impl PastNode {
                         self.diversions.insert(
                             file_id,
                             PendingDiversion {
-                                req,
                                 cert: cert.clone(),
-                                coordinator,
+                                origin,
                             },
                         );
                         let own = ctx.own();
@@ -179,14 +178,14 @@ impl PastNode {
                             ctx,
                             target,
                             MsgKind::Divert {
-                                req,
+                                req: origin.map(|(req, _)| req),
                                 cert,
                                 requester: own,
                             },
                         );
                     }
                     None => {
-                        if let (Some(req), Some(coord)) = (req, coordinator) {
+                        if let Some((req, coord)) = origin {
                             self.report_store_result(ctx, req, file_id, false, None, coord);
                         }
                     }
@@ -297,7 +296,6 @@ impl PastNode {
             ctx,
             requester,
             MsgKind::DivertResult {
-                req,
                 file_id,
                 accepted,
                 holder: own,
@@ -309,7 +307,6 @@ impl PastNode {
     pub(crate) fn on_divert_result(
         &mut self,
         ctx: &mut PCtx<'_, '_>,
-        _req: Option<ReqId>,
         file_id: FileId,
         accepted: bool,
         holder: NodeEntry,
@@ -340,11 +337,11 @@ impl PastNode {
                     );
                 }
             }
-            if let (Some(req), Some(coord)) = (pending.req, pending.coordinator) {
+            if let Some((req, coord)) = pending.origin {
                 let receipt = self.issue_receipt(ctx, file_id, true);
                 self.report_store_result(ctx, req, file_id, true, receipt, coord);
             }
-        } else if let (Some(req), Some(coord)) = (pending.req, pending.coordinator) {
+        } else if let Some((req, coord)) = pending.origin {
             // "When one of the k nodes declines ... and the node it then
             // chooses also declines, then the entire file is diverted."
             self.report_store_result(ctx, req, file_id, false, None, coord);
@@ -479,7 +476,6 @@ impl PastNode {
                     coord.stored.len() as i64,
                 );
             }
-            ctx.emit(PastEvent::InsertAttemptAborted { file_id });
             for node in coord.stored {
                 self.send_discard(ctx, node, file_id);
             }

@@ -11,7 +11,7 @@
 //!   and C→B backup pointers, and *file diversion* by re-salting the
 //!   fileId (up to three retries);
 //! - **replica maintenance** (§3.5): restoring the k-copies invariant on
-//!   node arrival and failure, with lazy background migration;
+//!   node arrival and failure, over acked, retransmitted messages;
 //! - **caching** (§4): route-through insertion into the unused disk
 //!   space, GreedyDual-Size replacement, and lookup responses that
 //!   retrace the request path to populate caches;

@@ -1,9 +1,11 @@
 //! Replica maintenance (§3.5): keeping k copies per file as nodes join,
-//! fail and recover, and gradually migrating files to their responsible
-//! nodes in the background.
+//! fail and recover. A joining node gets a pointer to the data it
+//! displaces; the data itself does not move (§3.5's optional background
+//! migration is not implemented).
 
 use past_crypto::SharedFileCert;
 use past_id::{FileId, NodeId};
+use past_net::SimDuration;
 use past_pastry::{NodeEntry, PastryState};
 
 use crate::config::K;
@@ -12,13 +14,14 @@ use crate::messages::MsgKind;
 use crate::node::{PCtx, PastNode, PendingMaint, MAINT_RETRY_BASE};
 use crate::obs;
 
+/// Ack timeout for a maintenance message: each unacked send is
+/// retransmitted after it, the timeout doubling on every retry.
+const MAINT_ACK_TIMEOUT: SimDuration = SimDuration::from_secs(2);
 /// Maximum retransmissions per maintenance message before the repair
-/// is abandoned (reported as `PastEvent::MaintExhausted`).
+/// is abandoned (counted in `MaintStats::exhausted`).
 const MAINT_RETRY_BUDGET: u32 = 5;
 /// Maximum primaries re-audited per anti-entropy sweep.
 const ANTI_ENTROPY_BATCH: usize = 8;
-/// Maximum files pulled per background migration sweep.
-const MIGRATION_BATCH: usize = 4;
 
 /// Whether `node`, a leaf-set member, is among the `k` closest to `key`
 /// *instead of* this node. `candidates` is scratch space.
@@ -45,15 +48,10 @@ fn displaced_by(
 impl PastNode {
     /// Sends a maintenance message reliably: enveloped with a sequence
     /// number, retransmitted with exponential backoff until the
-    /// receiver acks or the retry budget runs out. Falls back to
-    /// fire-and-forget when `maint_ack_timeout` is zero.
+    /// receiver acks or the retry budget runs out.
     pub(crate) fn send_maint(&mut self, ctx: &mut PCtx<'_, '_>, to: NodeEntry, kind: MsgKind) {
         self.maint_stats.sent += 1;
         past_obs::counter("maint.sent", 1);
-        if self.cfg.maint_ack_timeout.micros() == 0 {
-            self.send_to(ctx, to, kind);
-            return;
-        }
         let seq = self.next_maint_seq;
         self.next_maint_seq += 1;
         if past_obs::is_enabled() {
@@ -76,7 +74,7 @@ impl PastNode {
                 to,
                 kind: kind.clone(),
                 attempts: 0,
-                backoff: self.cfg.maint_ack_timeout,
+                backoff: MAINT_ACK_TIMEOUT,
             },
         );
         self.send_to(
@@ -87,7 +85,7 @@ impl PastNode {
                 inner: Box::new(kind),
             },
         );
-        ctx.set_app_timer(self.cfg.maint_ack_timeout, MAINT_RETRY_BASE + seq);
+        ctx.set_app_timer(MAINT_ACK_TIMEOUT, MAINT_RETRY_BASE + seq);
     }
 
     /// Accounts maintenance payload bytes by class, in the struct
@@ -138,9 +136,6 @@ impl PastNode {
                     "exhausted",
                 );
             }
-            if let Some(file_id) = entry.kind.maint_file_id() {
-                ctx.emit(PastEvent::MaintExhausted { file_id });
-            }
             return;
         }
         entry.attempts += 1;
@@ -173,8 +168,9 @@ impl PastNode {
     /// A node entered this node's leaf set. For every primary replica
     /// whose replica set now includes the newcomer *instead of* this
     /// node, install a pointer on the newcomer (semantically a replica
-    /// diversion, per §3.5) so responsibility transfers immediately while
-    /// the data migrates lazily.
+    /// diversion, per §3.5) so responsibility transfers immediately. The
+    /// data stays where it is: the pointer lasts until the file is
+    /// reclaimed or its holder fails.
     pub(crate) fn handle_neighbor_added(&mut self, ctx: &mut PCtx<'_, '_>, node: NodeEntry) {
         let own = ctx.own();
         // One buffer for the whole sweep: it asks once per stored primary.
@@ -257,7 +253,7 @@ impl PastNode {
                 }
                 // Re-create the replica: §3.3's machinery is reused with
                 // no coordinator (no receipts at maintenance time).
-                self.attempt_store(ctx, None, pointer.cert, None);
+                self.attempt_store(ctx, pointer.cert, None);
             }
         }
         // (c) Backup pointers installed by the failed diverting node A:
@@ -292,16 +288,14 @@ impl PastNode {
         }
     }
 
-    /// A replica holder receives a request for a file's content (a newly
-    /// responsible node pulling its copy). `refresh` classifies the
-    /// shipped bytes: a fetch answering an anti-entropy advertisement
-    /// refreshes a copy, a migration pull restores one.
+    /// A replica holder receives a request for a file's content from a
+    /// responsible node that lacks the copy this holder advertised. The
+    /// shipped bytes count as refresh bytes.
     pub(crate) fn on_fetch_replica(
         &mut self,
         ctx: &mut PCtx<'_, '_>,
         from: NodeEntry,
         file_id: FileId,
-        refresh: bool,
     ) {
         // A replica-dropping Byzantine node refuses maintenance service
         // outright (it has discarded its copies anyway).
@@ -310,15 +304,15 @@ impl PastNode {
         }
         if let Some(replica) = self.store.replica(file_id) {
             let cert = replica.cert.clone();
-            self.count_maint_bytes(cert.file_size, refresh);
+            self.count_maint_bytes(cert.file_size, true);
             self.send_maint(ctx, from, MsgKind::ReplicaTransfer { cert });
         }
     }
 
     /// A file arrives for this node to store as part of maintenance
-    /// (failure recovery or migration). Stored with the §3.5 overflow
-    /// handling: locally, else diverted, else dropped (replication
-    /// temporarily below k).
+    /// (failure recovery or an anti-entropy refresh). Stored with the
+    /// §3.5 overflow handling: locally, else diverted, else dropped
+    /// (replication temporarily below k).
     pub(crate) fn on_replica_transfer(
         &mut self,
         ctx: &mut PCtx<'_, '_>,
@@ -349,18 +343,18 @@ impl PastNode {
                 size,
                 diverted: false,
             });
-            // If this transfer completed a migration, the old holder may
-            // now drop its copy.
+            // The copy retires any pointer this node kept for the file,
+            // and the sender may now drop its own if no longer responsible.
             self.store.remove_pointer(file_id);
             self.send_to(ctx, from, MsgKind::MigrationDone { file_id });
         } else {
             // Reuse replica diversion with no coordinator.
-            self.attempt_store(ctx, None, cert, None);
+            self.attempt_store(ctx, cert, None);
         }
     }
 
-    /// The old holder learns a migration completed: drop the replica if
-    /// this node is no longer among the file's k closest.
+    /// The receiver of this node's copy holds the file now: drop the
+    /// replica if this node is no longer among the file's k closest.
     pub(crate) fn on_migration_done(&mut self, ctx: &mut PCtx<'_, '_>, file_id: FileId) {
         if ctx.is_among_k_closest(file_id.as_key(), K) {
             return; // Still responsible: keep the copy.
@@ -371,39 +365,6 @@ impl PastNode {
                 size: replica.size(),
                 diverted: replica.diverted_from.is_some(),
             });
-        }
-    }
-
-    /// Background migration sweep (§3.5: "the affected files can then be
-    /// gradually migrated ... as part of a background operation"): pull
-    /// up to [`MIGRATION_BATCH`] pointed-to files whose replica lives on a
-    /// node outside this node's leaf set or that this node should own.
-    pub(crate) fn migration_sweep(&mut self, ctx: &mut PCtx<'_, '_>) {
-        let mut pointed: Vec<(FileId, NodeEntry)> = self
-            .store
-            .pointers()
-            .map(|(id, p)| (*id, p.holder))
-            .collect();
-        // Sorted (not HashMap-order) so the batch picked each sweep is
-        // the same across same-seed runs.
-        pointed.sort_by_key(|(id, _)| *id);
-        let mut migrated = 0;
-        for (file_id, holder) in pointed {
-            if migrated == MIGRATION_BATCH {
-                break;
-            }
-            // Only migrate files this node should hold itself.
-            if ctx.is_among_k_closest(file_id.as_key(), K) {
-                self.send_maint(
-                    ctx,
-                    holder,
-                    MsgKind::FetchReplica {
-                        file_id,
-                        refresh: false,
-                    },
-                );
-                migrated += 1;
-            }
         }
     }
 
@@ -451,9 +412,9 @@ impl PastNode {
                 if ctx.config().warm_restart {
                     // Advertise-then-fetch: ship the certificate, not
                     // the file. Receivers that miss the replica pull it
-                    // (`FetchReplica { refresh: true }`); receivers that
-                    // hold it reconcile over-replication instead of
-                    // absorbing a redundant full copy.
+                    // (`FetchReplica`); receivers that hold it reconcile
+                    // over-replication instead of absorbing a redundant
+                    // full copy.
                     self.send_maint(
                         ctx,
                         node,
@@ -493,14 +454,7 @@ impl PastNode {
             // Only pull content this node is actually responsible for,
             // and only under a valid certificate.
             if ctx.is_among_k_closest(file_id.as_key(), K) && self.cert_ok(&cert) {
-                self.send_maint(
-                    ctx,
-                    holder,
-                    MsgKind::FetchReplica {
-                        file_id,
-                        refresh: true,
-                    },
-                );
+                self.send_maint(ctx, holder, MsgKind::FetchReplica { file_id });
             }
             return;
         }

@@ -106,8 +106,6 @@ pub enum MsgKind {
     },
     /// B → A: diversion outcome.
     DivertResult {
-        /// Insert operation id (`None` during maintenance).
-        req: Option<ReqId>,
         /// File concerned.
         file_id: FileId,
         /// Whether B accepted the replica.
@@ -207,15 +205,12 @@ pub enum MsgKind {
         /// the client's quota credit.
         freed: u64,
     },
-    /// New responsible node → replica holder: send me the file (§3.5
-    /// migration and failure recovery).
+    /// Responsible node → advertising holder: send me the file, which
+    /// the holder's advertisement said this node misses (warm-restart
+    /// reconciliation; the shipped bytes count as refresh bytes).
     FetchReplica {
         /// File concerned.
         file_id: FileId,
-        /// Whether this fetch refreshes a copy the anti-entropy sweep
-        /// advertised (accounted as refresh bytes) rather than restores
-        /// a lost replica (re-replication bytes).
-        refresh: bool,
     },
     /// Replica holder → replica set: "I hold this file" — the cheap
     /// (certificate-sized) alternative to shipping the whole replica.
@@ -283,23 +278,6 @@ pub enum MsgKind {
         /// The answering holder.
         holder: NodeEntry,
     },
-}
-
-impl MsgKind {
-    /// The file a maintenance message concerns, for skip/give-up
-    /// reporting (`None` for non-maintenance kinds).
-    pub fn maint_file_id(&self) -> Option<FileId> {
-        match self {
-            MsgKind::InstallPointer { file_id, .. }
-            | MsgKind::Discard { file_id }
-            | MsgKind::FetchReplica { file_id, .. }
-            | MsgKind::MigrationDone { file_id } => Some(*file_id),
-            MsgKind::ReplicaTransfer { cert } => Some(cert.file_id),
-            MsgKind::ReplicaAdvertise { cert, .. } => Some(cert.file_id),
-            MsgKind::MaintSeq { inner, .. } => inner.maint_file_id(),
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]

@@ -21,8 +21,6 @@ use crate::obs;
 /// Context alias used by every PAST handler.
 pub(crate) type PCtx<'a, 'b> = AppCtx<'a, 'b, PastMsg, PastEvent>;
 
-/// Timer token for the background migration sweep.
-pub(crate) const MIGRATION_TOKEN: u64 = 0;
 /// Timer token for the anti-entropy sweep.
 pub(crate) const ANTI_ENTROPY_TOKEN: u64 = 1;
 /// Timer token for the sampled storage-audit sweep.
@@ -90,12 +88,11 @@ pub(crate) struct InsertCoord {
 /// Node-A-side state for one pending replica diversion.
 #[derive(Clone, Debug)]
 pub(crate) struct PendingDiversion {
-    /// The insert operation (`None` for §3.5 maintenance re-creation).
-    pub req: Option<ReqId>,
     /// The certificate.
     pub cert: SharedFileCert,
-    /// The coordinator expecting this node's ReplicateResult.
-    pub coordinator: Option<NodeEntry>,
+    /// The insert operation and the coordinator expecting this node's
+    /// ReplicateResult (`None` for §3.5 maintenance re-creation).
+    pub origin: Option<(ReqId, NodeEntry)>,
 }
 
 /// Counters for the reliable maintenance plane.
@@ -109,9 +106,8 @@ pub struct MaintStats {
     pub acked: u64,
     /// Messages abandoned after the retry budget ran out.
     pub exhausted: u64,
-    /// File bytes shipped to restore a lost replica (failure recovery
-    /// and migration pulls). First transmissions only; retries are
-    /// visible through `retries`.
+    /// File bytes shipped to restore a lost replica (failure recovery).
+    /// First transmissions only; retries are visible through `retries`.
     pub bytes_rereplication: u64,
     /// File bytes re-shipped by the anti-entropy sweep to refresh
     /// copies the receiver may already hold (including fetches answered
@@ -263,12 +259,11 @@ impl PastNode {
     }
 
     /// Arms the timer of each periodic sweep among `tokens` whose period
-    /// is nonzero: all three when the node joins or restarts warm, its
-    /// own when a sweep has run.
+    /// is nonzero: both when the node joins or restarts warm, its own
+    /// when a sweep has run.
     fn arm_sweeps(&self, ctx: &mut PCtx<'_, '_>, tokens: impl IntoIterator<Item = u64>) {
         for token in tokens {
             let period = match token {
-                MIGRATION_TOKEN => self.cfg.migration_period,
                 ANTI_ENTROPY_TOKEN => self.cfg.anti_entropy_period,
                 _ => self.cfg.audit_period,
             };
@@ -720,6 +715,95 @@ impl PastNode {
             ctx.demote_peer(p.holder.id);
         }
     }
+
+    /// Hands a direct message to its handler. A maintenance envelope is
+    /// acked and its payload dispatched here like any direct message.
+    fn dispatch(&mut self, ctx: &mut PCtx<'_, '_>, from: NodeEntry, kind: MsgKind) {
+        match kind {
+            MsgKind::Replicate {
+                req,
+                cert,
+                coordinator,
+            } => self.attempt_store(ctx, cert, Some((req, coordinator))),
+            MsgKind::ReplicateResult {
+                req,
+                file_id,
+                stored,
+                receipt,
+                storer,
+            } => self.on_replicate_result(ctx, req, file_id, stored, receipt, storer),
+            MsgKind::Divert {
+                req,
+                cert,
+                requester,
+            } => self.on_divert_request(ctx, req, cert, requester),
+            MsgKind::DivertResult {
+                file_id,
+                accepted,
+                holder,
+            } => self.on_divert_result(ctx, file_id, accepted, holder),
+            MsgKind::InstallPointer {
+                file_id,
+                holder,
+                backup,
+                cert,
+            } => self.on_install_pointer(from, file_id, holder, backup, cert),
+            MsgKind::Discard { file_id } => self.on_discard(ctx, file_id),
+            MsgKind::InsertReply {
+                req,
+                file_id,
+                receipts,
+                expected,
+                ok,
+            } => self.on_insert_reply(ctx, req, file_id, receipts, expected, ok),
+            MsgKind::LookupHit {
+                req,
+                cert,
+                hops,
+                kind,
+                reverse_path,
+                corrupted,
+                server,
+            } => self.on_lookup_hit(ctx, req, cert, hops, kind, reverse_path, corrupted, server),
+            MsgKind::LookupMiss { req, file_id } => self.on_lookup_miss(ctx, req, file_id),
+            MsgKind::FetchDiverted {
+                req,
+                file_id,
+                hops,
+                path,
+            } => self.on_fetch_diverted(ctx, req, file_id, hops, path),
+            MsgKind::ReclaimExec { cert } => self.on_reclaim_exec(ctx, cert),
+            MsgKind::ReclaimReply {
+                req,
+                file_id,
+                ok,
+                freed,
+            } => self.on_reclaim_reply(ctx, req, file_id, ok, freed),
+            MsgKind::FetchReplica { file_id } => self.on_fetch_replica(ctx, from, file_id),
+            MsgKind::ReplicaAdvertise { cert, holder } => {
+                self.on_replica_advertise(ctx, cert, holder)
+            }
+            MsgKind::ReplicaTransfer { cert } => self.on_replica_transfer(ctx, from, cert),
+            MsgKind::MigrationDone { file_id } => self.on_migration_done(ctx, file_id),
+            MsgKind::MaintSeq { seq, inner } => {
+                // Ack first — receipt, not outcome, is what the sender
+                // retries on; every maintenance handler is idempotent.
+                self.send_to(ctx, from, MsgKind::MaintAck { seq });
+                self.dispatch(ctx, from, *inner);
+            }
+            MsgKind::MaintAck { seq } => self.on_maint_ack(ctx, seq),
+            MsgKind::AuditChallenge {
+                seq,
+                file_id,
+                nonce,
+                auditor,
+            } => self.on_audit_challenge(ctx, seq, file_id, nonce, auditor),
+            MsgKind::AuditProof { seq, proof, .. } => self.on_audit_proof(ctx, seq, proof),
+            MsgKind::Insert { .. } | MsgKind::Lookup { .. } | MsgKind::Reclaim { .. } => {
+                debug_assert!(false, "routed message arrived as a direct message");
+            }
+        }
+    }
 }
 
 impl Application for PastNode {
@@ -847,124 +931,18 @@ impl Application for PastNode {
 
     fn on_app_message(&mut self, ctx: &mut PCtx<'_, '_>, from: NodeEntry, msg: PastMsg) {
         self.note_free(ctx, from.id, msg.free);
-        match msg.kind {
-            MsgKind::Replicate {
-                req,
-                cert,
-                coordinator,
-            } => self.attempt_store(ctx, Some(req), cert, Some(coordinator)),
-            MsgKind::ReplicateResult {
-                req,
-                file_id,
-                stored,
-                receipt,
-                storer,
-            } => self.on_replicate_result(ctx, req, file_id, stored, receipt, storer),
-            MsgKind::Divert {
-                req,
-                cert,
-                requester,
-            } => self.on_divert_request(ctx, req, cert, requester),
-            MsgKind::DivertResult {
-                req,
-                file_id,
-                accepted,
-                holder,
-            } => self.on_divert_result(ctx, req, file_id, accepted, holder),
-            MsgKind::InstallPointer {
-                file_id,
-                holder,
-                backup,
-                cert,
-            } => self.on_install_pointer(from, file_id, holder, backup, cert),
-            MsgKind::Discard { file_id } => self.on_discard(ctx, file_id),
-            MsgKind::InsertReply {
-                req,
-                file_id,
-                receipts,
-                expected,
-                ok,
-            } => self.on_insert_reply(ctx, req, file_id, receipts, expected, ok),
-            MsgKind::LookupHit {
-                req,
-                cert,
-                hops,
-                kind,
-                reverse_path,
-                corrupted,
-                server,
-            } => self.on_lookup_hit(ctx, req, cert, hops, kind, reverse_path, corrupted, server),
-            MsgKind::LookupMiss { req, file_id } => self.on_lookup_miss(ctx, req, file_id),
-            MsgKind::FetchDiverted {
-                req,
-                file_id,
-                hops,
-                path,
-            } => self.on_fetch_diverted(ctx, req, file_id, hops, path),
-            MsgKind::ReclaimExec { cert } => self.on_reclaim_exec(ctx, cert),
-            MsgKind::ReclaimReply {
-                req,
-                file_id,
-                ok,
-                freed,
-            } => self.on_reclaim_reply(ctx, req, file_id, ok, freed),
-            MsgKind::FetchReplica { file_id, refresh } => {
-                self.on_fetch_replica(ctx, from, file_id, refresh)
-            }
-            MsgKind::ReplicaAdvertise { cert, holder } => {
-                self.on_replica_advertise(ctx, cert, holder)
-            }
-            MsgKind::ReplicaTransfer { cert } => self.on_replica_transfer(ctx, from, cert),
-            MsgKind::MigrationDone { file_id } => self.on_migration_done(ctx, file_id),
-            MsgKind::MaintSeq { seq, inner } => {
-                // Ack first — receipt, not outcome, is what the sender
-                // retries on; every handler below is idempotent.
-                self.send_to(ctx, from, MsgKind::MaintAck { seq });
-                match *inner {
-                    MsgKind::InstallPointer {
-                        file_id,
-                        holder,
-                        backup,
-                        cert,
-                    } => self.on_install_pointer(from, file_id, holder, backup, cert),
-                    MsgKind::Discard { file_id } => self.on_discard(ctx, file_id),
-                    MsgKind::FetchReplica { file_id, refresh } => {
-                        self.on_fetch_replica(ctx, from, file_id, refresh)
-                    }
-                    MsgKind::ReplicaAdvertise { cert, holder } => {
-                        self.on_replica_advertise(ctx, cert, holder)
-                    }
-                    MsgKind::ReplicaTransfer { cert } => {
-                        self.on_replica_transfer(ctx, from, cert)
-                    }
-                    other => {
-                        debug_assert!(false, "non-maintenance payload in MaintSeq: {other:?}");
-                    }
-                }
-            }
-            MsgKind::MaintAck { seq } => self.on_maint_ack(ctx, seq),
-            MsgKind::AuditChallenge {
-                seq,
-                file_id,
-                nonce,
-                auditor,
-            } => self.on_audit_challenge(ctx, seq, file_id, nonce, auditor),
-            MsgKind::AuditProof { seq, proof, .. } => self.on_audit_proof(ctx, seq, proof),
-            MsgKind::Insert { .. } | MsgKind::Lookup { .. } | MsgKind::Reclaim { .. } => {
-                debug_assert!(false, "routed message arrived as a direct message");
-            }
-        }
+        self.dispatch(ctx, from, msg.kind);
     }
 
     fn on_joined(&mut self, ctx: &mut PCtx<'_, '_>) {
-        self.arm_sweeps(ctx, MIGRATION_TOKEN..=AUDIT_SWEEP_TOKEN);
+        self.arm_sweeps(ctx, ANTI_ENTROPY_TOKEN..=AUDIT_SWEEP_TOKEN);
     }
 
     fn on_restore(&mut self, ctx: &mut PCtx<'_, '_>) {
         // The periodic sweeps' timer chains broke while the node was
         // down (timers addressed to a down node are discarded); re-arm
         // them so a warm-restarted node resumes background repair.
-        self.arm_sweeps(ctx, MIGRATION_TOKEN..=AUDIT_SWEEP_TOKEN);
+        self.arm_sweeps(ctx, ANTI_ENTROPY_TOKEN..=AUDIT_SWEEP_TOKEN);
         // Re-advertise every primary the store ("disk") still holds with
         // the cheap certificate-sized message, routed so it converges on
         // the file's current responsible node. Sorted by fileId: the
@@ -992,10 +970,7 @@ impl Application for PastNode {
     }
 
     fn on_app_timer(&mut self, ctx: &mut PCtx<'_, '_>, token: u64) {
-        if token == MIGRATION_TOKEN {
-            self.migration_sweep(ctx);
-            self.arm_sweeps(ctx, [token]);
-        } else if token == ANTI_ENTROPY_TOKEN {
+        if token == ANTI_ENTROPY_TOKEN {
             self.anti_entropy_sweep(ctx);
             self.arm_sweeps(ctx, [token]);
         } else if token >= MAINT_RETRY_BASE {

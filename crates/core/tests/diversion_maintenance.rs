@@ -1,9 +1,11 @@
 //! Focused integration tests for the corners of §3.3–§3.5: pointer
 //! chains under failures, reclaim of diverted files, fileId collisions,
-//! hit-kind reporting, and background migration.
+//! hit-kind reporting, and duplicate maintenance delivery.
 
 use past_core::{HitKind, MsgKind, PastConfig, PastEvent, PastMsg, PastNode, PastOverlayNode};
-use past_crypto::{KeyPair, ReclaimCertificate, Scheme, SharedReclaimCert};
+use past_crypto::{
+    Digest, FileCertificate, KeyPair, ReclaimCertificate, Scheme, SharedFileCert, SharedReclaimCert,
+};
 use past_id::FileId;
 use past_net::{Addr, EuclideanTopology, SimDuration, Simulator};
 use past_pastry::{NodeEntry, PastryConfig, PastryNode};
@@ -391,29 +393,67 @@ fn duplicate_insert_of_same_file_id_is_rejected() {
     }
 }
 
+/// Sends `inner` from `a` to `b` twice under one maintenance seq, as a
+/// retransmission whose ack was lost does, and returns the messages
+/// delivered until the overlay is idle again.
+fn deliver_twice(w: &mut World, a: Addr, b: Addr, inner: MsgKind) -> u64 {
+    let before = w.sim.stats().delivered;
+    for _ in 0..2 {
+        let kind = MsgKind::MaintSeq {
+            seq: 7,
+            inner: Box::new(inner.clone()),
+        };
+        w.sim.invoke(a, move |node, ctx| {
+            node.invoke_app(ctx, |_, actx| actx.send_app(b, PastMsg { free: 0, kind }));
+        });
+    }
+    w.settle();
+    w.sim.stats().delivered - before
+}
+
+/// The receiver of a maintenance message acks every delivery and then
+/// hands the payload to a handler that is idempotent: a retransmitted
+/// copy is acked again and changes nothing.
 #[test]
-fn migration_moves_files_to_responsible_nodes() {
-    let (mut p, r) = churn_cfg();
-    p.migration_period = SimDuration::from_secs(20);
-    let mut w = build(25, 66, &p, &r, |_| 50_000_000);
-    let mut fids = Vec::new();
-    for i in 0..20 {
-        if let (Some(fid), _) = w.insert(Addr(2), &format!("mig{i}"), 5_000) {
-            fids.push(fid);
-        }
-    }
-    // Run a long quiet period: the migration sweeps should not disturb
-    // anything (steady state has nothing to migrate), and every file
-    // stays retrievable.
-    w.sim.run_for(SimDuration::from_secs(300));
+fn duplicate_maintenance_delivery_is_acked_and_applied_once() {
+    let (p, r) = static_cfg();
+    let mut w = build(10, 69, &p, &r, |_| 50_000_000);
     w.events();
-    for fid in &fids {
-        assert!(
-            w.lookup(Addr(11), *fid).is_some(),
-            "file lost during migration sweeps"
-        );
-        assert!(w.holders(*fid).len() >= 5, "replication dropped");
-    }
+    let (a, b) = (Addr(0), Addr(1));
+    let cert = |name: &str| {
+        let cert =
+            FileCertificate::issue_unsigned(&w.keys[0], name, Digest([7; 20]), 1_000, 5, 0, 0);
+        SharedFileCert::new(cert)
+    };
+    let (transferred, pointed) = (cert("transferred"), cert("pointed"));
+
+    // Two envelopes, two acks, and the one `MigrationDone` of the store.
+    let file_id = transferred.file_id;
+    let delivered = deliver_twice(&mut w, a, b, MsgKind::ReplicaTransfer { cert: transferred });
+    assert_eq!(delivered, 5);
+    assert_eq!(w.store(b).primary_count(), 1);
+    assert!(w.store(b).holds_replica(file_id));
+    let stored = w
+        .events()
+        .iter()
+        .filter(|e| matches!(e, PastEvent::ReplicaStored { file_id: f, .. } if *f == file_id))
+        .count();
+    assert_eq!(stored, 1, "the second transfer must not store again");
+
+    // Two envelopes and two acks; one pointer.
+    let (file_id, holder) = (pointed.file_id, w.entries[2]);
+    let install = MsgKind::InstallPointer {
+        file_id,
+        holder,
+        backup: false,
+        cert: pointed,
+    };
+    assert_eq!(deliver_twice(&mut w, a, b, install), 4);
+    assert_eq!(w.store(b).pointer_count(), 1);
+    assert_eq!(
+        w.store(b).pointer(file_id).expect("installed").holder,
+        holder
+    );
 }
 
 #[test]

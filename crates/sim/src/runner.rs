@@ -377,9 +377,7 @@ impl ExperimentResult {
                 }
                 self.lookups_total += 1;
             }
-            PastEvent::ReclaimDone { .. }
-            | PastEvent::InsertAttemptAborted { .. }
-            | PastEvent::MaintExhausted { .. } => {}
+            PastEvent::ReclaimDone { .. } => {}
         }
     }
 }

@@ -3,15 +3,14 @@
 //!
 //! The central scenario kills replica holders and then opens a network
 //! partition exactly over the window in which the survivors detect the
-//! failures and ship their repairs. With fire-and-forget maintenance
-//! the repair messages die in the partition and the working set stays
-//! under-replicated forever; with acked retries the retransmissions
-//! outlive the partition and the k-copies invariant is restored.
+//! failures and ship their repairs. The first transmissions die in the
+//! partition; the acked retries outlive it and the k-copies invariant
+//! is restored.
 
 use past_net::{Addr, FaultPlan, SimDuration};
 use past_sim::{ChurnConfig, ChurnRunner, InvariantReport, CLIENT};
 
-fn scenario_cfg(acked: bool) -> ChurnConfig {
+fn scenario_cfg() -> ChurnConfig {
     let mut cfg = ChurnConfig {
         nodes: 30,
         files: 6,
@@ -23,17 +22,14 @@ fn scenario_cfg(acked: bool) -> ChurnConfig {
     // trigger spurious failure detections, whose repairs would re-create
     // the working set on each side of the cut independently.
     cfg.pastry.failure_timeout = SimDuration::from_secs(25);
-    if !acked {
-        cfg.past.maint_ack_timeout = SimDuration::ZERO;
-    }
     cfg
 }
 
 /// Builds the overlay, inserts the working set, and permanently kills
 /// two of its replica holders. Returns the runner, the per-file holder
 /// sets at kill time, and the kill timestamp.
-fn build_and_kill(acked: bool) -> (ChurnRunner, Vec<Vec<Addr>>, past_net::SimTime) {
-    let mut r = ChurnRunner::build(scenario_cfg(acked));
+fn build_and_kill() -> (ChurnRunner, Vec<Vec<Addr>>, past_net::SimTime) {
+    let mut r = ChurnRunner::build(scenario_cfg());
     let inserted = r.insert_files();
     assert!(inserted >= 4, "only {inserted} inserts succeeded");
     assert!(
@@ -67,8 +63,8 @@ fn build_and_kill(acked: bool) -> (ChurnRunner, Vec<Vec<Addr>>, past_net::SimTim
 /// Observation pass: let the repairs complete unimpeded and report
 /// which nodes they re-created replicas on. Deterministic in the seed,
 /// so a second run of the same scenario repairs onto the same targets.
-fn observe_repair_targets(acked: bool) -> Vec<Addr> {
-    let (mut r, before, _) = build_and_kill(acked);
+fn observe_repair_targets() -> Vec<Addr> {
+    let (mut r, before, _) = build_and_kill();
     r.run_with_faults(FaultPlan::new(), SimDuration::from_secs(60));
     let mut targets: Vec<Addr> = Vec::new();
     for (i, &(fid, _)) in r.files().iter().enumerate() {
@@ -81,18 +77,17 @@ fn observe_repair_targets(acked: bool) -> Vec<Addr> {
     targets
 }
 
-/// Runs the kill + partition scenario; `acked` arms the reliable
-/// maintenance plane (the only difference between the two runs). The
-/// partition isolates every node the repairs will target — every
-/// survivor's re-replication attempt dies on the wire — over exactly
-/// the window in which the failures are detected.
-fn kill_and_partition(acked: bool) -> (ChurnRunner, InvariantReport) {
-    let targets = observe_repair_targets(acked);
+/// Runs the kill + partition scenario. The partition isolates every
+/// node the repairs will target — every survivor's first re-replication
+/// attempt dies on the wire — over exactly the window in which the
+/// failures are detected.
+fn kill_and_partition() -> (ChurnRunner, InvariantReport) {
+    let targets = observe_repair_targets();
     assert!(
         !targets.is_empty(),
         "repairs must re-create replicas somewhere"
     );
-    let (mut r, _, t0) = build_and_kill(acked);
+    let (mut r, _, t0) = build_and_kill();
     // Failure detection happens 20–30 s after the kill (failure timeout
     // 25 s, minus up to 5 s of keep-alive staleness, plus sweep phase);
     // the partition covers that window, so the repairs the detection
@@ -110,7 +105,7 @@ fn kill_and_partition(acked: bool) -> (ChurnRunner, InvariantReport) {
 
 #[test]
 fn acked_retries_restore_invariants_after_partition() {
-    let (r, report) = kill_and_partition(true);
+    let (r, report) = kill_and_partition();
     assert!(
         report.under_replicated.is_empty(),
         "acked maintenance left files under-replicated: {}",
@@ -130,21 +125,6 @@ fn acked_retries_restore_invariants_after_partition() {
     assert!(
         r.net_stats().partition_dropped > 0,
         "the partition never dropped a message — scenario miscalibrated"
-    );
-}
-
-#[test]
-fn fire_and_forget_maintenance_loses_repairs() {
-    let (r, report) = kill_and_partition(false);
-    assert!(
-        r.net_stats().partition_dropped > 0,
-        "the partition never dropped a message — scenario miscalibrated"
-    );
-    assert!(
-        !report.under_replicated.is_empty(),
-        "without acks the partition-eaten repairs must leave \
-         under-replication: {}",
-        report.summary()
     );
 }
 
