@@ -31,7 +31,6 @@ use past_bench::{
 use past_core::{PastConfig, PastEvent};
 use past_net::{Addr, EuclideanTopology, FaultPlan, SimDuration};
 use past_obs::mem;
-use past_pastry::Reliability;
 use past_sim::{
     ChurnConfig, ChurnRunner, Engine, ExperimentConfig, ExperimentResult, Overlay, Runner,
     TopologyKind,
@@ -514,7 +513,7 @@ fn keep_fig6(_: &Experiment, _: &str, r: &ExperimentResult, mean_size: f64) -> V
     let first_failure = |wanted: &dyn Fn(u64) -> bool| {
         let first = r.inserts.iter().filter(|i| !i.success && wanted(i.size));
         let first = first.map(|i| i.utilization).min_by(f64::total_cmp);
-        format!("{:?}", first.map(percent))
+        first.map_or_else(String::new, percent)
     };
     let [scatter, ratio] = failure_tables("fig6_scatter", "fig6_failure_ratio", r);
     let rows = [
@@ -806,9 +805,6 @@ fn restart_run(mtbf_s: u64, warm: bool) -> RestartRun {
         ..Default::default()
     };
     cfg.pastry.warm_restart = warm;
-    if warm {
-        cfg.pastry.reliability = Reliability::Track;
-    }
     // 300 s of churn with 30 s mean downtime (well past the 15 s
     // failure detector, so every outage is noticed) and no message
     // loss. The long window is what separates the modes: at mtbf 60 s
@@ -880,11 +876,11 @@ fn render_churn_warm_vs_cold(e: &Experiment, _: Scale, _: Vec<Vec<Table>>) -> Ve
 
 /// Each malicious fraction runs the same seeded overlay twice:
 /// undefended, and with the full defense stack (periodic sampled
-/// possession audits, lookup content verification, reliability
-/// tracking, routing-table demotion). The overlay is small enough that
-/// every node sees every other through its leaf set: shunning a
-/// convicted holder then reroutes around it in one hop, which is what
-/// lets the defended runs reach zero residual corruption.
+/// possession audits, lookup content verification, and shunning of
+/// convicted holders). The overlay is small enough that every node sees
+/// every other through its leaf set: shunning a convicted holder then
+/// reroutes around it in one hop, which is what lets the defended runs
+/// reach zero residual corruption.
 fn render_byzantine_audit(e: &Experiment, _: Scale, _: Vec<Vec<Table>>) -> Vec<Table> {
     let mut rows = Vec::new();
     for fraction in [0.0f64, 0.05, 0.10, 0.20] {
@@ -899,7 +895,6 @@ fn render_byzantine_audit(e: &Experiment, _: Scale, _: Vec<Vec<Table>>) -> Vec<T
             };
             if audits {
                 cfg.past.audit_period = SimDuration::from_secs(10);
-                cfg.pastry.reliability = Reliability::TrackAndDemote;
             }
             let mut r = ChurnRunner::build(cfg);
             assert!(

@@ -16,8 +16,8 @@
 //! - a proof that echoes the right sequence number but was computed
 //!   over a stale nonce (or corrupted content) fails digest comparison.
 //!
-//! The node layer reacts to failures: peer-score demotion, local
-//! shunning and re-replication through the neighbor-loss repair path.
+//! The node layer reacts to failures: local shunning and
+//! re-replication through the neighbor-loss repair path.
 
 use std::collections::BTreeMap;
 

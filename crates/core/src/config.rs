@@ -40,11 +40,11 @@ pub struct PastConfig {
     /// Period of the sampled storage-audit sweep: each sweep the node
     /// challenges a sampled replica holder per audited file to prove
     /// possession via SHA-1(file ‖ nonce) (LOCKSS-style rate-limited
-    /// sampling). Failed or timed-out proofs demote the holder in the
-    /// peer-score table, shun it locally, and trigger re-replication
-    /// through the normal neighbor-loss repair path. Zero disables
-    /// audits — the default; audit scheduling is RNG-free, so enabling
-    /// it never perturbs any seeded RNG stream.
+    /// sampling). Failed or timed-out proofs shun the holder locally
+    /// and trigger re-replication through the normal neighbor-loss
+    /// repair path. Zero disables audits — the default; audit
+    /// scheduling is RNG-free, so enabling it never perturbs any seeded
+    /// RNG stream.
     ///
     /// A nonzero period also arms the defence's client half, lookup
     /// content verification: the client recomputes the content hash of

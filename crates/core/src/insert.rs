@@ -199,12 +199,6 @@ impl PastNode {
     /// maximal known remaining free space. Nodes with unknown free space
     /// are tried optimistically. Different replica holders de-collide by
     /// offsetting their pick with their rank in the replica set.
-    ///
-    /// With `PastryConfig::reliability` tracking, the ordering becomes
-    /// free space × decayed peer reliability, so both insert-time
-    /// diversions and the §3.5 maintenance re-creations (which reuse
-    /// this chooser with no coordinator) prefer targets that have been
-    /// answering their maintenance acks.
     pub(crate) fn pick_diversion_target(
         &self,
         ctx: &mut PCtx<'_, '_>,
@@ -214,24 +208,16 @@ impl PastNode {
         let candidates = ctx.replica_candidates(key, K);
         let own = ctx.own();
         // Rank by known free space, descending; unknown is optimistic.
-        // Under reliability tracking the score is free × reliability (u128:
-        // the optimistic u64::MAX times 1000 milli-units must not wrap).
-        // Each score is computed once; ties keep leaf-set order.
-        let track = ctx.config().reliability.tracks();
-        let mut eligible: Vec<(Reverse<u128>, usize, NodeEntry)> = ctx
+        // Ties keep leaf-set order.
+        let mut eligible: Vec<(Reverse<u64>, usize, NodeEntry)> = ctx
             .pastry()
             .leaf_set()
             .members()
             .filter(|m| !candidates.iter().any(|c| c.id == m.id))
             .enumerate()
             .map(|(i, m)| {
-                let free = self.free_info.get(&m.id).copied().unwrap_or(u64::MAX) as u128;
-                let score = if track {
-                    free * ctx.reliability_milli(m.id) as u128
-                } else {
-                    free
-                };
-                (Reverse(score), i, *m)
+                let free = self.free_info.get(&m.id).copied().unwrap_or(u64::MAX);
+                (Reverse(free), i, *m)
             })
             .collect();
         if eligible.is_empty() {

@@ -233,7 +233,6 @@ impl PastNode {
                 // defence: armed with it, or not at all.
                 if corrupted && self.cfg.audit_period.micros() > 0 {
                     past_obs::counter("past.lookup.corrupted", 1);
-                    ctx.record_peer_failure(server.id);
                     ctx.demote_peer(server.id);
                     if (retries as usize) < K {
                         past_obs::counter("past.lookup.retry", 1);

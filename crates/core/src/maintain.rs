@@ -103,8 +103,7 @@ impl PastNode {
 
     /// The receiver acknowledged maintenance message `seq`.
     pub(crate) fn on_maint_ack(&mut self, ctx: &mut PCtx<'_, '_>, seq: u64) {
-        if let Some(done) = self.maint_pending.remove(&seq) {
-            ctx.record_peer_success(done.to.id);
+        if self.maint_pending.remove(&seq).is_some() {
             self.maint_stats.acked += 1;
             if past_obs::is_enabled() {
                 past_obs::counter("maint.acked", 1);
@@ -125,8 +124,7 @@ impl PastNode {
             None => return, // Acked before the timer fired.
         };
         if entry.attempts >= MAINT_RETRY_BUDGET {
-            let entry = self.maint_pending.remove(&seq).expect("present");
-            ctx.record_peer_failure(entry.to.id);
+            self.maint_pending.remove(&seq);
             self.maint_stats.exhausted += 1;
             if past_obs::is_enabled() {
                 past_obs::counter("maint.exhausted", 1);
@@ -142,8 +140,6 @@ impl PastNode {
         entry.backoff = entry.backoff + entry.backoff;
         let (to, kind, backoff, attempts) =
             (entry.to, entry.kind.clone(), entry.backoff, entry.attempts);
-        // A missed ack is a (decaying) strike against the receiver.
-        ctx.record_peer_failure(to.id);
         self.maint_stats.retries += 1;
         if past_obs::is_enabled() {
             past_obs::counter("maint.retry", 1);

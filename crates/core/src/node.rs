@@ -685,21 +685,17 @@ impl PastNode {
     }
 
     /// Auditor side of a returned possession proof. Failures demote the
-    /// challenged holder: its peer score drops and the overlay shuns it
-    /// (eviction from leaf set and routing table), which triggers
-    /// re-replication through the normal neighbor-loss repair path.
+    /// challenged holder: the overlay shuns it (eviction from leaf set
+    /// and routing table), which triggers re-replication through the
+    /// normal neighbor-loss repair path.
     fn on_audit_proof(&mut self, ctx: &mut PCtx<'_, '_>, seq: u64, proof: Option<Digest>) {
         let (verdict, pending) =
             self.audits
                 .settle(seq, proof.as_ref(), ctx.now(), &mut self.audit_stats);
         match (verdict, pending) {
-            (AuditVerdict::Pass, Some(p)) => {
-                past_obs::counter("past.audit.pass", 1);
-                ctx.record_peer_success(p.holder.id);
-            }
+            (AuditVerdict::Pass, Some(_)) => past_obs::counter("past.audit.pass", 1),
             (AuditVerdict::Fail, Some(p)) => {
                 past_obs::counter("past.audit.fail", 1);
-                ctx.record_peer_failure(p.holder.id);
                 ctx.demote_peer(p.holder.id);
             }
             _ => {}
@@ -711,7 +707,6 @@ impl PastNode {
     fn on_audit_timeout(&mut self, ctx: &mut PCtx<'_, '_>, seq: u64) {
         if let Some(p) = self.audits.expire(seq, ctx.now(), &mut self.audit_stats) {
             past_obs::counter("past.audit.timeout", 1);
-            ctx.record_peer_failure(p.holder.id);
             ctx.demote_peer(p.holder.id);
         }
     }

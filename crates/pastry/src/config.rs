@@ -2,28 +2,6 @@
 
 use past_net::SimDuration;
 
-/// What a node does with its peers' reliability scores.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Reliability {
-    /// No scores are kept.
-    Off,
-    /// Score peers on acks/timeouts and maintenance outcomes, and let
-    /// the application weight placement decisions by reliability.
-    Track,
-    /// [`Reliability::Track`], and each keep-alive sweep evicts
-    /// routing-table candidates whose decayed peer score fell below
-    /// 250 of 1000, half the uninformed prior (leaf-set members are
-    /// exempt — the failure detector owns them).
-    TrackAndDemote,
-}
-
-impl Reliability {
-    /// Whether scores are kept at all.
-    pub fn tracks(self) -> bool {
-        self != Reliability::Off
-    }
-}
-
 /// Digit width `b` in bits: ids are strings of base-2^b digits, and
 /// the routing table has 2^b columns (the paper's value, 4).
 pub const B: u32 = 4;
@@ -57,17 +35,14 @@ pub struct PastryConfig {
     /// timer per hop; static-network experiments disable it.
     pub per_hop_acks: bool,
     /// Warm restarts: a recovering node rebuilds from the state it kept
-    /// across the crash (leaf set, routing table, neighborhood, peer
-    /// scores) — re-feeding every entry through the normal validation
+    /// across the crash (leaf set, routing table, neighborhood) —
+    /// re-feeding every entry through the normal validation
     /// paths — instead of rejoining cold. The application reads the
     /// same flag: a restarted PAST node re-advertises the primaries its
     /// store still holds, and its anti-entropy sweep and
     /// over-replication reconciliation switch to the advertise-based
     /// forms. Off by default so legacy runs stay byte-identical.
     pub warm_restart: bool,
-    /// Per-peer reliability: off, tracked, or tracked and acted on by
-    /// the routing table. Off by default (byte-identical runs).
-    pub reliability: Reliability,
 }
 
 impl Default for PastryConfig {
@@ -79,7 +54,6 @@ impl Default for PastryConfig {
             randomized_routing: false,
             per_hop_acks: false,
             warm_restart: false,
-            reliability: Reliability::Off,
         }
     }
 }
@@ -116,7 +90,6 @@ mod tests {
         // Robustness extensions ship disabled: default runs must stay
         // byte-identical to the paper configuration.
         assert!(!c.warm_restart);
-        assert_eq!(c.reliability, Reliability::Off);
     }
 
     #[test]

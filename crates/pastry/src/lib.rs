@@ -21,14 +21,12 @@ mod config;
 mod leaf_set;
 mod neighborhood;
 mod node;
-mod peer_score;
 mod routing_table;
 mod state;
 
-pub use config::{PastryConfig, Reliability, B};
+pub use config::{PastryConfig, B};
 pub use leaf_set::{LeafSet, NodeEntry};
 pub use neighborhood::{Neighbor, NeighborhoodSet};
 pub use node::{AppCtx, Application, Body, Envelope, PastryNode};
-pub use peer_score::{PeerScore, PeerScoreTable, RELIABILITY_PRIOR_MILLI};
 pub use routing_table::{RouteCell, RoutingTable};
 pub use state::{HopClass, LeafChange, NextHop, PastryState};

@@ -8,9 +8,8 @@ use std::cell::RefCell;
 use past_id::{IdHashMap, NodeId};
 use past_net::{Addr, Ctx, Protocol, SimDuration, SimTime};
 
-use crate::config::{PastryConfig, Reliability, B};
+use crate::config::{PastryConfig, B};
 use crate::leaf_set::NodeEntry;
-use crate::peer_score::PeerScoreTable;
 use crate::routing_table::RouteCell;
 use crate::state::{LeafChange, NextHop, PastryState};
 
@@ -24,18 +23,10 @@ const APP_TOKEN_BASE: u64 = 1 << 48;
 /// How long a forwarding node waits for the next hop's receipt
 /// acknowledgment before presuming it failed (`per_hop_acks`).
 const FORWARD_ACK_TIMEOUT: SimDuration = SimDuration::from_millis(500);
-/// Half-life of the exponential reliability decay: after this long
-/// without evidence, a peer score has moved half way back to the
-/// uninformed prior.
-const RELIABILITY_HALF_LIFE: SimDuration = SimDuration::from_secs(300);
 /// Warm-restart reconnection fan-out: on recovery, probe at most this
-/// many restored leaf-set members (highest reliability first) instead
-/// of the whole leaf set.
+/// many restored leaf-set members (lowest id first) instead of the
+/// whole leaf set.
 const RESTART_PROBE_FANOUT: usize = 8;
-/// Score floor (milli-units, 0–1000) below which
-/// [`Reliability::TrackAndDemote`] evicts a routing-table candidate. The uninformed prior is 500, so
-/// only peers with sustained failure evidence fall this low.
-const DEMOTE_THRESHOLD_MILLI: u64 = 250;
 /// Under randomized routing, the probability of taking the best hop
 /// ("heavily biased towards the best choice to ensure low average route
 /// delay").
@@ -203,7 +194,6 @@ pub trait Application: Sized {
 pub struct AppCtx<'a, 'b, M, U> {
     state: &'a PastryState,
     cfg: &'a PastryConfig,
-    scores: &'a RefCell<PeerScoreTable>,
     demotions: &'a RefCell<Vec<NodeId>>,
     net: &'a mut Ctx<'b, Envelope<M>, U>,
 }
@@ -305,34 +295,6 @@ impl<'a, 'b, M: Clone, U> AppCtx<'a, 'b, M, U> {
         self.state.is_among_k_closest(key, k)
     }
 
-    /// The decayed reliability of peer `id` in milli-units (0–1000,
-    /// 500 = uninformed prior). Deterministic — safe as a sort key.
-    pub fn reliability_milli(&self, id: NodeId) -> u64 {
-        self.scores.borrow().reliability_milli(id, self.net.now())
-    }
-
-    /// Records a successful exchange with `id` (ack received, transfer
-    /// fulfilled). A no-op unless [`PastryConfig::reliability`] tracks.
-    pub fn record_peer_success(&mut self, id: NodeId) {
-        if self.cfg.reliability.tracks() {
-            let now = self.net.now();
-            let mut scores = self.scores.borrow_mut();
-            scores.record_success(id, now);
-            past_obs::observe("pastry.peer.reliability", scores.reliability_milli(id, now));
-        }
-    }
-
-    /// Records a failed exchange with `id` (timeout, exhausted retries).
-    /// A no-op unless [`PastryConfig::reliability`] tracks.
-    pub fn record_peer_failure(&mut self, id: NodeId) {
-        if self.cfg.reliability.tracks() {
-            let now = self.net.now();
-            let mut scores = self.scores.borrow_mut();
-            scores.record_failure(id, now);
-            past_obs::observe("pastry.peer.reliability", scores.reliability_milli(id, now));
-        }
-    }
-
     /// Queues `id` for demotion once the current callback returns: the
     /// overlay evicts it from the leaf set and routing table exactly as
     /// if it had failed (including the gossiped failure notice) and
@@ -367,9 +329,6 @@ pub struct PastryNode<A: Application> {
     last_heard: IdHashMap<NodeId, SimTime>,
     pending_forwards: IdHashMap<u64, PendingForward<A::Msg>>,
     next_forward_id: u64,
-    /// Per-peer reliability evidence (RefCell: the table is updated
-    /// through `AppCtx` while the Pastry state is immutably borrowed).
-    scores: RefCell<PeerScoreTable>,
     /// Demotions queued by the application via [`AppCtx::demote_peer`],
     /// applied (eviction + shun) after the callback returns.
     demotions: RefCell<Vec<NodeId>>,
@@ -390,7 +349,6 @@ impl<A: Application> PastryNode<A> {
     /// node (`None` for the first node of a new overlay).
     pub fn new(cfg: PastryConfig, own: NodeEntry, app: A, bootstrap: Option<Addr>) -> Self {
         cfg.validate();
-        let scores = RefCell::new(PeerScoreTable::new(RELIABILITY_HALF_LIFE));
         PastryNode {
             state: PastryState::new(own, &cfg),
             cfg,
@@ -400,7 +358,6 @@ impl<A: Application> PastryNode<A> {
             last_heard: IdHashMap::default(),
             pending_forwards: IdHashMap::default(),
             next_forward_id: 0,
-            scores,
             demotions: RefCell::new(Vec::new()),
             shunned: std::collections::BTreeSet::new(),
             crashed: false,
@@ -446,7 +403,7 @@ impl<A: Application> PastryNode<A> {
     where
         F: FnOnce(&mut A, &mut AppCtx<'_, '_, A::Msg, A::Upcall>),
     {
-        let mut app_ctx = Self::app_ctx(&self.state, &self.cfg, &self.scores, &self.demotions, ctx);
+        let mut app_ctx = Self::app_ctx(&self.state, &self.cfg, &self.demotions, ctx);
         f(&mut self.app, &mut app_ctx);
         self.drain_demotions(ctx);
     }
@@ -461,14 +418,12 @@ impl<A: Application> PastryNode<A> {
     fn app_ctx<'a, 'b>(
         state: &'a PastryState,
         cfg: &'a PastryConfig,
-        scores: &'a RefCell<PeerScoreTable>,
         demotions: &'a RefCell<Vec<NodeId>>,
         net: &'a mut Ctx<'b, Envelope<A::Msg>, A::Upcall>,
     ) -> AppCtx<'a, 'b, A::Msg, A::Upcall> {
         AppCtx {
             state,
             cfg,
-            scores,
             demotions,
             net,
         }
@@ -545,24 +500,9 @@ impl<A: Application> PastryNode<A> {
             .state
             .on_sender_seen(entry, || ctx.proximity(entry.addr));
         if change == LeafChange::Added {
-            let mut app_ctx = Self::app_ctx(&self.state, &self.cfg, &self.scores, &self.demotions, ctx);
+            let mut app_ctx = Self::app_ctx(&self.state, &self.cfg, &self.demotions, ctx);
             self.app.on_neighbor_added(&mut app_ctx, entry);
         }
-    }
-
-    /// Records reliability evidence about a peer (no-op unless
-    /// [`PastryConfig::reliability`] tracks).
-    fn score_peer(&self, now: SimTime, id: NodeId, success: bool) {
-        if !self.cfg.reliability.tracks() {
-            return;
-        }
-        let mut scores = self.scores.borrow_mut();
-        if success {
-            scores.record_success(id, now);
-        } else {
-            scores.record_failure(id, now);
-        }
-        past_obs::observe("pastry.peer.reliability", scores.reliability_milli(id, now));
     }
 
     /// Marks a node failed, repairing the leaf set and informing the app.
@@ -573,7 +513,6 @@ impl<A: Application> PastryNode<A> {
         notify_leaf: bool,
     ) {
         self.last_heard.remove(&failed);
-        self.score_peer(ctx.now(), failed, false);
         let was_member = self.state.leaf_set().contains(failed);
         let entry = self
             .state
@@ -595,7 +534,7 @@ impl<A: Application> PastryNode<A> {
                 self.send(ctx, e.addr, Body::LeafSetRequest);
             }
             if let Some(entry) = entry {
-                let mut app_ctx = Self::app_ctx(&self.state, &self.cfg, &self.scores, &self.demotions, ctx);
+                let mut app_ctx = Self::app_ctx(&self.state, &self.cfg, &self.demotions, ctx);
                 self.app.on_neighbor_removed(&mut app_ctx, entry);
             }
         }
@@ -621,12 +560,12 @@ impl<A: Application> PastryNode<A> {
             NextHop::Local => {
                 past_obs::counter("pastry.delivered", 1);
                 past_obs::observe("pastry.route.hops", hops as u64);
-                let mut app_ctx = Self::app_ctx(&self.state, &self.cfg, &self.scores, &self.demotions, ctx);
+                let mut app_ctx = Self::app_ctx(&self.state, &self.cfg, &self.demotions, ctx);
                 self.app.deliver(&mut app_ctx, key, msg, hops, source);
             }
             NextHop::Forward(next) => {
                 let keep_going = {
-                    let mut app_ctx = Self::app_ctx(&self.state, &self.cfg, &self.scores, &self.demotions, ctx);
+                    let mut app_ctx = Self::app_ctx(&self.state, &self.cfg, &self.demotions, ctx);
                     self.app.forward(&mut app_ctx, key, &mut msg, hops, source)
                 };
                 if keep_going {
@@ -755,7 +694,7 @@ impl<A: Application> PastryNode<A> {
             for n in &known {
                 self.send(ctx, n.addr, Body::Announce);
             }
-            let mut app_ctx = Self::app_ctx(&self.state, &self.cfg, &self.scores, &self.demotions, ctx);
+            let mut app_ctx = Self::app_ctx(&self.state, &self.cfg, &self.demotions, ctx);
             self.app.on_joined(&mut app_ctx);
         }
     }
@@ -764,9 +703,9 @@ impl<A: Application> PastryNode<A> {
     /// reset the Pastry state and re-feed every remembered leaf,
     /// routing and neighborhood entry through the normal observation
     /// path (`on_node_seen`), so the rebuilt structures pass the same
-    /// invariant checks live traffic would. The peer scores are kept
-    /// as they are. Then probe a bounded number of the most reliable
-    /// leaf-set members instead of the whole leaf set.
+    /// invariant checks live traffic would. Then probe a bounded number
+    /// of leaf-set members, lowest id first, instead of the whole leaf
+    /// set.
     fn restart_warm(&mut self, ctx: &mut Ctx<'_, Envelope<A::Msg>, A::Upcall>) {
         let now = ctx.now();
         let own = self.state.own();
@@ -795,23 +734,13 @@ impl<A: Application> PastryNode<A> {
             }
         }
         self.joined = true;
-        // Bounded, prioritized reconnection: highest reliability first,
-        // id as the deterministic tie-break.
         let mut members: Vec<NodeEntry> = self.state.leaf_set().members().copied().collect();
-        {
-            let scores = self.scores.borrow();
-            members.sort_by_key(|m| {
-                (
-                    std::cmp::Reverse(scores.reliability_milli(m.id, now)),
-                    m.id,
-                )
-            });
-        }
+        members.sort_by_key(|m| m.id);
         for m in members.into_iter().take(RESTART_PROBE_FANOUT) {
             self.send(ctx, m.addr, Body::LeafSetRequest);
             self.send(ctx, m.addr, Body::Announce);
         }
-        let mut app_ctx = Self::app_ctx(&self.state, &self.cfg, &self.scores, &self.demotions, ctx);
+        let mut app_ctx = Self::app_ctx(&self.state, &self.cfg, &self.demotions, ctx);
         self.app.on_restore(&mut app_ctx);
     }
 }
@@ -838,7 +767,7 @@ impl<A: Application> Protocol for PastryNode<A> {
             }
             None => {
                 self.joined = true;
-                let mut app_ctx = Self::app_ctx(&self.state, &self.cfg, &self.scores, &self.demotions, ctx);
+                let mut app_ctx = Self::app_ctx(&self.state, &self.cfg, &self.demotions, ctx);
                 self.app.on_joined(&mut app_ctx);
             }
         }
@@ -916,10 +845,8 @@ impl<A: Application> Protocol for PastryNode<A> {
             Body::Ping => {
                 self.send(ctx, sender.addr, Body::Pong);
             }
-            Body::Pong => {
-                // An explicit liveness ack: positive reliability evidence.
-                self.score_peer(ctx.now(), sender.id, true);
-            }
+            // The liveness evidence is the `note_node` above.
+            Body::Pong => {}
             Body::LeafSetRequest => {
                 let members: Vec<NodeEntry> = self.state.leaf_set().members().copied().collect();
                 self.send(ctx, sender.addr, Body::LeafSetReply { members });
@@ -934,7 +861,7 @@ impl<A: Application> Protocol for PastryNode<A> {
                 self.handle_failure(ctx, failed, false);
             }
             Body::App(msg) => {
-                let mut app_ctx = Self::app_ctx(&self.state, &self.cfg, &self.scores, &self.demotions, ctx);
+                let mut app_ctx = Self::app_ctx(&self.state, &self.cfg, &self.demotions, ctx);
                 self.app.on_app_message(&mut app_ctx, sender, msg);
             }
         }
@@ -943,7 +870,7 @@ impl<A: Application> Protocol for PastryNode<A> {
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Self::Msg, Self::Upcall>, token: u64) {
         if token >= APP_TOKEN_BASE {
-            let mut app_ctx = Self::app_ctx(&self.state, &self.cfg, &self.scores, &self.demotions, ctx);
+            let mut app_ctx = Self::app_ctx(&self.state, &self.cfg, &self.demotions, ctx);
             self.app.on_app_timer(&mut app_ctx, token - APP_TOKEN_BASE);
             self.drain_demotions(ctx);
             return;
@@ -968,20 +895,6 @@ impl<A: Application> Protocol for PastryNode<A> {
                 self.send(ctx, m.addr, Body::Ping);
             }
             i += 1;
-        }
-        // Reliability-driven routing-table hygiene: evict candidates
-        // whose decayed peer score fell below the demotion threshold
-        // (leaf-set members are exempt — the failure detector above
-        // owns their fate).
-        if self.cfg.reliability == Reliability::TrackAndDemote {
-            let victims = self.state.demote_unreliable_candidates(
-                &self.scores.borrow(),
-                now,
-                DEMOTE_THRESHOLD_MILLI,
-            );
-            for _ in &victims {
-                past_obs::counter("pastry.table.demoted", 1);
-            }
         }
         if self.cfg.keep_alive_period.micros() > 0 {
             ctx.set_timer(self.cfg.keep_alive_period, KEEPALIVE_TOKEN);

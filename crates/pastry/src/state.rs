@@ -1,14 +1,13 @@
 //! Combined per-node Pastry state and the routing decision procedure.
 
 use past_id::NodeId;
-use past_net::{Addr, SimTime};
+use past_net::Addr;
 use rand::rngs::StdRng;
 use rand::Rng;
 
 use crate::config::{PastryConfig, B};
 use crate::leaf_set::{LeafSet, NodeEntry};
 use crate::neighborhood::NeighborhoodSet;
-use crate::peer_score::PeerScoreTable;
 use crate::routing_table::RoutingTable;
 
 /// The outcome of a routing decision.
@@ -183,8 +182,7 @@ impl PastryState {
     ///   seen. Hence any change to it counts, not only removals.
     ///
     /// So the epoch advances on every removal
-    /// ([`PastryState::on_node_failed`],
-    /// [`PastryState::demote_unreliable_candidates`]) and whenever
+    /// ([`PastryState::on_node_failed`]) and whenever
     /// [`NeighborhoodSet::consider`] reports a change, and a stamp from
     /// an earlier epoch is ignored. A rebuilt state starts with no
     /// stamps.
@@ -243,38 +241,6 @@ impl PastryState {
         } else {
             LeafChange::None
         }
-    }
-
-    /// Evicts routing-table candidates whose decayed reliability at
-    /// `now` fell below `threshold_milli`, returning the evicted ids
-    /// (ascending, deterministic). Only peers with recorded evidence
-    /// are judged — an unknown peer's prior (500) is not a verdict —
-    /// and current leaf-set members are exempt: the keep-alive failure
-    /// detector owns their membership, and evicting them here would
-    /// tear holes in the replica-candidate ring on soft evidence.
-    pub fn demote_unreliable_candidates(
-        &mut self,
-        scores: &PeerScoreTable,
-        now: SimTime,
-        threshold_milli: u64,
-    ) -> Vec<NodeId> {
-        let mut victims: Vec<NodeId> = self
-            .table
-            .entries()
-            .map(|c| c.entry.id)
-            .filter(|id| !self.leaf.contains(*id))
-            .filter(|id| scores.get(*id).is_some())
-            .filter(|id| scores.reliability_milli(*id, now) < threshold_milli)
-            .collect();
-        victims.sort_unstable();
-        victims.dedup();
-        for id in &victims {
-            self.table.remove(*id);
-        }
-        if !victims.is_empty() {
-            self.advance_epoch();
-        }
-        victims
     }
 
     /// All distinct nodes this node knows about.
@@ -585,46 +551,6 @@ mod tests {
         // Nodes 90 and 110 appear in leaf set, routing table and
         // neighborhood; known_nodes must report each once.
         assert_eq!(st.known_nodes().len(), 2);
-    }
-
-    #[test]
-    fn unreliable_table_candidate_demoted_healthy_stays() {
-        use past_net::{SimDuration, SimTime};
-
-        let own = 1u128 << 96;
-        let mut st = state_with(own, &[own - 1, own - 2, own + 1, own + 2]);
-        // Two far candidates that live in the routing table but not the
-        // (full) leaf set.
-        let flaky = entry(0xf0u128 << 120);
-        let healthy = entry(0xe0u128 << 120);
-        st.on_node_seen(flaky, 1.0);
-        st.on_node_seen(healthy, 1.0);
-        assert!(!st.leaf_set().contains(flaky.id));
-        assert!(st.routing_table().entries().any(|c| c.entry.id == flaky.id));
-
-        let mut scores = PeerScoreTable::new(SimDuration::from_secs(60));
-        let now = SimTime(1_000);
-        for _ in 0..8 {
-            scores.record_failure(flaky.id, now);
-        }
-        scores.record_success(healthy.id, now);
-
-        let victims = st.demote_unreliable_candidates(&scores, now, 250);
-        assert_eq!(victims, vec![flaky.id]);
-        assert!(!st.routing_table().entries().any(|c| c.entry.id == flaky.id));
-        // The healthy peer keeps its row; peers with no evidence at all
-        // (the near leaf members never scored here) are never judged.
-        assert!(st.routing_table().entries().any(|c| c.entry.id == healthy.id));
-
-        // A leaf-set member is exempt no matter how rotten its score.
-        let leaf_member = NodeId::from_u128(own + 1);
-        for _ in 0..8 {
-            scores.record_failure(leaf_member, now);
-        }
-        assert!(st
-            .demote_unreliable_candidates(&scores, now, 250)
-            .is_empty());
-        assert!(st.leaf_set().contains(leaf_member));
     }
 
     #[test]

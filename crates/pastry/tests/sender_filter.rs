@@ -21,10 +21,9 @@
 //! hide the way back.
 
 use past_id::NodeId;
-use past_net::{Addr, SimDuration, SimTime};
+use past_net::Addr;
 use past_pastry::{
-    LeafChange, LeafSet, NeighborhoodSet, NodeEntry, PastryConfig, PastryState, PeerScoreTable,
-    RoutingTable,
+    LeafChange, LeafSet, NeighborhoodSet, NodeEntry, PastryConfig, PastryState, RoutingTable,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -38,7 +37,6 @@ const ADDRS: usize = 200;
 const REUSED: usize = 40;
 const MOVED: usize = 20;
 const ENTRIES: usize = ADDRS + REUSED + MOVED;
-const DEMOTE_BELOW_MILLI: u64 = 250;
 
 fn cfg() -> PastryConfig {
     // Small sets, so that they fill up and every observation competes.
@@ -90,22 +88,6 @@ impl Reference {
             LeafChange::None
         }
     }
-
-    fn demote(&mut self, scores: &PeerScoreTable, now: SimTime) -> Vec<NodeId> {
-        let mut victims: Vec<NodeId> = self
-            .table
-            .entries()
-            .map(|c| c.entry.id)
-            .filter(|id| !self.leaf.contains(*id) && scores.get(*id).is_some())
-            .filter(|id| scores.reliability_milli(*id, now) < DEMOTE_BELOW_MILLI)
-            .collect();
-        victims.sort_unstable();
-        victims.dedup();
-        for id in &victims {
-            self.table.remove(*id);
-        }
-        victims
-    }
 }
 
 fn assert_same(state: &PastryState, reference: &Reference, step: usize) {
@@ -120,9 +102,8 @@ fn assert_same(state: &PastryState, reference: &Reference, step: usize) {
     assert_eq!(near, want, "neighbourhood sets differ after step {step}");
 }
 
-/// Replays `ops` on both sides. An op is `(kind, entry index)`: most
-/// kinds observe the entry, the rest declare it failed, record a failed
-/// exchange with it, or run the demotion sweep.
+/// Replays `ops` on both sides. An op is `(kind, entry index)`: kinds
+/// 0–11 observe the entry, 12–13 declare it failed.
 fn replay(seed: u64, tied: bool, ops: &[(u8, usize)]) {
     let mut rng = StdRng::seed_from_u64(seed);
     let cfg = cfg();
@@ -150,8 +131,6 @@ fn replay(seed: u64, tied: bool, ops: &[(u8, usize)]) {
 
     let mut state = PastryState::new(own, &cfg);
     let mut reference = Reference::new(own, &cfg);
-    let mut scores = PeerScoreTable::new(SimDuration::from_secs(300));
-    let now = SimTime(1_000_000);
     let mut skipped = 0usize;
     for (step, &(kind, idx)) in ops.iter().enumerate() {
         let entry = entries[idx];
@@ -166,14 +145,9 @@ fn replay(seed: u64, tied: bool, ops: &[(u8, usize)]) {
                 let want = reference.seen(entry, proximity[entry.addr.index()]);
                 assert_eq!(got, want, "LeafChange differs at step {step}");
             }
-            12 | 13 => {
+            _ => {
                 let got = state.on_node_failed(entry.id);
                 assert_eq!(got, reference.failed(entry.id), "step {step}");
-            }
-            14 => scores.record_failure(entry.id, now),
-            _ => {
-                let got = state.demote_unreliable_candidates(&scores, now, DEMOTE_BELOW_MILLI);
-                assert_eq!(got, reference.demote(&scores, now), "step {step}");
             }
         }
         assert_same(&state, &reference, step);
@@ -188,7 +162,7 @@ proptest! {
     #[test]
     fn filtered_state_equals_unfiltered_reference_without_ties(
         seed in any::<u64>(),
-        ops in prop::collection::vec((0u8..16, 0usize..ENTRIES), 1000..3000)
+        ops in prop::collection::vec((0u8..14, 0usize..ENTRIES), 1000..3000)
     ) {
         replay(seed, false, &ops);
     }
@@ -196,7 +170,7 @@ proptest! {
     #[test]
     fn filtered_state_equals_unfiltered_reference_with_tied_proximities(
         seed in any::<u64>(),
-        ops in prop::collection::vec((0u8..16, 0usize..ENTRIES), 1000..3000)
+        ops in prop::collection::vec((0u8..14, 0usize..ENTRIES), 1000..3000)
     ) {
         replay(seed, true, &ops);
     }

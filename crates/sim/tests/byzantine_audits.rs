@@ -6,7 +6,7 @@
 //! corrupters, replica droppers, ack-then-discarders and free-space
 //! liars, all switched on mid-run against an overlay built with the
 //! full defense stack (periodic audits, lookup content verification,
-//! reliability tracking, routing-table demotion).
+//! shunning of convicted holders).
 
 use past_net::SimDuration;
 use past_sim::{ChurnConfig, ChurnRunner};
@@ -20,7 +20,6 @@ fn defended_cfg(seed: u64, nodes: usize, audits: bool) -> ChurnConfig {
     };
     if audits {
         cfg.past.audit_period = SimDuration::from_secs(10);
-        cfg.pastry.reliability = past_pastry::Reliability::TrackAndDemote;
     }
     cfg
 }

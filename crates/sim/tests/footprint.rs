@@ -5,7 +5,7 @@
 
 use std::mem::{size_of, size_of_val};
 
-use past_core::{PastMsg, PastNode, ReqId};
+use past_core::{PastMsg, PastNode, PastOverlayNode, ReqId};
 use past_crypto::{FileCertificate, KeyPair, Scheme, Sha1};
 use past_pastry::{Envelope, NodeEntry, PastryState, RouteCell};
 use past_sim::{ExperimentConfig, InsertRecord, Runner};
@@ -102,4 +102,11 @@ fn a_built_overlay_allocates_only_the_state_it_uses() {
 #[test]
 fn a_past_node_is_no_larger_than_measured() {
     assert!(size_of::<PastNode>() <= 880, "{} B", size_of::<PastNode>());
+}
+
+/// The same holds for the Pastry node wrapped around it.
+#[test]
+fn a_past_overlay_node_is_no_larger_than_measured() {
+    let bytes = size_of::<PastOverlayNode>();
+    assert!(bytes <= 1256, "{bytes} B");
 }

@@ -165,9 +165,9 @@ fn churn_run_is_shard_count_invariant() {
 }
 
 /// One adversarial churn run with the full defense stack armed:
-/// sampled audits, lookup content verification, reliability tracking,
-/// and routing-table demotion. Every observable the byzantine bench
-/// reads goes into the fingerprint.
+/// sampled audits, lookup content verification, and shunning of
+/// convicted holders. Every observable the byzantine bench reads goes
+/// into the fingerprint.
 fn byz_fingerprint(shards: usize, fraction: f64, audits: bool) -> Vec<u64> {
     let mut cfg = ChurnConfig {
         nodes: 20,
@@ -178,7 +178,6 @@ fn byz_fingerprint(shards: usize, fraction: f64, audits: bool) -> Vec<u64> {
     };
     if audits {
         cfg.past.audit_period = SimDuration::from_secs(10);
-        cfg.pastry.reliability = past_pastry::Reliability::TrackAndDemote;
     }
     let mut r = ChurnRunner::build(cfg);
     let inserted = r.insert_files() as u64;

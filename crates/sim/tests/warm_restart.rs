@@ -16,7 +16,6 @@
 //!   identical results on the legacy engine and at any shard count.
 
 use past_net::{Addr, FaultPlan, SimDuration};
-use past_pastry::Reliability;
 use past_sim::{ChurnConfig, ChurnRunner};
 
 fn warm_cfg(seed: u64, warm: bool, shards: usize) -> ChurnConfig {
@@ -30,9 +29,6 @@ fn warm_cfg(seed: u64, warm: bool, shards: usize) -> ChurnConfig {
     // Arm the anti-entropy sweep: reconciliation rides on it.
     cfg.past.anti_entropy_period = SimDuration::from_secs(10);
     cfg.pastry.warm_restart = warm;
-    if warm {
-        cfg.pastry.reliability = Reliability::Track;
-    }
     cfg
 }
 
